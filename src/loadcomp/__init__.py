@@ -65,53 +65,3 @@ from .synth import (
     shape_for,
     synth_household_day,
 )
-
-__all__ = [
-    "ApplianceSpec",
-    "Catalog",
-    "CatalogError",
-    "CompositionError",
-    "CompositionReport",
-    "DailyExtrema",
-    "DeviceEnergy",
-    "Granularity",
-    "HourlyAttribution",
-    "HourlyShape",
-    "LoadProfile",
-    "NormalizedProfile",
-    "OccupancyCurve",
-    "OccupancyError",
-    "OperationClass",
-    "ProfileError",
-    "ReconcileError",
-    "ReconciliationResult",
-    "Season",
-    "SeasonPairReport",
-    "SeasonalConsumptionTable",
-    "SynthesizedDay",
-    "UnattributableLoadError",
-    "builtin_catalog",
-    "composition_from_attribution",
-    "composition_shares",
-    "daily_extrema",
-    "default_occupancy",
-    "device_daily_energy",
-    "disaggregate",
-    "household_device_energy",
-    "load_catalog",
-    "load_occupancy",
-    "load_profile",
-    "monthly_growth",
-    "normalize",
-    "parse_catalog",
-    "parse_profile",
-    "peak_average_ratio",
-    "scale_to_measured",
-    "season_pair_report",
-    "seasonal_split",
-    "seasonal_table",
-    "serialize_catalog",
-    "shape_for",
-    "synth_household_day",
-    "validate_spec",
-]

@@ -1,9 +1,11 @@
-"""Input source handling shared by the parsers."""
+"""Text I/O shared by the parsers and writers: reading input sources and rendering CSV."""
 
 from __future__ import annotations
 
+import csv
+import io
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 
 def read_text(source: Any) -> str:
@@ -22,3 +24,15 @@ def read_text(source: Any) -> str:
     if isinstance(data, bytes):
         return data.decode("utf-8")
     return data
+
+
+def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
+    """Render a header and rows as CSV with ``\\n`` line endings.
+
+    Cells are written with ``str``, so floats keep their shortest round-trip form.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

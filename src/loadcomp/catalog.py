@@ -12,26 +12,13 @@ import csv
 import enum
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from ._sourceio import read_text
+from ._sourceio import csv_text, read_text
 
 # Run and idle fractions must sum to 1; slack for binary floating point.
 FRACTION_SUM_TOL = 1e-12
-
-CSV_HEADER = (
-    "activity",
-    "tou_winter",
-    "tou_summer",
-    "units_winter",
-    "units_summer",
-    "run_watts",
-    "idle_watts",
-    "operation",
-    "run_fraction",
-    "idle_fraction",
-)
 
 # Historic spellings in source data map onto one canonical activity name.
 ACTIVITY_ALIASES = {
@@ -115,6 +102,10 @@ class ApplianceSpec:
         return self.units_winter if season is Season.WINTER else self.units_summer
 
 
+# The CSV columns and JSON keys of the wire format, in field order.
+CSV_HEADER = tuple(f.name for f in fields(ApplianceSpec))
+
+
 def validate_spec(spec: ApplianceSpec) -> list[str]:
     """Check one spec against its invariants.
 
@@ -152,20 +143,18 @@ def validate_spec(spec: ApplianceSpec) -> list[str]:
 
 @dataclass(frozen=True)
 class Catalog:
-    """Ordered, validated collection of appliance specs plus source metadata."""
+    """Ordered, non-empty collection of appliance specs with case-insensitively unique names."""
 
     specs: tuple[ApplianceSpec, ...]
-    origin: str = ""
-    year: int | None = None
 
     def __post_init__(self) -> None:
         if not self.specs:
             raise CatalogError("no entries")
         seen: set[str] = set()
-        for spec in self.specs:
+        for rownum, spec in enumerate(self.specs, start=1):
             key = spec.activity.casefold()
             if key in seen:
-                raise CatalogError(f"duplicate activity name {spec.activity!r}")
+                raise CatalogError(f"row {rownum}: duplicate activity name {spec.activity!r}")
             seen.add(key)
 
     def __iter__(self):
@@ -189,7 +178,8 @@ def parse_catalog(source, fmt: str = "csv") -> Catalog:
 
     ``source`` may be bytes, text, a Path, or a readable stream. Rows are
     kept in file order. Raises :class:`CatalogError` naming the row and
-    field on the first malformed or invalid entry.
+    field on the first malformed or invalid entry; duplicate names are
+    reported after every row has passed :func:`validate_spec`.
     """
     text = read_text(source)
     if fmt == "csv":
@@ -198,20 +188,14 @@ def parse_catalog(source, fmt: str = "csv") -> Catalog:
         rows = _rows_from_json(text)
     else:
         raise CatalogError(f"unknown catalog format {fmt!r}")
-    if not rows:
-        raise CatalogError("no entries")
 
     specs = []
-    seen: set[str] = set()
-    for rownum, raw in rows:
+    # Data rows are numbered from 1; a CSV header is not counted.
+    for rownum, raw in enumerate(rows, start=1):
         spec = _spec_from_mapping(raw, rownum)
         violations = validate_spec(spec)
         if violations:
             raise CatalogError(f"row {rownum} ({spec.activity!r}): " + "; ".join(violations))
-        key = spec.activity.casefold()
-        if key in seen:
-            raise CatalogError(f"row {rownum}: duplicate activity name {spec.activity!r}")
-        seen.add(key)
         specs.append(spec)
     return Catalog(specs=tuple(specs))
 
@@ -230,51 +214,18 @@ def load_catalog(path: str | Path, fmt: str | None = None) -> Catalog:
 def serialize_catalog(catalog: Catalog, fmt: str = "csv") -> str:
     """Render a catalog back to its CSV or JSON wire format.
 
-    Only the rows are serialized; ``origin``/``year`` metadata is not part
-    of the wire format. ``parse_catalog(serialize_catalog(c), fmt)`` returns
-    a catalog with the same specs as ``c``.
+    ``parse_catalog(serialize_catalog(c), fmt)`` returns a catalog with the
+    same specs as ``c``.
     """
+    rows = [{**vars(spec), "operation": spec.operation.value} for spec in catalog]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for spec in catalog:
-            writer.writerow(
-                [
-                    spec.activity,
-                    repr(spec.tou_winter),
-                    repr(spec.tou_summer),
-                    spec.units_winter,
-                    spec.units_summer,
-                    repr(spec.run_watts),
-                    repr(spec.idle_watts),
-                    spec.operation.value,
-                    repr(spec.run_fraction),
-                    repr(spec.idle_fraction),
-                ]
-            )
-        return buf.getvalue()
+        return csv_text(CSV_HEADER, (row.values() for row in rows))
     if fmt == "json":
-        rows = [
-            {
-                "activity": spec.activity,
-                "tou_winter": spec.tou_winter,
-                "tou_summer": spec.tou_summer,
-                "units_winter": spec.units_winter,
-                "units_summer": spec.units_summer,
-                "run_watts": spec.run_watts,
-                "idle_watts": spec.idle_watts,
-                "operation": spec.operation.value,
-                "run_fraction": spec.run_fraction,
-                "idle_fraction": spec.idle_fraction,
-            }
-            for spec in catalog
-        ]
         return json.dumps(rows, indent=2) + "\n"
     raise CatalogError(f"unknown catalog format {fmt!r}")
 
 
-def _rows_from_csv(text: str) -> list[tuple[int, dict]]:
+def _rows_from_csv(text: str) -> list[dict]:
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         return []
@@ -285,11 +236,10 @@ def _rows_from_csv(text: str) -> list[tuple[int, dict]]:
         raise CatalogError(f"missing column(s): {', '.join(missing)}")
     if extra:
         raise CatalogError(f"unexpected column(s): {', '.join(extra)}")
-    # Data rows are numbered from 1; the header is not counted.
-    return [(i, row) for i, row in enumerate(reader, start=1)]
+    return list(reader)
 
 
-def _rows_from_json(text: str) -> list[tuple[int, dict]]:
+def _rows_from_json(text: str) -> list[dict]:
     try:
         data = json.loads(text) if text.strip() else []
     except json.JSONDecodeError as exc:
@@ -299,7 +249,7 @@ def _rows_from_json(text: str) -> list[tuple[int, dict]]:
     for i, item in enumerate(data, start=1):
         if not isinstance(item, dict):
             raise CatalogError(f"row {i}: expected an object, got {type(item).__name__}")
-    return [(i, item) for i, item in enumerate(data, start=1)]
+    return data
 
 
 def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:
@@ -346,39 +296,24 @@ def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:
 # Idle wattage listed for TV/PC/gaming never contributes because their
 # run fraction is 1; the survey values are preserved as published.
 _BUILTIN_ROWS = (
-    ("Heating (oil-filled)", 8.0, 1.5, 2, 1, 1500.0, 0.0, "Semi Auto", 0.5, 0.5),
-    ("Air conditioning", 3.0, 10.0, 2, 5, 1800.0, 100.0, "Semi Auto", 0.6, 0.4),
-    ("Water heating", 14.0, 4.7, 3, 1, 1500.0, 30.0, "Auto", 0.3, 0.7),
-    ("Water coolers", 10.0, 17.0, 1, 1, 250.0, 10.0, "Auto", 0.5, 0.5),
-    ("Water pump", 1.5, 2.1, 1, 1, 250.0, 0.0, "Auto", 1.0, 0.0),
-    ("Washing & Drying", 1.3, 1.9, 2, 2, 2000.0, 0.0, "Semi Auto", 1.0, 0.0),
-    ("Ironing", 1.0, 1.8, 1, 1, 1000.0, 0.0, "Manual", 1.0, 0.0),
-    ("Vacuum cleaning", 1.0, 1.3, 1, 1, 1000.0, 0.0, "Manual", 1.0, 0.0),
-    ("Cooking", 1.6, 1.4, 1, 1, 2150.0, 0.0, "Semi Auto", 1.0, 0.0),
-    ("Electric kettle", 1.3, 2.0, 1, 1, 1800.0, 0.0, "Manual", 1.0, 0.0),
-    ("Lighting", 7.3, 7.5, 50, 50, 10.0, 0.0, "Manual", 1.0, 0.0),
-    ("Food preservation", 24.0, 24.0, 2, 2, 100.0, 0.0, "Auto", 1.0, 0.0),
-    ("TV", 5.3, 5.9, 1, 2, 120.0, 13.0, "Manual", 1.0, 0.0),
-    ("PC", 2.1, 2.6, 2, 2, 150.0, 7.5, "Manual", 1.0, 0.0),
-    ("Gaming devices", 2.6, 3.0, 4, 4, 30.0, 7.5, "Manual", 1.0, 0.0),
+    ("Heating (oil-filled)", 8.0, 1.5, 2, 1, 1500.0, 0.0, OperationClass.SEMI_AUTO, 0.5, 0.5),
+    ("Air conditioning", 3.0, 10.0, 2, 5, 1800.0, 100.0, OperationClass.SEMI_AUTO, 0.6, 0.4),
+    ("Water heating", 14.0, 4.7, 3, 1, 1500.0, 30.0, OperationClass.AUTO, 0.3, 0.7),
+    ("Water coolers", 10.0, 17.0, 1, 1, 250.0, 10.0, OperationClass.AUTO, 0.5, 0.5),
+    ("Water pump", 1.5, 2.1, 1, 1, 250.0, 0.0, OperationClass.AUTO, 1.0, 0.0),
+    ("Washing & Drying", 1.3, 1.9, 2, 2, 2000.0, 0.0, OperationClass.SEMI_AUTO, 1.0, 0.0),
+    ("Ironing", 1.0, 1.8, 1, 1, 1000.0, 0.0, OperationClass.MANUAL, 1.0, 0.0),
+    ("Vacuum cleaning", 1.0, 1.3, 1, 1, 1000.0, 0.0, OperationClass.MANUAL, 1.0, 0.0),
+    ("Cooking", 1.6, 1.4, 1, 1, 2150.0, 0.0, OperationClass.SEMI_AUTO, 1.0, 0.0),
+    ("Electric kettle", 1.3, 2.0, 1, 1, 1800.0, 0.0, OperationClass.MANUAL, 1.0, 0.0),
+    ("Lighting", 7.3, 7.5, 50, 50, 10.0, 0.0, OperationClass.MANUAL, 1.0, 0.0),
+    ("Food preservation", 24.0, 24.0, 2, 2, 100.0, 0.0, OperationClass.AUTO, 1.0, 0.0),
+    ("TV", 5.3, 5.9, 1, 2, 120.0, 13.0, OperationClass.MANUAL, 1.0, 0.0),
+    ("PC", 2.1, 2.6, 2, 2, 150.0, 7.5, OperationClass.MANUAL, 1.0, 0.0),
+    ("Gaming devices", 2.6, 3.0, 4, 4, 30.0, 7.5, OperationClass.MANUAL, 1.0, 0.0),
 )
 
 
 def builtin_catalog() -> Catalog:
     """The built-in 15-activity household archetype catalog."""
-    specs = tuple(
-        ApplianceSpec(
-            activity=row[0],
-            tou_winter=row[1],
-            tou_summer=row[2],
-            units_winter=row[3],
-            units_summer=row[4],
-            run_watts=row[5],
-            idle_watts=row[6],
-            operation=OperationClass.parse(row[7]),
-            run_fraction=row[8],
-            idle_fraction=row[9],
-        )
-        for row in _BUILTIN_ROWS
-    )
-    return Catalog(specs=specs, origin="builtin household archetype (2016 national usage survey)", year=2016)
+    return Catalog(specs=tuple(ApplianceSpec(*row) for row in _BUILTIN_ROWS))

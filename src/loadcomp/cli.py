@@ -9,14 +9,13 @@ goes to a ``<out>.meta.json`` sidecar instead.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import __version__, reconcile
+from ._sourceio import csv_text
 from .catalog import Catalog, CatalogError, Season, builtin_catalog, load_catalog
 from .composition import (
     CompositionError,
@@ -51,44 +50,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"loadcomp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="json", help="payload format")
-    common.add_argument("--out", type=Path, default=None, help="write payload here instead of stdout")
-    common.add_argument("--days-per-month", type=int, default=30, help="days per month for monthly totals")
-    common.add_argument("--occupancy", type=Path, default=None, help="24-value occupancy curve file")
+    shared = {
+        "--format": dict(choices=("csv", "json"), default="json", help="payload format"),
+        "--out": dict(type=Path, default=None, help="write payload here instead of stdout"),
+        "--days-per-month": dict(type=int, default=30, help="days per month for monthly totals"),
+        "--occupancy": dict(type=Path, default=None, help="24-value occupancy curve file"),
+    }
 
-    def add_catalog_source(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--catalog", type=Path, help="appliance catalog file (.csv or .json)")
-        group.add_argument("--builtin-paper", action="store_true", help="use the built-in 15-activity catalog")
+    def add_command(name: str, handler, help: str, *flags: str, catalog: bool = True) -> argparse.ArgumentParser:
+        """Add a subcommand with the shared ``flags`` its handler reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        if catalog:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--catalog", type=Path, help="appliance catalog file (.csv or .json)")
+            group.add_argument("--builtin-paper", action="store_true", help="use the built-in 15-activity catalog")
+        return p
 
-    p = sub.add_parser("composition", parents=[common], help="seasonal consumption table and shares")
-    add_catalog_source(p)
+    p = add_command("composition", cmd_composition, "seasonal consumption table and shares",
+                    "--format", "--out", "--days-per-month")
     p.add_argument("--season", choices=("winter", "summer", "both"), default="both")
     p.add_argument("--integer-shares", action="store_true", help="round pie percentages to integers")
-    p.set_defaults(handler=cmd_composition)
 
-    p = sub.add_parser("profile-stats", parents=[common], help="normalized series and summary statistics")
+    p = add_command("profile-stats", cmd_profile_stats, "normalized series and summary statistics",
+                    "--format", "--out", catalog=False)
     p.add_argument("--profile", type=Path, required=True, help="load profile CSV (timestamp,power_kw)")
     p.add_argument("--granularity", choices=[g.value for g in Granularity], default=None,
                    help="override the inferred sampling granularity")
-    p.set_defaults(handler=cmd_profile_stats)
 
-    p = sub.add_parser("reconcile", parents=[common], help="scale the model to a measured day and attribute hours")
-    add_catalog_source(p)
+    p = add_command("reconcile", cmd_reconcile, "scale the model to a measured day and attribute hours",
+                    "--format", "--out", "--days-per-month", "--occupancy")
     p.add_argument("--profile", type=Path, required=True, help="measured one-day hourly CSV")
     p.add_argument("--season", choices=("winter", "summer"), default=None,
                    help="season (default: inferred from the measured day's month)")
-    p.set_defaults(handler=cmd_reconcile)
 
-    p = sub.add_parser("synth", parents=[common], help="synthesized per-activity 24-hour energy series")
-    add_catalog_source(p)
+    p = add_command("synth", cmd_synth, "synthesized per-activity 24-hour energy series",
+                    "--format", "--out", "--occupancy")
     p.add_argument("--season", choices=("winter", "summer"), required=True)
-    p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("validate", parents=[common], help="parse and validate a catalog")
-    add_catalog_source(p)
-    p.set_defaults(handler=cmd_validate)
+    # validate always writes its verdict as JSON
+    add_command("validate", cmd_validate, "parse and validate a catalog", "--out")
 
     return parser
 
@@ -128,37 +131,36 @@ def _emit(args, payload: str) -> None:
         "command": args.argv_text,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    Path(str(args.out) + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    Path(str(args.out) + ".meta.json").write_text(_json_payload(sidecar), encoding="utf-8")
 
 
 def _json_payload(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _read(load, path: Path, what: str, error: type[Exception], **options):
+    """``load(path, **options)``, reporting an unreadable file as an input error."""
+    try:
+        return load(path, **options)
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def _get_catalog(args) -> Catalog:
     if args.builtin_paper:
         return builtin_catalog()
-    try:
-        return load_catalog(args.catalog)
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog file {args.catalog}: {exc}") from exc
+    return _read(load_catalog, args.catalog, "catalog", CatalogError)
 
 
 def _get_profile(args) -> LoadProfile:
     granularity = Granularity(args.granularity) if getattr(args, "granularity", None) else None
-    try:
-        return load_profile(args.profile, granularity=granularity)
-    except OSError as exc:
-        raise ProfileError(f"cannot read profile file {args.profile}: {exc}") from exc
+    return _read(load_profile, args.profile, "profile", ProfileError, granularity=granularity)
 
 
 def _get_occupancy(args):
     if args.occupancy is None:
         return default_occupancy()
-    try:
-        return load_occupancy(args.occupancy)
-    except OSError as exc:
-        raise OccupancyError(f"cannot read occupancy file {args.occupancy}: {exc}") from exc
+    return _read(load_occupancy, args.occupancy, "occupancy", OccupancyError)
 
 
 def _seasons(choice: str) -> list[Season]:
@@ -188,12 +190,8 @@ def cmd_profile_stats(args) -> tuple[str, int]:
     normalized = normalize(profile)
 
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["timestamp", "fraction"])
-        for ts, fraction in normalized.samples:
-            writer.writerow([ts.isoformat(), repr(fraction)])
-        return buf.getvalue(), 0
+        rows = ((ts.isoformat(), fraction) for ts, fraction in normalized.samples)
+        return csv_text(("timestamp", "fraction"), rows), 0
 
     split = seasonal_split(profile)
     split_summary = {}
@@ -263,18 +261,18 @@ def cmd_reconcile(args) -> tuple[str, int]:
     if result.gap_warning:
         print(
             "loadcomp: warning: bottom-up total differs from measured energy "
-            f"by more than {100 * 0.25:.0f}%; the catalog may not represent this household",
+            f"by more than {100 * reconcile.GAP_WARNING_THRESHOLD:.0f}%; "
+            "the catalog may not represent this household",
             file=sys.stderr,
         )
 
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["hour", "activity", "kw"])
-        for index, (ts, _) in enumerate(measured.samples):
-            for activity, series in attribution.by_activity.items():
-                writer.writerow([ts.hour, activity, repr(series[index])])
-        return buf.getvalue(), 0
+        rows = (
+            (ts.hour, activity, series[index])
+            for index, (ts, _) in enumerate(measured.samples)
+            for activity, series in attribution.by_activity.items()
+        )
+        return csv_text(("hour", "activity", "kw"), rows), 0
 
     payload = {
         "season": season.value,
@@ -310,13 +308,12 @@ def cmd_synth(args) -> tuple[str, int]:
     day = synth_household_day(catalog, season, occupancy)
 
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["hour", "activity", "wh"])
-        for hour in range(24):
-            for activity, series in day.per_activity.items():
-                writer.writerow([hour, activity, repr(series[hour])])
-        return buf.getvalue(), 0
+        rows = (
+            (hour, activity, series[hour])
+            for hour in range(24)
+            for activity, series in day.per_activity.items()
+        )
+        return csv_text(("hour", "activity", "wh"), rows), 0
 
     payload = {
         "season": season.value,

@@ -9,12 +9,11 @@ Shares are each activity's percentage of the household daily total.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable
 
+from ._sourceio import csv_text
 from .catalog import ApplianceSpec, Catalog, Season
 
 
@@ -38,7 +37,6 @@ class DeviceEnergy:
     """One activity's daily energy for one season."""
 
     activity: str
-    season: Season
     units: int
     per_unit_daily_wh: float
     household_daily_wh: float
@@ -86,7 +84,6 @@ def seasonal_table(catalog: Catalog, season: Season, days_per_month: int = 30) -
     rows = tuple(
         DeviceEnergy(
             activity=spec.activity,
-            season=season,
             units=spec.units(season),
             per_unit_daily_wh=device_daily_energy(spec, season),
             household_daily_wh=household_device_energy(spec, season),
@@ -114,35 +111,37 @@ def season_pair_report(catalog: Catalog) -> SeasonPairReport:
     return SeasonPairReport(winter=winter, summer=summer, deltas=deltas)
 
 
+def _half_up(value: float, decimals: int) -> Decimal:
+    return Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
+
+
 def round_half_up(value: float, decimals: int = 1) -> float:
     """Round half away from zero at the given decimal place."""
-    quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(_half_up(value, decimals))
 
 
 def render_value(value: float) -> str:
     """Rendered table cell: one decimal, half-up, trailing '.0' dropped."""
-    text = str(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    text = str(_half_up(value, 1))
     return text[:-2] if text.endswith(".0") else text
 
 
 def table_csv(pairs: Iterable[tuple[SeasonalConsumptionTable, CompositionReport]]) -> str:
     """Render one or more (table, report) pairs as CSV, one row per activity."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["activity", "season", "per_unit_wh_day", "household_wh_day", "share_pct"])
-    for table, report in pairs:
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.activity,
-                    table.season.value,
-                    render_value(row.per_unit_daily_wh),
-                    render_value(row.household_daily_wh),
-                    render_value(report.shares[row.activity]),
-                ]
+    return csv_text(
+        ("activity", "season", "per_unit_wh_day", "household_wh_day", "share_pct"),
+        (
+            (
+                row.activity,
+                table.season.value,
+                render_value(row.per_unit_daily_wh),
+                render_value(row.household_daily_wh),
+                render_value(report.shares[row.activity]),
             )
-    return buf.getvalue()
+            for table, report in pairs
+            for row in table.rows
+        ),
+    )
 
 
 def table_json(table: SeasonalConsumptionTable, report: CompositionReport) -> dict:

@@ -81,7 +81,6 @@ def scale_to_measured(table: SeasonalConsumptionTable, measured_energy_kwh: floa
     rows = tuple(
         DeviceEnergy(
             activity=row.activity,
-            season=row.season,
             units=row.units,
             per_unit_daily_wh=row.per_unit_daily_wh * k,
             household_daily_wh=row.household_daily_wh * k,

@@ -30,16 +30,17 @@ class OccupancyError(ValueError):
     """Occupancy curve data is malformed."""
 
 
-def _normalized(values) -> tuple[float, ...]:
-    values = tuple(float(v) for v in values)
-    if len(values) != 24:
-        raise OccupancyError(f"expected 24 occupancy values, got {len(values)}")
-    if any(v < 0 for v in values):
-        raise OccupancyError("occupancy values must be non-negative")
-    total = sum(values)
-    if total <= 0:
-        raise OccupancyError("occupancy values must not all be zero")
-    return tuple(v / total for v in values)
+def _check_weights(weights: tuple[float, ...], noun: str, error: type[ValueError]) -> None:
+    """Enforce the hourly weight rule: 24 non-negative weights summing to 1."""
+    if len(weights) != 24:
+        raise error(f"expected 24 {noun}, got {len(weights)}")
+    if any(w < 0 for w in weights):
+        raise error(f"{noun} must be non-negative")
+    total = sum(weights)
+    if total == 0:
+        raise error(f"{noun} must not all be zero")
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise error(f"{noun} must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,15 @@ class OccupancyCurve:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.weights) != 24:
-            raise OccupancyError(f"expected 24 occupancy weights, got {len(self.weights)}")
-        if any(w < 0 for w in self.weights):
-            raise OccupancyError("occupancy weights must be non-negative")
-        if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise OccupancyError("occupancy weights must sum to 1")
+        _check_weights(self.weights, "occupancy values", OccupancyError)
 
     @classmethod
     def from_values(cls, values) -> OccupancyCurve:
-        return cls(weights=_normalized(values))
+        """Normalize raw non-negative values to sum to 1."""
+        values = tuple(float(v) for v in values)
+        total = sum(values)
+        # A non-positive total cannot be normalized; the weight rule then names the fault.
+        return cls(weights=values if total <= 0 else tuple(v / total for v in values))
 
 
 def default_occupancy() -> OccupancyCurve:
@@ -83,18 +83,12 @@ class HourlyShape:
 
     weights: tuple[float, ...]
     activity: str
-    season: Season | None = None
 
     def __post_init__(self) -> None:
-        if len(self.weights) != 24:
-            raise ValueError(f"expected 24 weights, got {len(self.weights)}")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("shape weights must be non-negative")
-        if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError("shape weights must sum to 1")
+        _check_weights(self.weights, "shape weights", ValueError)
 
 
-def shape_for(spec: ApplianceSpec, occupancy: OccupancyCurve, season: Season | None = None) -> HourlyShape:
+def shape_for(spec: ApplianceSpec, occupancy: OccupancyCurve) -> HourlyShape:
     """Hourly weight profile for one activity given an occupancy curve."""
     uniform = 1.0 / 24.0
     if spec.operation is OperationClass.AUTO:
@@ -105,7 +99,7 @@ def shape_for(spec: ApplianceSpec, occupancy: OccupancyCurve, season: Season | N
         mixed = tuple((uniform + w) / 2.0 for w in occupancy.weights)
         total = sum(mixed)
         weights = tuple(w / total for w in mixed)
-    return HourlyShape(weights=weights, activity=spec.activity, season=season)
+    return HourlyShape(weights=weights, activity=spec.activity)
 
 
 @dataclass(frozen=True)
@@ -132,6 +126,6 @@ def synth_household_day(catalog: Catalog, season: Season, occupancy: OccupancyCu
     per_activity: dict[str, tuple[float, ...]] = {}
     for spec in catalog:
         energy = household_device_energy(spec, season)
-        weights = shape_for(spec, occ, season).weights
+        weights = shape_for(spec, occ).weights
         per_activity[spec.activity] = tuple(energy * w for w in weights)
     return SynthesizedDay(season=season, per_activity=per_activity)

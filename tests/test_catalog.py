@@ -132,6 +132,11 @@ class TestParseCatalog:
         with pytest.raises(CatalogError, match="row 2: duplicate activity"):
             parse_catalog(source)
 
+    def test_row_violation_is_reported_before_an_earlier_duplicate(self):
+        source = csv_of(row(), row(), row(activity="TV", tou_s=25))
+        with pytest.raises(CatalogError, match=r"row 3 \('TV'\): .*ToU exceeds 24"):
+            parse_catalog(source)
+
     def test_malformed_number_names_row_and_field(self):
         with pytest.raises(CatalogError, match=r"row 1: field 'run_watts' is not a number"):
             parse_catalog(csv_of(row(run_w="lots")))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -188,6 +189,14 @@ class TestReconcile:
         assert code == 0
         assert "warning" in err
 
+    def test_gap_warning_reports_the_threshold_in_force(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("loadcomp.reconcile.GAP_WARNING_THRESHOLD", 0.1)
+        powers = [p * 1.15 for p in synth_day_kw()]  # relative gap 0.13
+        path = write_day_csv(tmp_path / "measured.csv", powers)
+        code, _, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path))
+        assert code == 0
+        assert "by more than 10%;" in err
+
     def test_csv_format_emits_attribution(self, capsys, tmp_path):
         path = write_day_csv(tmp_path / "measured.csv", synth_day_kw())
         code, out, _ = run(
@@ -291,3 +300,20 @@ class TestExitContract:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("composition", {"--format", "--out", "--days-per-month", "--catalog", "--builtin-paper",
+                             "--season", "--integer-shares"}),
+            ("profile-stats", {"--format", "--out", "--profile", "--granularity"}),
+            ("reconcile", {"--format", "--out", "--days-per-month", "--occupancy", "--catalog",
+                           "--builtin-paper", "--profile", "--season"}),
+            ("synth", {"--format", "--out", "--occupancy", "--catalog", "--builtin-paper", "--season"}),
+            ("validate", {"--out", "--catalog", "--builtin-paper"}),
+        ],
+    )
+    def test_each_command_accepts_only_the_flags_it_reads(self, capsys, command, flags):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == flags | {"--help"}

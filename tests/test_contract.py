@@ -1,0 +1,53 @@
+"""Guards on the package's external contracts: stdlib-only code and the benchmark's hooks."""
+
+import ast
+import importlib
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+from loadcomp import Season, builtin_catalog, disaggregate
+from conftest import DAY_CURVE_KW, hourly_day
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "loadcomp").glob("*.py"))
+
+
+def _benchmark_child():
+    spec = importlib.util.spec_from_file_location("bench_child", ROOT / "bench" / "child.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sources_import_only_the_standard_library():
+    assert SOURCES
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: import {name}"
+
+
+def test_project_declares_no_dependencies():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_every_traced_benchmark_hook_resolves():
+    for module_name, attribute, _, _ in _benchmark_child().TRACED:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attribute)), f"{module_name}.{attribute}"
+
+
+def test_disaggregate_result_has_what_the_benchmark_counts():
+    counts = {name: count for _, _, name, count in _benchmark_child().TRACED}
+    attribution = disaggregate(hourly_day(DAY_CURVE_KW), builtin_catalog(), Season.SUMMER)
+    assert counts["reconcile.disaggregate"](attribution) == 15 * 24
+    assert counts["catalog.builtin_catalog"](builtin_catalog()) == 15
