@@ -1,29 +1,16 @@
-"""Text I/O shared by the parsers and writers: reading input sources and rendering CSV."""
+"""Text I/O shared by the parsers and writers: one way to read an input, one to render CSV."""
 
 from __future__ import annotations
 
 import csv
 import io
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 
-def read_text(source: Any) -> str:
-    """Return text content from bytes, str, a Path, or a readable stream.
-
-    A plain ``str`` is treated as content, not as a file name; use a
-    ``pathlib.Path`` (or the ``load_*`` helpers) to read from disk.
-    """
-    if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+def read_text(source: Path | str) -> str:
+    """The content of ``source``: a file read as UTF-8, or a ``str`` taken as content."""
+    return source.read_text(encoding="utf-8") if isinstance(source, Path) else source
 
 
 def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:

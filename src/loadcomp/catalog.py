@@ -12,6 +12,7 @@ import csv
 import enum
 import io
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -104,6 +105,7 @@ class ApplianceSpec:
 
 # The CSV columns and JSON keys of the wire format, in field order.
 CSV_HEADER = tuple(f.name for f in fields(ApplianceSpec))
+_FLOAT_FIELDS = tuple(f.name for f in fields(ApplianceSpec) if f.type == "float")
 
 
 def validate_spec(spec: ApplianceSpec) -> list[str]:
@@ -112,7 +114,13 @@ def validate_spec(spec: ApplianceSpec) -> list[str]:
     Returns a list of human-readable violations, each naming the offending
     field and rule; an empty list means the spec is valid.
     """
-    violations = []
+    violations = [
+        f"{name}: must be a finite number (got {getattr(spec, name)})"
+        for name in _FLOAT_FIELDS
+        if not math.isfinite(getattr(spec, name))
+    ]
+    if violations:  # the range rules below mean nothing for nan or inf
+        return violations
     if not spec.activity or not spec.activity.strip():
         violations.append("activity: name must be non-empty")
     for season in Season:
@@ -176,7 +184,7 @@ class Catalog:
 def parse_catalog(source, fmt: str = "csv") -> Catalog:
     """Parse and validate a catalog from CSV or JSON content.
 
-    ``source`` may be bytes, text, a Path, or a readable stream. Rows are
+    ``source`` is the content as text, or a Path to read it from. Rows are
     kept in file order. Raises :class:`CatalogError` naming the row and
     field on the first malformed or invalid entry; duplicate names are
     reported after every row has passed :func:`validate_spec`.
@@ -200,14 +208,12 @@ def parse_catalog(source, fmt: str = "csv") -> Catalog:
     return Catalog(specs=tuple(specs))
 
 
-def load_catalog(path: str | Path, fmt: str | None = None) -> Catalog:
-    """Read a catalog file, inferring the format from the suffix when not given."""
+def load_catalog(path: str | Path) -> Catalog:
+    """Read a catalog file; its suffix, ``.csv`` or ``.json``, decides the format."""
     path = Path(path)
-    if fmt is None:
-        suffix = path.suffix.lower().lstrip(".")
-        if suffix not in ("csv", "json"):
-            raise CatalogError(f"cannot infer catalog format from suffix of {path.name!r}")
-        fmt = suffix
+    fmt = path.suffix.lower().lstrip(".")
+    if fmt not in ("csv", "json"):
+        raise CatalogError(f"cannot infer catalog format from suffix of {path.name!r}")
     return parse_catalog(path, fmt=fmt)
 
 
@@ -268,7 +274,7 @@ def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:
 
     def as_int(name: str) -> int:
         value = as_float(name)
-        if value != int(value):
+        if not value.is_integer():  # also false for nan and inf
             raise CatalogError(f"row {rownum}: field {name!r} must be a whole number (got {raw.get(name)!r})")
         return int(value)
 

@@ -139,10 +139,10 @@ def _json_payload(obj) -> str:
 
 
 def _read(load, path: Path, what: str, error: type[Exception], **options):
-    """``load(path, **options)``, reporting an unreadable file as an input error."""
+    """``load(path, **options)``, reporting an unreadable or undecodable file as an input error."""
     try:
         return load(path, **options)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from exc
 
 
@@ -205,10 +205,10 @@ def cmd_profile_stats(args) -> tuple[str, int]:
         else:
             split_summary[season.value] = {"samples": 0, "mean_kw": None, "peak_kw": None}
 
-    extrema = None
-    if profile.granularity is Granularity.HOURLY and len({ts.date() for ts in profile.timestamps}) == 1:
-        peak_hour, trough_hour = daily_extrema(profile)
-        extrema = {"peak_hour": peak_hour, "trough_hour": trough_hour}
+    try:
+        extrema = daily_extrema(profile)._asdict()
+    except ProfileError:  # not one hourly day
+        extrema = None
 
     growth = None
     if profile.granularity is not Granularity.HOURLY:

@@ -11,8 +11,10 @@ import calendar
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass
 from datetime import datetime
+from pathlib import Path
 from statistics import fmean
 from typing import NamedTuple
 
@@ -36,8 +38,10 @@ class Granularity(enum.Enum):
 class LoadProfile:
     """Timestamped power series in kW.
 
-    Parsed profiles are never empty; :func:`seasonal_split` may return an
-    empty sub-profile when the input has no samples in that season.
+    Power is finite and non-negative; timestamps strictly increase and are all
+    naive or all offset-aware. Errors name a sample by its CSV row (the first is
+    row 2). Parsed profiles are never empty; :func:`seasonal_split` may return
+    an empty sub-profile when the input has no samples in that season.
     """
 
     samples: tuple[tuple[datetime, float], ...]
@@ -46,11 +50,15 @@ class LoadProfile:
 
     def __post_init__(self) -> None:
         previous = None
-        for i, (ts, power) in enumerate(self.samples, start=1):
+        for rownum, (ts, power) in enumerate(self.samples, start=2):  # header is row 1
+            if not math.isfinite(power):
+                raise ProfileError(f"row {rownum}: power must be a finite number")
             if power < 0:
-                raise ProfileError(f"sample {i}: negative power {power}")
+                raise ProfileError(f"row {rownum}: negative power {power}")
+            if previous is not None and (ts.utcoffset() is None) != (previous.utcoffset() is None):
+                raise ProfileError(f"row {rownum}: cannot mix naive and offset-aware timestamps")
             if previous is not None and ts <= previous:
-                raise ProfileError(f"sample {i}: timestamps must be strictly increasing")
+                raise ProfileError(f"row {rownum}: timestamps must be strictly increasing")
             previous = ts
 
     def __len__(self) -> int:
@@ -75,7 +83,6 @@ class NormalizedProfile:
 
     samples: tuple[tuple[datetime, float], ...]
     peak_kw: float
-    label: str = ""
 
     @property
     def fractions(self) -> tuple[float, ...]:
@@ -90,10 +97,10 @@ class DailyExtrema(NamedTuple):
 def parse_profile(source, granularity: Granularity | None = None, label: str = "") -> LoadProfile:
     """Parse a power series from CSV with header ``timestamp,power_kw``.
 
-    Timestamps are ISO-8601 and must be strictly increasing; power must be
-    non-negative. When ``granularity`` is not given it is inferred: samples
-    all stamped at midnight on the first of a month are monthly averages,
-    anything else is hourly (monthly-peak must be declared explicitly).
+    Timestamps are ISO-8601; :class:`LoadProfile` checks the samples. When
+    ``granularity`` is not given it is inferred: samples all stamped at
+    midnight on the first of a month are monthly averages, anything else is
+    hourly (monthly-peak must be declared explicitly).
     """
     text = read_text(source)
     reader = csv.DictReader(io.StringIO(text))
@@ -115,10 +122,6 @@ def parse_profile(source, granularity: Granularity | None = None, label: str = "
             power = float(raw_power)
         except ValueError:
             raise ProfileError(f"row {rownum}: invalid power {raw_power!r}") from None
-        if power < 0:
-            raise ProfileError(f"row {rownum}: negative power {power}")
-        if samples and ts <= samples[-1][0]:
-            raise ProfileError(f"row {rownum}: timestamps must be strictly increasing")
         samples.append((ts, power))
     if not samples:
         raise ProfileError("empty profile: no samples")
@@ -137,11 +140,9 @@ def _infer_granularity(samples: list[tuple[datetime, float]]) -> Granularity:
     return Granularity.HOURLY
 
 
-def load_profile(path, granularity: Granularity | None = None, label: str = "") -> LoadProfile:
-    from pathlib import Path
-
+def load_profile(path, granularity: Granularity | None = None) -> LoadProfile:
     path = Path(path)
-    return parse_profile(path, granularity=granularity, label=label or path.stem)
+    return parse_profile(path, granularity=granularity, label=path.stem)
 
 
 def normalize(profile: LoadProfile) -> NormalizedProfile:
@@ -150,7 +151,7 @@ def normalize(profile: LoadProfile) -> NormalizedProfile:
     if peak <= 0:
         raise ProfileError("zero peak")
     samples = tuple((ts, power / peak) for ts, power in profile.samples)
-    return NormalizedProfile(samples=samples, peak_kw=peak, label=profile.label)
+    return NormalizedProfile(samples=samples, peak_kw=peak)
 
 
 def peak_average_ratio(profile: LoadProfile) -> float:
@@ -223,8 +224,6 @@ def daily_extrema(profile: LoadProfile) -> DailyExtrema:
     """
     if profile.granularity is not Granularity.HOURLY:
         raise ProfileError("hourly granularity required")
-    if not profile.samples:
-        raise ProfileError("empty profile: no samples")
     dates = {ts.date() for ts, _ in profile.samples}
     if len(dates) != 1:
         raise ProfileError(f"single-day profile required (spans {len(dates)} days)")

@@ -106,18 +106,19 @@ def disaggregate(
 ) -> HourlyAttribution:
     """Attribute each measured hour to activities by synthesized-shape ratio.
 
-    ``measured`` must be a single hourly day. Hours with zero measured power
-    get zero attribution everywhere; positive measured power at an hour
-    where the synthesized household total is zero is unattributable and
-    raises :class:`UnattributableLoadError`.
+    ``measured`` must hold one sample for each hour 0-23 of one date. Hours
+    with zero measured power get zero attribution everywhere; positive
+    measured power at an hour where the synthesized household total is zero
+    is unattributable and raises :class:`UnattributableLoadError`.
     """
     if measured.granularity is not Granularity.HOURLY:
         raise ReconcileError(f"granularity mismatch: need hourly, got {measured.granularity.value}")
-    if not measured.samples:
-        raise ReconcileError("empty measured profile")
-    dates = {ts.date() for ts, _ in measured.samples}
-    if len(dates) != 1:
-        raise ReconcileError(f"granularity mismatch: measured day spans {len(dates)} dates")
+    dates = {ts.date() for ts in measured.timestamps}
+    if len(dates) != 1 or [ts.hour for ts in measured.timestamps] != list(range(24)):
+        raise ReconcileError(
+            "granularity mismatch: need one sample for each hour 0-23 of one date, "
+            f"got {len(measured)} samples on {len(dates)} date(s)"
+        )
 
     day = synth_household_day(catalog, season, occupancy)
     totals = day.household_total

@@ -34,8 +34,8 @@ def _check_weights(weights: tuple[float, ...], noun: str, error: type[ValueError
     """Enforce the hourly weight rule: 24 non-negative weights summing to 1."""
     if len(weights) != 24:
         raise error(f"expected 24 {noun}, got {len(weights)}")
-    if any(w < 0 for w in weights):
-        raise error(f"{noun} must be non-negative")
+    if not all(w >= 0 for w in weights):  # false for nan too; an inf breaks the sum rule
+        raise error(f"{noun} must be finite and non-negative")
     total = sum(weights)
     if total == 0:
         raise error(f"{noun} must not all be zero")

@@ -93,6 +93,13 @@ class TestValidateSpec:
         violations = validate_spec(spec)
         assert any("run_fraction + idle_fraction must sum to 1" in v for v in violations)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_reported_alone(self, paper_catalog, value):
+        import dataclasses
+
+        spec = dataclasses.replace(paper_catalog.specs[0], run_fraction=value)
+        assert validate_spec(spec) == [f"run_fraction: must be a finite number (got {value})"]
+
     def test_idle_above_run_reported(self, paper_catalog):
         import dataclasses
 
@@ -144,6 +151,26 @@ class TestParseCatalog:
     def test_fractional_unit_count_rejected(self):
         with pytest.raises(CatalogError, match=r"field 'units_winter' must be a whole number"):
             parse_catalog(csv_of(row(units_w=2.5)))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_unit_count_rejected(self, value):
+        with pytest.raises(CatalogError, match=rf"row 1: field 'units_summer' must be a whole number \(got '{value}'\)"):
+            parse_catalog(csv_of(row(units_s=value)))
+
+    @pytest.mark.parametrize(
+        "field, key",
+        [("tou_winter", "tou_w"), ("tou_summer", "tou_s"), ("run_watts", "run_w"),
+         ("idle_watts", "idle_w"), ("run_fraction", "run_f"), ("idle_fraction", "idle_f")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_field_names_the_field(self, field, key, value):
+        with pytest.raises(CatalogError, match=rf"row 1 .*{field}: must be a finite number \(got {value}\)"):
+            parse_catalog(csv_of(row(**{key: value})))
+
+    def test_json_non_finite_value_rejected(self):
+        source = serialize_catalog(builtin_catalog(), fmt="json").replace('"run_watts": 1500.0', '"run_watts": NaN', 1)
+        with pytest.raises(CatalogError, match=r"row 1 .*run_watts: must be a finite number"):
+            parse_catalog(source, fmt="json")
 
     def test_missing_column_rejected(self):
         bad = CSV_HEADER.replace(",idle_fraction", "")

@@ -19,10 +19,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def write_day_csv(path, powers, day="2016-06-01"):
+def day_csv(powers, day="2016-06-01"):
     lines = ["timestamp,power_kw"]
     lines += [f"{day}T{h:02d}:00,{p!r}" for h, p in enumerate(powers)]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_day_csv(path, powers, day="2016-06-01"):
+    path.write_text(day_csv(powers, day))
     return path
 
 
@@ -289,6 +293,63 @@ class TestValidate:
         assert code == 1
         assert payload["valid"] is False
         assert "sum to 1" in payload["error"]
+
+
+CATALOG_HEADER = (
+    "activity,tou_winter,tou_summer,units_winter,units_summer,"
+    "run_watts,idle_watts,operation,run_fraction,idle_fraction\n"
+)
+UNDECODABLE = b"\xff\xfe" + "timestamp,power_kw\n".encode("utf-16-le")
+QUARTER_HOUR_DAY = "timestamp,power_kw\n" + "".join(
+    f"2016-06-01T{m // 60:02d}:{m % 60:02d},{1 + m % 7}\n" for m in range(0, 24 * 60, 15)
+)
+
+
+class TestInputDefects:
+    """Each input ends in one error line (or the validate verdict), never a traceback or NaN."""
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["profile-stats", "--profile"], day_csv([1.0] * 23 + [float("nan")])),
+            (["profile-stats", "--profile"], day_csv([float("inf")] + [1.0] * 23)),
+            (["profile-stats", "--profile"], "timestamp,power_kw\n2016-06-01T00:00,1\n2016-06-01T01:00+00:00,2\n"),
+            (["profile-stats", "--profile"], UNDECODABLE),
+            (["composition", "--catalog"], CATALOG_HEADER + "TV,nan,5,1,1,120,13,Manual,1,0\n"),
+            (["synth", "--builtin-paper", "--season", "winter", "--occupancy"], ",".join(["1"] * 23 + ["nan"])),
+            (["synth", "--builtin-paper", "--season", "winter", "--occupancy"], UNDECODABLE),
+            (["reconcile", "--builtin-paper", "--profile"], QUARTER_HOUR_DAY),
+            (["reconcile", "--builtin-paper", "--profile"], day_csv([1.0] * 23)),
+        ],
+        ids=["nan-power", "inf-power", "mixed-timestamps", "undecodable-profile", "nan-catalog-tou",
+             "nan-occupancy", "undecodable-occupancy", "quarter-hour-day", "23-hour-day"],
+    )
+    def test_exits_1_with_one_error_line(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "input.csv"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("loadcomp: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content, rule",
+        [
+            (CATALOG_HEADER + "TV,nan,5,1,1,120,13,Manual,1,0\n", "tou_winter: must be a finite number"),
+            (CATALOG_HEADER + "TV,5,5,1,1,inf,13,Manual,1,0\n", "run_watts: must be a finite number"),
+            (CATALOG_HEADER + "TV,5,5,nan,1,120,13,Manual,1,0\n", "'units_winter' must be a whole number"),
+            (CATALOG_HEADER + "TV,5,5,1,inf,120,13,Manual,1,0\n", "'units_summer' must be a whole number"),
+            (UNDECODABLE, "cannot read catalog file"),
+        ],
+        ids=["nan-tou", "inf-watts", "nan-units", "inf-units", "undecodable"],
+    )
+    def test_validate_gives_a_verdict(self, capsys, tmp_path, content, rule):
+        path = tmp_path / "catalog.csv"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        code, out, err = run(capsys, "validate", "--catalog", str(path))
+        payload = json.loads(out)
+        assert code == 1 and err == ""
+        assert payload["valid"] is False and rule in payload["error"]
 
 
 class TestExitContract:

@@ -1,6 +1,6 @@
 """Load profile ingestion, normalization, and summary statistics."""
 
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given
@@ -86,6 +86,29 @@ class TestParseProfile:
     def test_bad_power_names_row(self):
         with pytest.raises(ProfileError, match="row 2: invalid power"):
             parse_profile("timestamp,power_kw\n2016-06-01T00:00,much\n")
+
+    @pytest.mark.parametrize("power", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_power_names_row(self, power):
+        source = f"timestamp,power_kw\n2016-06-01T00:00,5\n2016-06-01T01:00,{power}\n"
+        with pytest.raises(ProfileError, match="row 3: power must be a finite number"):
+            parse_profile(source)
+
+    @pytest.mark.parametrize(
+        "first, second", [("2016-06-01T00:00", "2016-06-01T01:00+00:00"), ("2016-06-01T00:00Z", "2016-06-01T01:00")]
+    )
+    def test_mixed_naive_and_aware_timestamps_name_row(self, first, second):
+        source = f"timestamp,power_kw\n{first},5\n{second},6\n"
+        with pytest.raises(ProfileError, match="row 3: cannot mix naive and offset-aware timestamps"):
+            parse_profile(source)
+
+    def test_aware_timestamps_with_different_offsets_parse(self):
+        source = "timestamp,power_kw\n2016-06-01T00:00+02:00,5\n2016-06-01T00:00+00:00,6\n"
+        assert len(parse_profile(source)) == 2
+
+    def test_malformed_later_row_is_reported_before_an_earlier_sign_error(self):
+        source = "timestamp,power_kw\n2016-06-01T00:00,-5\nyesterday,5\n"
+        with pytest.raises(ProfileError, match="row 3: invalid timestamp"):
+            parse_profile(source)
 
 
 class TestNormalize:
@@ -233,6 +256,21 @@ class TestLoadProfileInvariants:
         ts = datetime(2016, 1, 1)
         with pytest.raises(ProfileError, match="strictly increasing"):
             LoadProfile(samples=((ts, 1.0), (ts, 2.0)), granularity=Granularity.HOURLY)
+
+    def test_samples_are_numbered_as_csv_rows(self):
+        samples = ((datetime(2016, 1, 1), 1.0), (datetime(2016, 1, 2), -1.0))
+        with pytest.raises(ProfileError, match="row 3: negative power"):
+            LoadProfile(samples=samples, granularity=Granularity.HOURLY)
+
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_power_rejected_on_construction(self, power):
+        with pytest.raises(ProfileError, match="row 2: power must be a finite number"):
+            LoadProfile(samples=((datetime(2016, 1, 1), power),), granularity=Granularity.HOURLY)
+
+    def test_mixed_naive_and_aware_timestamps_rejected_on_construction(self):
+        samples = ((datetime(2016, 1, 1, tzinfo=timezone.utc), 1.0), (datetime(2016, 1, 2), 2.0))
+        with pytest.raises(ProfileError, match="row 3: cannot mix naive and offset-aware timestamps"):
+            LoadProfile(samples=samples, granularity=Granularity.HOURLY)
 
     def test_day_curve_has_expected_shape(self):
         assert min(DAY_CURVE_KW) == DAY_CURVE_KW[6]

@@ -1,6 +1,6 @@
 """Scaling to measured energy and hour-by-hour attribution."""
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from loadcomp import (
     ApplianceSpec,
     Catalog,
+    Granularity,
+    LoadProfile,
     OccupancyCurve,
     OperationClass,
     ReconcileError,
@@ -148,6 +150,22 @@ class TestDisaggregate:
     def test_multi_day_profile_rejected(self, paper_catalog):
         measured = hourly_day([1.0] * 30)  # spills into the next day
         with pytest.raises(ReconcileError, match="granularity mismatch"):
+            disaggregate(measured, paper_catalog, Season.SUMMER)
+
+    @pytest.mark.parametrize(
+        "hours",
+        [
+            [quarter / 4 for quarter in range(96)],  # a 15-minute day
+            list(range(23)),  # a 23-hour day
+            list(range(1, 25)),  # 24 samples, but from 01:00 into the next day
+            [0, 0.5] + list(range(2, 24)),  # 24 samples on one date, none in hour 1
+        ],
+        ids=["quarter-hour", "23-hour", "shifted", "missing-hour"],
+    )
+    def test_day_without_one_sample_per_hour_rejected(self, paper_catalog, hours):
+        samples = tuple((JUNE1 + timedelta(hours=h), 1.0) for h in hours)
+        measured = LoadProfile(samples=samples, granularity=Granularity.HOURLY)
+        with pytest.raises(ReconcileError, match="granularity mismatch: need one sample for each hour 0-23"):
             disaggregate(measured, paper_catalog, Season.SUMMER)
 
     @settings(max_examples=40)

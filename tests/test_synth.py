@@ -71,6 +71,15 @@ class TestLoadOccupancy:
         with pytest.raises(OccupancyError, match="non-negative"):
             load_occupancy(",".join(values))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(OccupancyError, match="non-negative"):
+            load_occupancy(",".join(["1"] * 23 + [value]))
+
+    def test_nan_weight_rejected_on_construction(self):
+        with pytest.raises(OccupancyError, match="non-negative"):
+            OccupancyCurve(weights=(float("nan"),) + (1.0 / 23.0,) * 23)
+
     def test_all_zero_rejected(self):
         with pytest.raises(OccupancyError, match="not all be zero"):
             load_occupancy(",".join(["0"] * 24))
