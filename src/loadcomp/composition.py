@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from fractions import Fraction
 from typing import Iterable
 
 from ._sourceio import csv_text
@@ -94,30 +93,12 @@ def seasonal_table(catalog: Catalog, season: Season, days_per_month: int = 30) -
     return SeasonalConsumptionTable(season=season, rows=rows, days_per_month=days_per_month)
 
 
-# Below this daily total, a float product of spec fields may have fallen
-# under the normal range (about 2.2e-308) and lost digits or rounded to zero,
-# so the shares are taken from exact products instead.
-_FLOAT_SAFE_TOTAL_WH = 2.0**-900
-
-
-def _exact_household_energy(spec: ApplianceSpec, season: Season) -> Fraction:
-    blended = Fraction(spec.run_watts) * Fraction(spec.run_fraction) + Fraction(spec.idle_watts) * Fraction(
-        spec.idle_fraction
-    )
-    return spec.units(season) * blended * Fraction(spec.tou(season))
-
-
 def composition_shares(catalog: Catalog, season: Season) -> CompositionReport:
     """Each activity's percentage of the household daily total for a season."""
     energies = [(spec.activity, household_device_energy(spec, season)) for spec in catalog]
     total = sum(energy for _, energy in energies)
-    if total < _FLOAT_SAFE_TOTAL_WH:
-        exact = [(spec.activity, _exact_household_energy(spec, season)) for spec in catalog]
-        exact_total = sum(energy for _, energy in exact)
-        if exact_total <= 0:
-            raise CompositionError("empty composition basis")
-        shares = {activity: float(100 * energy / exact_total) for activity, energy in exact}
-        return CompositionReport(season=season, shares=shares, basis_daily_total_wh=float(exact_total))
+    if total <= 0:
+        raise CompositionError("empty composition basis")
     shares = {activity: 100.0 * energy / total for activity, energy in energies}
     return CompositionReport(season=season, shares=shares, basis_daily_total_wh=total)
 
