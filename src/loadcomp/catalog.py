@@ -248,7 +248,7 @@ def _rows_from_csv(text: str) -> list[dict]:
 def _rows_from_json(text: str) -> list[dict]:
     try:
         data = json.loads(text) if text.strip() else []
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise CatalogError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise CatalogError("catalog JSON must be an array of objects")
@@ -269,7 +269,7 @@ def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:
         value = field(name)
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
             raise CatalogError(f"row {rownum}: field {name!r} is not a number (got {value!r})") from None
 
     def as_int(name: str) -> int:

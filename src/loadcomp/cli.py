@@ -31,6 +31,7 @@ from .profile import (
     ProfileError,
     daily_extrema,
     load_profile,
+    monthly_growth,
     normalize,
     peak_average_ratio,
     seasonal_split,
@@ -199,7 +200,7 @@ def cmd_profile_stats(args) -> tuple[str, int]:
         if part.samples:
             split_summary[season.value] = {
                 "samples": len(part),
-                "mean_kw": sum(part.powers) / len(part),
+                "mean_kw": part.mean_kw,
                 "peak_kw": part.peak_kw,
             }
         else:
@@ -210,20 +211,13 @@ def cmd_profile_stats(args) -> tuple[str, int]:
     except ProfileError:  # not one hourly day
         extrema = None
 
-    growth = None
-    if profile.granularity is not Granularity.HOURLY:
-        growth = []
-        for i, (ts_from, p_from) in enumerate(profile.samples):
-            for ts_to, p_to in profile.samples[i + 1:]:
-                if p_from == 0:
-                    continue
-                growth.append(
-                    {
-                        "from": ts_from.strftime("%Y-%m"),
-                        "to": ts_to.strftime("%Y-%m"),
-                        "pct": 100.0 * (p_to - p_from) / p_from,
-                    }
-                )
+    try:
+        pairs = monthly_growth(profile)
+    except ProfileError:  # hourly data
+        growth = None
+    else:
+        month = {ts: ts.strftime("%Y-%m") for ts in profile.timestamps}
+        growth = [{"from": month[a], "to": month[b], "pct": pct} for a, b, pct in pairs]
 
     payload = {
         "label": profile.label,

@@ -79,8 +79,8 @@ class SeasonPairReport:
 
 def seasonal_table(catalog: Catalog, season: Season, days_per_month: int = 30) -> SeasonalConsumptionTable:
     """Tabulate per-activity daily energy and household totals for a season."""
-    if days_per_month < 1:
-        raise CompositionError(f"days_per_month must be >= 1 (got {days_per_month})")
+    if not 1 <= days_per_month <= 31:
+        raise CompositionError(f"days_per_month must be between 1 and 31 (got {days_per_month})")
     rows = tuple(
         DeviceEnergy(
             activity=spec.activity,

@@ -7,15 +7,14 @@ peak sample maps to exactly 1.
 
 from __future__ import annotations
 
-import calendar
 import csv
 import enum
 import io
 import math
+import statistics
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from statistics import fmean
 from typing import NamedTuple
 
 from ._sourceio import read_text
@@ -75,6 +74,11 @@ class LoadProfile:
     @property
     def peak_kw(self) -> float:
         return max(self.powers, default=0.0)
+
+    @property
+    def mean_kw(self) -> float:
+        """Correctly rounded mean power; an empty profile raises ``StatisticsError``."""
+        return statistics.fmean(self.powers)
 
 
 @dataclass(frozen=True)
@@ -159,51 +163,25 @@ def peak_average_ratio(profile: LoadProfile) -> float:
     peak = profile.peak_kw
     if peak <= 0:
         raise ProfileError("zero peak")
-    # fmean can round one ulp above the peak for near-constant series
-    return min(fmean(profile.powers) / peak, 1.0)
+    # the mean can round one ulp above the peak for near-constant series
+    return min(profile.mean_kw / peak, 1.0)
 
 
-def monthly_growth(profile: LoadProfile, from_month, to_month) -> float:
-    """Percentage change between two calendar months of a monthly profile.
+def monthly_growth(profile: LoadProfile) -> list[tuple[datetime, datetime, float]]:
+    """Percentage change from every sample of a monthly profile to each later one.
 
-    Months may be numbers (1-12) or names ('feb', 'February'). The first
-    sample falling in each month is used.
+    One ``(from_ts, to_ts, pct)`` tuple per sample pair i < j, in sample order.
+    A zero-power sample is never a base, but is kept as a target.
     """
     if profile.granularity is Granularity.HOURLY:
         raise ProfileError("monthly granularity required")
-    start = _month_number(from_month)
-    end = _month_number(to_month)
-    base = _power_for_month(profile, start)
-    target = _power_for_month(profile, end)
-    if base == 0:
-        raise ProfileError(f"zero base value for month {calendar.month_abbr[start]}")
-    return 100.0 * (target - base) / base
-
-
-def _month_number(value) -> int:
-    if isinstance(value, int):
-        month = value
-    else:
-        text = str(value).strip()
-        if text.isdigit():
-            month = int(text)
-        else:
-            key = text.casefold()
-            names = {calendar.month_name[i].casefold(): i for i in range(1, 13)}
-            names.update({calendar.month_abbr[i].casefold(): i for i in range(1, 13)})
-            if key not in names:
-                raise ProfileError(f"unknown month {value!r}")
-            month = names[key]
-    if not 1 <= month <= 12:
-        raise ProfileError(f"month out of range: {month}")
-    return month
-
-
-def _power_for_month(profile: LoadProfile, month: int) -> float:
-    for ts, power in profile.samples:
-        if ts.month == month:
-            return power
-    raise ProfileError(f"month {calendar.month_abbr[month]} not present in profile")
+    samples = profile.samples
+    return [
+        (ts_from, ts_to, 100.0 * (p_to - p_from) / p_from)
+        for i, (ts_from, p_from) in enumerate(samples)
+        if p_from != 0
+        for ts_to, p_to in samples[i + 1:]
+    ]
 
 
 def seasonal_split(profile: LoadProfile) -> dict[Season, LoadProfile]:

@@ -8,8 +8,9 @@ from datetime import datetime, timedelta
 import pytest
 from hypothesis import strategies as st
 
-from loadcomp import ApplianceSpec, Catalog, Granularity, LoadProfile, OperationClass, builtin_catalog
-from loadcomp.catalog import ACTIVITY_ALIASES
+from loadcomp import builtin_catalog
+from loadcomp.catalog import ACTIVITY_ALIASES, ApplianceSpec, Catalog, OperationClass
+from loadcomp.profile import Granularity, LoadProfile
 
 # Reference household Wh/day for the builtin catalog (30-day months), as
 # printed in the source consumption tables the catalog reproduces.

@@ -10,29 +10,24 @@ import json
 import math
 import random
 import time
+from datetime import datetime
 
 import pytest
 
-from loadcomp import (
+from loadcomp import Season, builtin_catalog, composition_shares
+from loadcomp.catalog import (
     ApplianceSpec,
     Catalog,
     CatalogError,
     OperationClass,
-    Season,
-    builtin_catalog,
-    composition_from_attribution,
-    composition_shares,
-    disaggregate,
-    household_device_energy,
-    monthly_growth,
-    normalize,
     parse_catalog,
-    peak_average_ratio,
-    synth_household_day,
     validate_spec,
 )
 from loadcomp.cli import main
-from loadcomp.composition import round_half_up
+from loadcomp.composition import household_device_energy, round_half_up
+from loadcomp.profile import monthly_growth, normalize, peak_average_ratio
+from loadcomp.reconcile import composition_from_attribution, disaggregate
+from loadcomp.synth import synth_household_day
 from conftest import SUMMER_WH_DAY, WINTER_WH_DAY, hourly_day, monthly_profile
 
 
@@ -225,4 +220,4 @@ def test_profile_statistic_fixtures():
     assert abs(peak_average_ratio(ratio_fixture) - 0.86) <= 1e-12
 
     growth_fixture = monthly_profile({2: 100.0, 6: 230.0})
-    assert monthly_growth(growth_fixture, "feb", "jun") == 130.0
+    assert monthly_growth(growth_fixture) == [(datetime(2016, 2, 1), datetime(2016, 6, 1), 130.0)]

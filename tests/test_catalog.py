@@ -3,12 +3,11 @@
 import pytest
 from hypothesis import given
 
-from loadcomp import (
+from loadcomp import Season, builtin_catalog
+from loadcomp.catalog import (
     Catalog,
     CatalogError,
     OperationClass,
-    Season,
-    builtin_catalog,
     parse_catalog,
     serialize_catalog,
     validate_spec,

@@ -7,9 +7,10 @@ import re
 
 import pytest
 
-from loadcomp import Season, builtin_catalog, composition_shares, synth_household_day
+from loadcomp import Season, builtin_catalog, composition_shares
 from loadcomp.cli import main
 from loadcomp.composition import round_half_up
+from loadcomp.synth import synth_household_day
 from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW
 
 
@@ -78,7 +79,7 @@ class TestComposition:
         assert "sum to 1" in err
 
     def test_custom_catalog_file(self, capsys, tmp_path):
-        from loadcomp import serialize_catalog
+        from loadcomp.catalog import serialize_catalog
 
         path = tmp_path / "catalog.csv"
         path.write_text(serialize_catalog(builtin_catalog()))
@@ -350,6 +351,35 @@ class TestInputDefects:
         payload = json.loads(out)
         assert code == 1 and err == ""
         assert payload["valid"] is False and rule in payload["error"]
+
+    @pytest.mark.parametrize(
+        "field, digits, rule",
+        [
+            ("run_watts", 401, "'run_watts' is not a number"),
+            ("units_winter", 401, "'units_winter' is not a number"),
+            ("run_watts", 4400, "invalid JSON"),
+        ],
+        ids=["401-digit-watts", "401-digit-units", "4400-digit-watts"],
+    )
+    def test_json_integer_too_large_for_a_float(self, capsys, tmp_path, field, digits, rule):
+        row = {"activity": "TV", "tou_winter": 5, "tou_summer": 5, "units_winter": 1, "units_summer": 1,
+               "run_watts": 120, "idle_watts": 13, "operation": "Manual", "run_fraction": 1, "idle_fraction": 0}
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{**row, field: "BIG"}]).replace('"BIG"', "9" * digits))
+        code, out, err = run(capsys, "validate", "--catalog", str(path))
+        payload = json.loads(out)
+        assert code == 1 and err == ""
+        assert payload["valid"] is False and rule in payload["error"]
+
+    @pytest.mark.parametrize("days", ["32", str(10**400)], ids=["32", "10**400"])
+    @pytest.mark.parametrize("command", ["composition", "reconcile"])
+    def test_days_per_month_above_31_exits_1(self, capsys, tmp_path, command, days):
+        argv = [command, "--builtin-paper", "--days-per-month", days]
+        if command == "reconcile":
+            argv += ["--profile", str(write_day_csv(tmp_path / "day.csv", synth_day_kw()))]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("loadcomp: error: days_per_month") and err.count("\n") == 1
 
 
 class TestExitContract:

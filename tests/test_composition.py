@@ -6,19 +6,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loadcomp import (
-    ApplianceSpec,
-    Catalog,
+from loadcomp import Season, composition_shares, seasonal_table
+from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
+from loadcomp.composition import (
     CompositionError,
-    OperationClass,
-    Season,
-    composition_shares,
     device_daily_energy,
     household_device_energy,
+    pie_data,
+    render_value,
+    round_half_up,
     season_pair_report,
-    seasonal_table,
+    table_csv,
 )
-from loadcomp.composition import pie_data, render_value, round_half_up, table_csv
 from conftest import (
     SUMMER_DAILY_WH,
     SUMMER_MONTHLY_KWH,
@@ -125,6 +124,10 @@ class TestReferenceTables:
     def test_days_per_month_must_be_positive(self, paper_catalog):
         with pytest.raises(CompositionError, match="days_per_month"):
             seasonal_table(paper_catalog, Season.WINTER, 0)
+
+    def test_days_per_month_at_most_31(self, paper_catalog):
+        with pytest.raises(CompositionError, match="days_per_month must be between 1 and 31"):
+            seasonal_table(paper_catalog, Season.WINTER, 32)
 
     def test_oracle_agreement_on_builtin(self, paper_catalog):
         for season in Season:

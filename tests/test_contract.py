@@ -1,4 +1,4 @@
-"""Guards on the package's external contracts: stdlib-only code and the benchmark's hooks."""
+"""Guards on the package's external contracts: stdlib-only code, the documented surface and the benchmark's hooks."""
 
 import ast
 import importlib
@@ -7,7 +7,8 @@ import re
 import sys
 from pathlib import Path
 
-from loadcomp import Season, builtin_catalog, disaggregate
+from loadcomp import Season, builtin_catalog
+from loadcomp.reconcile import disaggregate
 from conftest import DAY_CURVE_KW, hourly_day
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +39,20 @@ def test_sources_import_only_the_standard_library():
 def test_project_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_every_public_name_is_documented_in_the_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = []
+    for node in ast.parse((ROOT / "src" / "loadcomp" / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            names += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets]
+    public = [name for name in names if not name.startswith("_")]
+    assert public
+    for name in public:
+        assert re.search(rf"\b{name}\b", readme), f"{name} is not in README.md"
 
 
 def test_every_traced_benchmark_hook_resolves():

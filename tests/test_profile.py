@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loadcomp import (
+from loadcomp import Season
+from loadcomp.profile import (
     Granularity,
     LoadProfile,
     ProfileError,
-    Season,
     daily_extrema,
     monthly_growth,
     normalize,
@@ -170,32 +170,36 @@ class TestPeakAverageRatio:
 
 class TestMonthlyGrowth:
     def test_reference_feb_to_jun_growth(self, annual_profile):
-        assert monthly_growth(annual_profile, "feb", "jun") == 130.0
-
-    def test_month_arguments_accept_numbers_and_names(self, annual_profile):
-        assert monthly_growth(annual_profile, 2, 6) == 130.0
-        assert monthly_growth(annual_profile, "February", "June") == 130.0
-
-    def test_equal_months_give_zero(self, annual_profile):
-        assert monthly_growth(annual_profile, "mar", "mar") == 0.0
+        growth = {(ts_from, ts_to): pct for ts_from, ts_to, pct in monthly_growth(annual_profile)}
+        assert growth[(datetime(2016, 2, 1), datetime(2016, 6, 1))] == 130.0
 
     def test_zero_base_rejected(self):
         profile = monthly_profile({1: 0.0, 2: 10.0})
-        with pytest.raises(ProfileError, match="zero base"):
-            monthly_growth(profile, 1, 2)
-
-    def test_missing_month_rejected(self):
-        profile = monthly_profile({1: 5.0, 2: 10.0})
-        with pytest.raises(ProfileError, match="not present"):
-            monthly_growth(profile, 2, 6)
-
-    def test_unknown_month_name_rejected(self, annual_profile):
-        with pytest.raises(ProfileError, match="unknown month"):
-            monthly_growth(annual_profile, "febtober", "jun")
+        assert monthly_growth(profile) == []
 
     def test_hourly_profile_rejected(self, day_profile):
         with pytest.raises(ProfileError, match="monthly granularity"):
-            monthly_growth(day_profile, 2, 6)
+            monthly_growth(day_profile)
+
+    def test_every_sample_pair_in_sample_order(self):
+        stamps = [datetime(2016 + m // 12, m % 12 + 1, 1) for m in range(24)]
+        profile = LoadProfile(
+            samples=tuple((ts, 100.0 + m) for m, ts in enumerate(stamps)),
+            granularity=Granularity.MONTHLY_AVERAGE,
+        )
+        growth = monthly_growth(profile)
+        assert len(growth) == 276
+        assert [(a, b) for a, b, _ in growth] == [
+            (stamps[i], stamps[j]) for i in range(24) for j in range(i + 1, 24)
+        ]
+        assert (datetime(2016, 1, 1), datetime(2017, 1, 1), 12.0) in growth
+
+    def test_zero_sample_is_a_target_but_never_a_base(self):
+        profile = monthly_profile({1: 50.0, 2: 0.0, 3: 100.0})
+        assert monthly_growth(profile) == [
+            (datetime(2016, 1, 1), datetime(2016, 2, 1), -100.0),
+            (datetime(2016, 1, 1), datetime(2016, 3, 1), 100.0),
+        ]
 
 
 class TestSeasonalSplit:

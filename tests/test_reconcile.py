@@ -6,24 +6,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loadcomp import (
-    ApplianceSpec,
-    Catalog,
-    Granularity,
-    LoadProfile,
-    OccupancyCurve,
-    OperationClass,
+from loadcomp import Season, composition_shares, seasonal_table
+from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
+from loadcomp.profile import Granularity, LoadProfile
+from loadcomp.reconcile import (
+    GAP_WARNING_THRESHOLD,
     ReconcileError,
-    Season,
     UnattributableLoadError,
     composition_from_attribution,
-    composition_shares,
     disaggregate,
     scale_to_measured,
-    seasonal_table,
-    synth_household_day,
 )
-from loadcomp.reconcile import GAP_WARNING_THRESHOLD
+from loadcomp.synth import OccupancyCurve, synth_household_day
 from conftest import catalogs, hourly_day, monthly_profile
 
 JUNE1 = datetime(2016, 6, 1)

@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loadcomp import (
-    ApplianceSpec,
-    Catalog,
+from loadcomp import Season
+from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
+from loadcomp.composition import household_device_energy
+from loadcomp.synth import (
     OccupancyCurve,
     OccupancyError,
-    OperationClass,
-    Season,
     default_occupancy,
-    household_device_energy,
     load_occupancy,
     shape_for,
     synth_household_day,
