@@ -68,12 +68,6 @@ class Season(enum.Enum):
             raise ValueError(f"month out of range: {month}")
         return cls.WINTER if month in WINTER_MONTHS else cls.SUMMER
 
-    @property
-    def months(self) -> frozenset[int]:
-        if self is Season.WINTER:
-            return WINTER_MONTHS
-        return frozenset(range(1, 13)) - WINTER_MONTHS
-
 
 @dataclass(frozen=True)
 class ApplianceSpec:
@@ -268,6 +262,8 @@ def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:
     def as_float(name: str) -> float:
         value = field(name)
         try:
+            if isinstance(value, bool):  # a JSON true or false is not a number
+                raise TypeError
             return float(value)
         except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
             raise CatalogError(f"row {rownum}: field {name!r} is not a number (got {value!r})") from None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -104,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own message; remap usage errors to 1
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
-    args.argv_text = " ".join(argv if argv is not None else sys.argv[1:])
+    args.argv_text = shlex.join(argv if argv is not None else sys.argv[1:])
     try:
         payload, status = args.handler(args)
     except _INPUT_ERRORS as exc:
@@ -188,10 +189,10 @@ def cmd_composition(args) -> tuple[str, int]:
 
 def cmd_profile_stats(args) -> tuple[str, int]:
     profile = _get_profile(args)
-    normalized = normalize(profile)
+    fractions = normalize(profile)
 
     if args.format == "csv":
-        rows = ((ts.isoformat(), fraction) for ts, fraction in normalized.samples)
+        rows = ((ts.isoformat(), fraction) for ts, fraction in zip(profile.timestamps, fractions))
         return csv_text(("timestamp", "fraction"), rows), 0
 
     split = seasonal_split(profile)
@@ -223,9 +224,11 @@ def cmd_profile_stats(args) -> tuple[str, int]:
         "label": profile.label,
         "granularity": profile.granularity.value,
         "samples": len(profile),
-        "peak_kw": normalized.peak_kw,
+        "peak_kw": profile.peak_kw,
         "peak_average_ratio": peak_average_ratio(profile),
-        "normalized": [{"timestamp": ts.isoformat(), "fraction": f} for ts, f in normalized.samples],
+        "normalized": [
+            {"timestamp": ts.isoformat(), "fraction": f} for ts, f in zip(profile.timestamps, fractions)
+        ],
         "daily_extrema": extrema,
         "seasonal_split": split_summary,
         "monthly_growth_pct": growth,

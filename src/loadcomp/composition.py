@@ -65,16 +65,6 @@ class CompositionReport:
 
     season: Season
     shares: dict[str, float]
-    basis_daily_total_wh: float
-
-
-@dataclass(frozen=True)
-class SeasonPairReport:
-    """Winter and summer shares side by side, with summer-minus-winter deltas."""
-
-    winter: CompositionReport
-    summer: CompositionReport
-    deltas: dict[str, float]
 
 
 def seasonal_table(catalog: Catalog, season: Season, days_per_month: int = 30) -> SeasonalConsumptionTable:
@@ -100,15 +90,7 @@ def composition_shares(catalog: Catalog, season: Season) -> CompositionReport:
     if total <= 0:
         raise CompositionError("empty composition basis")
     shares = {activity: 100.0 * energy / total for activity, energy in energies}
-    return CompositionReport(season=season, shares=shares, basis_daily_total_wh=total)
-
-
-def season_pair_report(catalog: Catalog) -> SeasonPairReport:
-    """Winter and summer composition reports plus per-activity share deltas."""
-    winter = composition_shares(catalog, Season.WINTER)
-    summer = composition_shares(catalog, Season.SUMMER)
-    deltas = {activity: summer.shares[activity] - winter.shares[activity] for activity in winter.shares}
-    return SeasonPairReport(winter=winter, summer=summer, deltas=deltas)
+    return CompositionReport(season=season, shares=shares)
 
 
 def _half_up(value: float, decimals: int) -> Decimal:

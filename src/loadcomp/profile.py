@@ -38,9 +38,10 @@ class LoadProfile:
     """Timestamped power series in kW.
 
     Power is finite and non-negative; timestamps strictly increase and are all
-    naive or all offset-aware. Errors name a sample by its CSV row (the first is
-    row 2). Parsed profiles are never empty; :func:`seasonal_split` may return
-    an empty sub-profile when the input has no samples in that season.
+    naive or all offset-aware; a monthly profile has at most one sample per
+    calendar month. Errors name a sample by its CSV row (the first is row 2).
+    Parsed profiles are never empty; :func:`seasonal_split` may return an
+    empty sub-profile when the input has no samples in that season.
     """
 
     samples: tuple[tuple[datetime, float], ...]
@@ -49,6 +50,7 @@ class LoadProfile:
 
     def __post_init__(self) -> None:
         previous = None
+        months = None if self.granularity is Granularity.HOURLY else set()
         for rownum, (ts, power) in enumerate(self.samples, start=2):  # header is row 1
             if not math.isfinite(power):
                 raise ProfileError(f"row {rownum}: power must be a finite number")
@@ -58,6 +60,10 @@ class LoadProfile:
                 raise ProfileError(f"row {rownum}: cannot mix naive and offset-aware timestamps")
             if previous is not None and ts <= previous:
                 raise ProfileError(f"row {rownum}: timestamps must be strictly increasing")
+            if months is not None:
+                if (ts.year, ts.month) in months:
+                    raise ProfileError(f"row {rownum}: {self.granularity.value} profile has two samples in {ts:%Y-%m}")
+                months.add((ts.year, ts.month))
             previous = ts
 
     def __len__(self) -> int:
@@ -81,18 +87,6 @@ class LoadProfile:
         return statistics.fmean(self.powers)
 
 
-@dataclass(frozen=True)
-class NormalizedProfile:
-    """Per-sample fraction of the series peak; the peak sample is exactly 1."""
-
-    samples: tuple[tuple[datetime, float], ...]
-    peak_kw: float
-
-    @property
-    def fractions(self) -> tuple[float, ...]:
-        return tuple(fraction for _, fraction in self.samples)
-
-
 class DailyExtrema(NamedTuple):
     peak_hour: int
     trough_hour: int
@@ -103,8 +97,8 @@ def parse_profile(source, granularity: Granularity | None = None, label: str = "
 
     Timestamps are ISO-8601; :class:`LoadProfile` checks the samples. When
     ``granularity`` is not given it is inferred: samples all stamped at
-    midnight on the first of a month are monthly averages, anything else is
-    hourly (monthly-peak must be declared explicitly).
+    midnight on the first of distinct months are monthly averages, anything
+    else is hourly (monthly-peak must be declared explicitly).
     """
     text = read_text(source)
     reader = csv.DictReader(io.StringIO(text))
@@ -139,7 +133,9 @@ def _infer_granularity(samples: list[tuple[datetime, float]]) -> Granularity:
     def is_month_start(ts: datetime) -> bool:
         return ts.day == 1 and ts.hour == 0 and ts.minute == 0 and ts.second == 0 and ts.microsecond == 0
 
-    if len(samples) > 1 and all(is_month_start(ts) for ts, _ in samples):
+    # one month start at two UTC offsets is not monthly data
+    if (len(samples) > 1 and all(is_month_start(ts) for ts, _ in samples)
+            and len({(ts.year, ts.month) for ts, _ in samples}) == len(samples)):
         return Granularity.MONTHLY_AVERAGE
     return Granularity.HOURLY
 
@@ -149,13 +145,12 @@ def load_profile(path, granularity: Granularity | None = None) -> LoadProfile:
     return parse_profile(path, granularity=granularity, label=path.stem)
 
 
-def normalize(profile: LoadProfile) -> NormalizedProfile:
-    """Scale every sample by the series peak so values lie in [0, 1]."""
+def normalize(profile: LoadProfile) -> tuple[float, ...]:
+    """Each sample's fraction of the series peak, in sample order; the peak maps to exactly 1."""
     peak = profile.peak_kw
     if peak <= 0:
         raise ProfileError("zero peak")
-    samples = tuple((ts, power / peak) for ts, power in profile.samples)
-    return NormalizedProfile(samples=samples, peak_kw=peak)
+    return tuple(power / peak for _, power in profile.samples)
 
 
 def peak_average_ratio(profile: LoadProfile) -> float:

@@ -152,8 +152,4 @@ def composition_from_attribution(attribution: HourlyAttribution) -> CompositionR
     if total <= 0:
         raise ReconcileError("zero total attributed energy")
     shares = {activity: 100.0 * energy / total for activity, energy in energies.items()}
-    return CompositionReport(
-        season=attribution.season,
-        shares=shares,
-        basis_daily_total_wh=total * 1000.0,
-    )
+    return CompositionReport(season=attribution.season, shares=shares)

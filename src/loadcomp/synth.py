@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._sourceio import read_text
-from .catalog import ApplianceSpec, Catalog, OperationClass, Season
+from .catalog import Catalog, OperationClass, Season
 from .composition import household_device_energy
 
 WEIGHT_SUM_TOL = 1e-12
@@ -30,19 +30,6 @@ class OccupancyError(ValueError):
     """Occupancy curve data is malformed."""
 
 
-def _check_weights(weights: tuple[float, ...], noun: str, error: type[ValueError]) -> None:
-    """Enforce the hourly weight rule: 24 non-negative weights summing to 1."""
-    if len(weights) != 24:
-        raise error(f"expected 24 {noun}, got {len(weights)}")
-    if not all(w >= 0 for w in weights):  # false for nan too; an inf breaks the sum rule
-        raise error(f"{noun} must be finite and non-negative")
-    total = sum(weights)
-    if total == 0:
-        raise error(f"{noun} must not all be zero")
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise error(f"{noun} must sum to 1")
-
-
 @dataclass(frozen=True)
 class OccupancyCurve:
     """24 hourly presence weights summing to 1."""
@@ -50,7 +37,16 @@ class OccupancyCurve:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_weights(self.weights, "occupancy values", OccupancyError)
+        weights = self.weights
+        if len(weights) != 24:
+            raise OccupancyError(f"expected 24 occupancy values, got {len(weights)}")
+        if not all(w >= 0 for w in weights):  # false for nan too; an inf breaks the sum rule
+            raise OccupancyError("occupancy values must be finite and non-negative")
+        total = sum(weights)
+        if total == 0:
+            raise OccupancyError("occupancy values must not all be zero")
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise OccupancyError("occupancy values must sum to 1")
 
     @classmethod
     def from_values(cls, values) -> OccupancyCurve:
@@ -77,29 +73,17 @@ def load_occupancy(source) -> OccupancyCurve:
     return OccupancyCurve.from_values(values)
 
 
-@dataclass(frozen=True)
-class HourlyShape:
-    """24 non-negative weights summing to 1: one activity's share of each hour."""
-
-    weights: tuple[float, ...]
-    activity: str
-
-    def __post_init__(self) -> None:
-        _check_weights(self.weights, "shape weights", ValueError)
-
-
-def shape_for(spec: ApplianceSpec, occupancy: OccupancyCurve) -> HourlyShape:
-    """Hourly weight profile for one activity given an occupancy curve."""
+def shape_for(operation: OperationClass, occupancy: OccupancyCurve) -> tuple[float, ...]:
+    """24 hourly weights summing to 1: the daily shape of every activity of one operation class."""
     uniform = 1.0 / 24.0
-    if spec.operation is OperationClass.AUTO:
-        weights = (uniform,) * 24
-    elif spec.operation is OperationClass.MANUAL:
-        weights = occupancy.weights
-    else:  # SEMI_AUTO: midpoint of uniform and occupancy, renormalized
-        mixed = tuple((uniform + w) / 2.0 for w in occupancy.weights)
-        total = sum(mixed)
-        weights = tuple(w / total for w in mixed)
-    return HourlyShape(weights=weights, activity=spec.activity)
+    if operation is OperationClass.AUTO:
+        return (uniform,) * 24
+    if operation is OperationClass.MANUAL:
+        return occupancy.weights
+    # SEMI_AUTO: midpoint of uniform and occupancy, renormalized
+    mixed = tuple((uniform + w) / 2.0 for w in occupancy.weights)
+    total = sum(mixed)
+    return tuple(w / total for w in mixed)
 
 
 @dataclass(frozen=True)
@@ -123,9 +107,9 @@ class SynthesizedDay:
 def synth_household_day(catalog: Catalog, season: Season, occupancy: OccupancyCurve | None = None) -> SynthesizedDay:
     """Spread each activity's household daily energy over 24 hours."""
     occ = occupancy if occupancy is not None else default_occupancy()
+    shapes = {operation: shape_for(operation, occ) for operation in OperationClass}
     per_activity: dict[str, tuple[float, ...]] = {}
     for spec in catalog:
         energy = household_device_energy(spec, season)
-        weights = shape_for(spec, occ).weights
-        per_activity[spec.activity] = tuple(energy * w for w in weights)
+        per_activity[spec.activity] = tuple(energy * w for w in shapes[spec.operation])
     return SynthesizedDay(season=season, per_activity=per_activity)

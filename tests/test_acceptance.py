@@ -156,14 +156,14 @@ def test_normalization_properties():
         powers = [rng.uniform(0.0, 1000.0) for _ in range(size)]
         powers[rng.randrange(size)] = rng.uniform(1.0, 1000.0)  # guarantee a positive peak
         base = normalize(hourly_day(powers))
-        assert max(base.fractions) == 1.0
-        assert all(0.0 <= f <= 1.0 for f in base.fractions)
+        assert max(base) == 1.0
+        assert all(0.0 <= f <= 1.0 for f in base)
 
         k = 0.0
         while k == 0.0:
             k = rng.uniform(0.0, 1000.0)
         scaled = normalize(hourly_day([p * k for p in powers]))
-        for f_base, f_scaled in zip(base.fractions, scaled.fractions):
+        for f_base, f_scaled in zip(base, scaled):
             assert abs(f_scaled - f_base) <= 1e-12
 
 

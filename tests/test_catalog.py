@@ -31,14 +31,13 @@ def csv_of(*rows):
 
 class TestSeason:
     def test_every_month_maps_to_exactly_one_season(self):
-        for month in range(1, 13):
-            season = Season.for_month(month)
-            assert (month in Season.WINTER.months) != (month in Season.SUMMER.months)
-            assert month in season.months
+        by_season = {season: {m for m in range(1, 13) if Season.for_month(m) is season} for season in Season}
+        assert by_season[Season.WINTER] | by_season[Season.SUMMER] == set(range(1, 13))
+        assert not by_season[Season.WINTER] & by_season[Season.SUMMER]
 
     def test_winter_is_oct_through_feb(self):
-        assert Season.WINTER.months == frozenset({10, 11, 12, 1, 2})
-        assert Season.SUMMER.months == frozenset({3, 4, 5, 6, 7, 8, 9})
+        assert {m for m in range(1, 13) if Season.for_month(m) is Season.WINTER} == {10, 11, 12, 1, 2}
+        assert {m for m in range(1, 13) if Season.for_month(m) is Season.SUMMER} == {3, 4, 5, 6, 7, 8, 9}
 
     @pytest.mark.parametrize("month", [0, 13, -1])
     def test_out_of_range_month_rejected(self, month):

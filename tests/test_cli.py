@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import re
+import shlex
 
 import pytest
 
 from loadcomp import Season, builtin_catalog, composition_shares
+from loadcomp.catalog import serialize_catalog
 from loadcomp.cli import main
 from loadcomp.composition import round_half_up
 from loadcomp.synth import synth_household_day
@@ -100,6 +102,14 @@ class TestComposition:
         assert json.loads(out_path.read_text())["days_per_month"] == 30
         sidecar = json.loads((tmp_path / "report.json.meta.json").read_text())
         assert sidecar["tool"] == "loadcomp" and "created_utc" in sidecar
+
+    def test_sidecar_command_splits_back_to_the_argv(self, capsys, tmp_path):
+        catalog = tmp_path / "my catalog.csv"
+        catalog.write_text(serialize_catalog(builtin_catalog()))
+        argv = ["composition", "--catalog", str(catalog), "--out", str(tmp_path / "report.json")]
+        assert run(capsys, *argv)[0] == 0
+        sidecar = json.loads((tmp_path / "report.json.meta.json").read_text())
+        assert shlex.split(sidecar["command"]) == argv
 
     def test_payload_bytes_are_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -300,6 +310,8 @@ CATALOG_HEADER = (
     "activity,tou_winter,tou_summer,units_winter,units_summer,"
     "run_watts,idle_watts,operation,run_fraction,idle_fraction\n"
 )
+JSON_TV_ROW = {"activity": "TV", "tou_winter": 5, "tou_summer": 5, "units_winter": 1, "units_summer": 1,
+               "run_watts": 120, "idle_watts": 13, "operation": "Manual", "run_fraction": 1, "idle_fraction": 0}
 UNDECODABLE = b"\xff\xfe" + "timestamp,power_kw\n".encode("utf-16-le")
 QUARTER_HOUR_DAY = "timestamp,power_kw\n" + "".join(
     f"2016-06-01T{m // 60:02d}:{m % 60:02d},{1 + m % 7}\n" for m in range(0, 24 * 60, 15)
@@ -321,9 +333,10 @@ class TestInputDefects:
             (["synth", "--builtin-paper", "--season", "winter", "--occupancy"], UNDECODABLE),
             (["reconcile", "--builtin-paper", "--profile"], QUARTER_HOUR_DAY),
             (["reconcile", "--builtin-paper", "--profile"], day_csv([1.0] * 23)),
+            (["profile-stats", "--granularity", "monthly-average", "--profile"], day_csv([1.0] * 24)),
         ],
         ids=["nan-power", "inf-power", "mixed-timestamps", "undecodable-profile", "nan-catalog-tou",
-             "nan-occupancy", "undecodable-occupancy", "quarter-hour-day", "23-hour-day"],
+             "nan-occupancy", "undecodable-occupancy", "quarter-hour-day", "23-hour-day", "monthly-declared-day"],
     )
     def test_exits_1_with_one_error_line(self, capsys, tmp_path, argv, content):
         path = tmp_path / "input.csv"
@@ -362,14 +375,23 @@ class TestInputDefects:
         ids=["401-digit-watts", "401-digit-units", "4400-digit-watts"],
     )
     def test_json_integer_too_large_for_a_float(self, capsys, tmp_path, field, digits, rule):
-        row = {"activity": "TV", "tou_winter": 5, "tou_summer": 5, "units_winter": 1, "units_summer": 1,
-               "run_watts": 120, "idle_watts": 13, "operation": "Manual", "run_fraction": 1, "idle_fraction": 0}
         path = tmp_path / "catalog.json"
-        path.write_text(json.dumps([{**row, field: "BIG"}]).replace('"BIG"', "9" * digits))
+        path.write_text(json.dumps([{**JSON_TV_ROW, field: "BIG"}]).replace('"BIG"', "9" * digits))
         code, out, err = run(capsys, "validate", "--catalog", str(path))
         payload = json.loads(out)
         assert code == 1 and err == ""
         assert payload["valid"] is False and rule in payload["error"]
+
+    @pytest.mark.parametrize(
+        "field, value", [("units_winter", True), ("run_fraction", True), ("idle_fraction", False)]
+    )
+    def test_json_boolean_is_not_a_number(self, capsys, tmp_path, field, value):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{**JSON_TV_ROW, field: value}]))
+        code, out, err = run(capsys, "validate", "--catalog", str(path))
+        payload = json.loads(out)
+        assert code == 1 and err == ""
+        assert payload["valid"] is False and f"field {field!r} is not a number" in payload["error"]
 
     @pytest.mark.parametrize("days", ["32", str(10**400)], ids=["32", "10**400"])
     @pytest.mark.parametrize("command", ["composition", "reconcile"])

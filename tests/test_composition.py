@@ -15,7 +15,6 @@ from loadcomp.composition import (
     pie_data,
     render_value,
     round_half_up,
-    season_pair_report,
     table_csv,
 )
 from conftest import (
@@ -162,29 +161,15 @@ class TestCompositionShares:
 
 
 class TestSeasonPairReport:
+    """The paper's winter and summer composition shares side by side."""
+
     def test_lighting_shares_both_seasons(self, paper_catalog):
-        pair = season_pair_report(paper_catalog)
-        assert pair.winter.shares["Lighting"] == pytest.approx(5.8, abs=0.05)
-        assert pair.summer.shares["Lighting"] == pytest.approx(4.1, abs=0.05)
+        assert composition_shares(paper_catalog, Season.WINTER).shares["Lighting"] == pytest.approx(5.8, abs=0.05)
+        assert composition_shares(paper_catalog, Season.SUMMER).shares["Lighting"] == pytest.approx(4.1, abs=0.05)
 
     def test_winter_ac_share(self, paper_catalog):
-        pair = season_pair_report(paper_catalog)
-        assert pair.winter.shares["Air conditioning"] == pytest.approx(10.6, abs=0.05)
-
-    def test_deltas_are_summer_minus_winter(self, paper_catalog):
-        pair = season_pair_report(paper_catalog)
-        for activity, delta in pair.deltas.items():
-            assert delta == pytest.approx(
-                pair.summer.shares[activity] - pair.winter.shares[activity], abs=1e-12
-            )
-
-    def test_season_symmetric_catalog_has_zero_deltas(self, paper_catalog):
-        specs = tuple(
-            dataclasses.replace(spec, tou_summer=spec.tou_winter, units_summer=spec.units_winter)
-            for spec in paper_catalog
-        )
-        pair = season_pair_report(Catalog(specs=specs))
-        assert all(delta == pytest.approx(0.0, abs=1e-12) for delta in pair.deltas.values())
+        report = composition_shares(paper_catalog, Season.WINTER)
+        assert report.shares["Air conditioning"] == pytest.approx(10.6, abs=0.05)
 
 
 class TestProperties:

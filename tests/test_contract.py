@@ -61,6 +61,21 @@ def test_every_traced_benchmark_hook_resolves():
         assert callable(getattr(module, attribute)), f"{module_name}.{attribute}"
 
 
+def test_every_traced_benchmark_hook_is_called_by_its_bare_name():
+    """A traced pass swaps each module global for a wrapper, which only a call through that global reaches.
+
+    A name handed to a call counts too: ``_read(load_catalog, ...)`` calls it.
+    """
+    for module_name, attribute, _, _ in _benchmark_child().TRACED:
+        tree = ast.parse((ROOT / "src" / Path(*module_name.split("."))).with_suffix(".py").read_text(encoding="utf-8"))
+        callees = {
+            node.id
+            for call in ast.walk(tree) if isinstance(call, ast.Call)
+            for node in (call.func, *call.args) if isinstance(node, ast.Name)
+        }
+        assert attribute in callees, f"{module_name} never calls {attribute} by that name"
+
+
 def test_disaggregate_result_has_what_the_benchmark_counts():
     counts = {name: count for _, _, name, count in _benchmark_child().TRACED}
     attribution = disaggregate(hourly_day(DAY_CURVE_KW), builtin_catalog(), Season.SUMMER)

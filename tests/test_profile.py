@@ -53,6 +53,11 @@ class TestParseProfile:
         assert len(profile) == 12
         assert profile.granularity is Granularity.MONTHLY_AVERAGE
 
+    @pytest.mark.parametrize("granularity", [Granularity.MONTHLY_AVERAGE, Granularity.MONTHLY_PEAK])
+    def test_declared_monthly_granularity_needs_one_sample_per_month(self, granularity):
+        with pytest.raises(ProfileError, match=f"^row 3: {granularity.value} profile has two samples in 2016-06$"):
+            parse_profile(day_csv([850] * 24), granularity=granularity)
+
     def test_explicit_granularity_wins(self):
         profile = parse_profile(monthly_csv(range(100, 112)), granularity=Granularity.MONTHLY_PEAK)
         assert profile.granularity is Granularity.MONTHLY_PEAK
@@ -113,13 +118,12 @@ class TestParseProfile:
 
 class TestNormalize:
     def test_constant_profile_maps_to_ones(self):
-        normalized = normalize(hourly_day([5, 5, 5]))
-        assert normalized.fractions == (1.0, 1.0, 1.0)
-        assert normalized.peak_kw == 5.0
+        profile = hourly_day([5, 5, 5])
+        assert normalize(profile) == (1.0, 1.0, 1.0)
+        assert profile.peak_kw == 5.0
 
     def test_hand_division_example(self):
-        normalized = normalize(hourly_day([2, 4, 8]))
-        assert normalized.fractions == (0.25, 0.5, 1.0)
+        assert normalize(hourly_day([2, 4, 8])) == (0.25, 0.5, 1.0)
 
     def test_zero_profile_rejected(self):
         with pytest.raises(ProfileError, match="zero peak"):
@@ -127,22 +131,21 @@ class TestNormalize:
 
     @given(powers=power_lists)
     def test_peak_maps_to_exactly_one(self, powers):
-        normalized = normalize(hourly_day(powers))
-        assert max(normalized.fractions) == 1.0
-        assert all(0.0 <= f <= 1.0 for f in normalized.fractions)
+        fractions = normalize(hourly_day(powers))
+        assert max(fractions) == 1.0
+        assert all(0.0 <= f <= 1.0 for f in fractions)
 
     @given(powers=power_lists, k=st.floats(min_value=1e-6, max_value=1e3, allow_nan=False).filter(lambda k: k > 0))
     def test_invariant_under_uniform_scaling(self, powers, k):
         base = normalize(hourly_day(powers))
         scaled = normalize(hourly_day([p * k for p in powers]))
-        for f_base, f_scaled in zip(base.fractions, scaled.fractions):
+        for f_base, f_scaled in zip(base, scaled):
             assert f_scaled == pytest.approx(f_base, abs=1e-12)
 
     @given(powers=power_lists)
     def test_idempotent_up_to_scale(self, powers):
         once = normalize(hourly_day(powers))
-        twice = normalize(hourly_day(once.fractions))
-        assert twice.fractions == once.fractions  # second peak is exactly 1.0
+        assert normalize(hourly_day(once)) == once  # second peak is exactly 1.0
 
 
 class TestPeakAverageRatio:

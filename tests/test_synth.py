@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loadcomp import Season
+from loadcomp import Season, synth
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
 from loadcomp.composition import household_device_energy
 from loadcomp.synth import (
@@ -88,33 +88,29 @@ class TestLoadOccupancy:
 
 
 class TestShapeFor:
-    def test_auto_is_uniform(self, paper_catalog):
-        shape = shape_for(paper_catalog.get("Food preservation"), default_occupancy())
-        assert shape.weights == (pytest.approx(1 / 24),) * 24
+    def test_auto_is_uniform(self):
+        assert shape_for(OperationClass.AUTO, default_occupancy()) == (pytest.approx(1 / 24),) * 24
 
-    def test_manual_follows_occupancy(self, paper_catalog):
+    def test_manual_follows_occupancy(self):
         occ = default_occupancy()
-        shape = shape_for(paper_catalog.get("TV"), occ)
-        assert shape.weights == occ.weights
+        assert shape_for(OperationClass.MANUAL, occ) == occ.weights
 
-    def test_semi_auto_with_uniform_occupancy_is_uniform(self, paper_catalog):
-        shape = shape_for(paper_catalog.get("Air conditioning"), UNIFORM)
-        for w in shape.weights:
+    def test_semi_auto_with_uniform_occupancy_is_uniform(self):
+        for w in shape_for(OperationClass.SEMI_AUTO, UNIFORM):
             assert w == pytest.approx(1 / 24, abs=1e-15)
 
-    def test_semi_auto_is_midpoint(self, paper_catalog):
+    def test_semi_auto_is_midpoint(self):
         occ = default_occupancy()
-        shape = shape_for(paper_catalog.get("Air conditioning"), occ)
-        for w, o in zip(shape.weights, occ.weights):
+        for w, o in zip(shape_for(OperationClass.SEMI_AUTO, occ), occ.weights):
             assert w == pytest.approx((1 / 24 + o) / 2, rel=1e-9)
 
     @given(values=occupancy_values, spec=appliance_specs())
     def test_output_always_a_valid_shape(self, values, spec):
         occ = OccupancyCurve.from_values(values)
-        shape = shape_for(spec, occ)  # construction enforces the invariants
-        assert len(shape.weights) == 24
-        assert all(w >= 0 for w in shape.weights)
-        assert sum(shape.weights) == pytest.approx(1.0, abs=1e-12)
+        weights = shape_for(spec.operation, occ)
+        assert len(weights) == 24
+        assert all(w >= 0 for w in weights)
+        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSynthHouseholdDay:
@@ -149,3 +145,14 @@ class TestSynthHouseholdDay:
     def test_activities_keep_catalog_order(self, paper_catalog):
         day = synth_household_day(paper_catalog, Season.WINTER)
         assert list(day.per_activity) == paper_catalog.activities()
+
+    def test_one_shape_per_operation_class(self, paper_catalog, monkeypatch):
+        operations = []
+
+        def counting_shape_for(operation, occupancy):
+            operations.append(operation)
+            return shape_for(operation, occupancy)
+
+        monkeypatch.setattr(synth, "shape_for", counting_shape_for)
+        synth_household_day(paper_catalog, Season.WINTER)
+        assert sorted(op.value for op in operations) == sorted(op.value for op in OperationClass)
