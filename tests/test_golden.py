@@ -73,6 +73,12 @@ def _cases() -> dict[str, list[str]]:
     add("profile-stats-monthly36-hourly", "profile-stats", "--profile", "monthly36.csv",
         "--granularity", "hourly", formats=("json",))
 
+    # activity names that JSON must escape: quotes, backslash, control and non-ASCII characters
+    escaping = ("--catalog", "escaping.json")
+    add("composition-escaping", "composition", *escaping, formats=("json",))
+    add("synth-escaping-winter", "synth", *escaping, "--season", "winter", formats=("json",))
+    add("reconcile-escaping-winter-day", "reconcile", *escaping, "--profile", "winter_day.csv", formats=("json",))
+
     # error paths: one "loadcomp: error:" line (or a JSON verdict) and exit 1
     add("composition-duplicate", "composition", "--catalog", "duplicate.csv", formats=("json",))
     add("synth-duplicate", "synth", "--catalog", "duplicate.csv", "--season", "winter", formats=("csv",))
