@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__, reconcile
 from ._sourceio import csv_text
@@ -40,7 +43,13 @@ from .profile import (
 from .reconcile import ReconcileError, composition_from_attribution, disaggregate, scale_to_measured
 from .synth import OccupancyError, default_occupancy, load_occupancy, synth_household_day
 
-_INPUT_ERRORS = (CatalogError, CompositionError, ProfileError, ReconcileError, OccupancyError)
+
+class PayloadError(ValueError):
+    """A result cannot be written as strict JSON: it is NaN or infinite."""
+
+
+_INPUT_ERRORS = (CatalogError, CompositionError, ProfileError, ReconcileError, OccupancyError, PayloadError)
+_CELL = {str: _quote, int: int.__repr__, float: float.__repr__}  # cells written as json.dumps writes them
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,8 +145,33 @@ def _emit(args, payload: str) -> None:
     Path(str(args.out) + ".meta.json").write_text(_json_payload(sidecar), encoding="utf-8")
 
 
-def _json_payload(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _json_payload(obj: dict) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"``, refusing NaN and infinities.
+
+    The indenting encoder is pure Python. Here dicts of one shape share one
+    ``%``-template, and a column of cells of one type is converted in one pass.
+    """
+
+    def texts(values: list, indent: str) -> Iterator[str]:
+        """Each of ``values`` as json.dumps writes it, with ``indent`` starting each line after the first."""
+        kinds = set(map(type, values))
+        inner = indent + "  "
+        if kinds == {dict} and len(set(map(tuple, values))) == 1 and set(map(type, values[0])) == {str}:
+            template = "{" + ",".join(inner + _quote(key).replace("%", "%%") + ": %s" for key in values[0])
+            columns = [texts([value[key] for value in values], inner) for key in values[0]]
+            return map((template + indent + "}").__mod__, zip(*columns))
+        if kinds == {list} and all(values):
+            return ("[" + inner + ("," + inner).join(texts(value, inner)) + indent + "]" for value in values)
+        if len(kinds) == 1 and kinds <= _CELL.keys() and (kinds != {float} or all(map(math.isfinite, values))):
+            return map(_CELL[kinds.pop()], values)
+        if len(values) > 1:  # values of mixed shapes: each on its own
+            return (text for value in values for text in texts([value], indent))
+        return iter([json.dumps(values[0], indent=2, allow_nan=False).replace("\n", indent)])
+
+    try:  # texts are made lazily: json.dumps may raise while they are joined
+        return "".join(texts([obj], "\n")) + "\n"
+    except ValueError:  # json.dumps refuses NaN and infinities
+        raise PayloadError("a result is not a finite number; an input value is out of range") from None
 
 
 def _read(load, path: Path, what: str, error: type[Exception], **options):
@@ -190,10 +224,10 @@ def cmd_composition(args) -> tuple[str, int]:
 def cmd_profile_stats(args) -> tuple[str, int]:
     profile = _get_profile(args)
     fractions = normalize(profile)
+    stamps = [ts.isoformat() for ts in profile.timestamps]
 
     if args.format == "csv":
-        rows = ((ts.isoformat(), fraction) for ts, fraction in zip(profile.timestamps, fractions))
-        return csv_text(("timestamp", "fraction"), rows), 0
+        return csv_text(("timestamp", "fraction"), zip(stamps, fractions)), 0
 
     split = seasonal_split(profile)
     split_summary = {}
@@ -226,9 +260,7 @@ def cmd_profile_stats(args) -> tuple[str, int]:
         "samples": len(profile),
         "peak_kw": profile.peak_kw,
         "peak_average_ratio": peak_average_ratio(profile),
-        "normalized": [
-            {"timestamp": ts.isoformat(), "fraction": f} for ts, f in zip(profile.timestamps, fractions)
-        ],
+        "normalized": [{"timestamp": ts, "fraction": f} for ts, f in zip(stamps, fractions)],
         "daily_extrema": extrema,
         "seasonal_split": split_summary,
         "monthly_growth_pct": growth,

@@ -14,6 +14,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,19 +70,19 @@ class LoadProfile:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
+    @cached_property  # computed once per instance; frozen does not stop it writing __dict__
     def powers(self) -> tuple[float, ...]:
         return tuple(power for _, power in self.samples)
 
-    @property
+    @cached_property
     def timestamps(self) -> tuple[datetime, ...]:
         return tuple(ts for ts, _ in self.samples)
 
-    @property
+    @cached_property
     def peak_kw(self) -> float:
         return max(self.powers, default=0.0)
 
-    @property
+    @cached_property
     def mean_kw(self) -> float:
         """Correctly rounded mean power; an empty profile raises ``StatisticsError``."""
         return statistics.fmean(self.powers)
@@ -101,17 +102,18 @@ def parse_profile(source, granularity: Granularity | None = None, label: str = "
     else is hourly (monthly-peak must be declared explicitly).
     """
     text = read_text(source)
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise ProfileError("empty profile: no samples")
-    have = tuple(name.strip() for name in reader.fieldnames)
+    have = tuple(name.strip() for name in header)
     if have != PROFILE_CSV_HEADER:
         raise ProfileError(f"expected header {','.join(PROFILE_CSV_HEADER)!r}, got {','.join(have)!r}")
 
     samples: list[tuple[datetime, float]] = []
-    for rownum, row in enumerate(reader, start=2):  # header is line 1
-        raw_ts = (row.get("timestamp") or "").strip()
-        raw_power = (row.get("power_kw") or "").strip()
+    # blank lines are not numbered; a missing power reads as "" and extra cells are ignored
+    for rownum, row in enumerate(filter(None, reader), start=2):  # header is line 1
+        raw_ts, raw_power, *_ = *map(str.strip, row), ""
         try:
             ts = datetime.fromisoformat(raw_ts)
         except ValueError:
@@ -150,7 +152,7 @@ def normalize(profile: LoadProfile) -> tuple[float, ...]:
     peak = profile.peak_kw
     if peak <= 0:
         raise ProfileError("zero peak")
-    return tuple(power / peak for _, power in profile.samples)
+    return tuple(power / peak for power in profile.powers)
 
 
 def peak_average_ratio(profile: LoadProfile) -> float:
@@ -182,8 +184,9 @@ def monthly_growth(profile: LoadProfile) -> list[tuple[datetime, datetime, float
 def seasonal_split(profile: LoadProfile) -> dict[Season, LoadProfile]:
     """Partition samples by season; together the two halves cover the input."""
     buckets: dict[Season, list[tuple[datetime, float]]] = {Season.WINTER: [], Season.SUMMER: []}
-    for ts, power in profile.samples:
-        buckets[Season.for_month(ts.month)].append((ts, power))
+    by_month = [None, *(buckets[Season.for_month(month)] for month in range(1, 13))]
+    for sample in profile.samples:
+        by_month[sample[0].month].append(sample)
     return {
         season: LoadProfile(samples=tuple(samples), granularity=profile.granularity, label=profile.label)
         for season, samples in buckets.items()

@@ -334,9 +334,13 @@ class TestInputDefects:
             (["reconcile", "--builtin-paper", "--profile"], QUARTER_HOUR_DAY),
             (["reconcile", "--builtin-paper", "--profile"], day_csv([1.0] * 23)),
             (["profile-stats", "--granularity", "monthly-average", "--profile"], day_csv([1.0] * 24)),
+            # finite inputs whose results overflow: strict JSON has no Infinity
+            (["profile-stats", "--profile"], "timestamp,power_kw\n2016-01-01T00:00,1e-300\n2016-02-01T00:00,1e300\n"),
+            (["composition", "--catalog"], CATALOG_HEADER + "Big,24,24,10,10,1e308,0,Auto,1,0\n"),
         ],
         ids=["nan-power", "inf-power", "mixed-timestamps", "undecodable-profile", "nan-catalog-tou",
-             "nan-occupancy", "undecodable-occupancy", "quarter-hour-day", "23-hour-day", "monthly-declared-day"],
+             "nan-occupancy", "undecodable-occupancy", "quarter-hour-day", "23-hour-day", "monthly-declared-day",
+             "growth-overflow", "catalog-energy-overflow"],
     )
     def test_exits_1_with_one_error_line(self, capsys, tmp_path, argv, content):
         path = tmp_path / "input.csv"

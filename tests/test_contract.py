@@ -81,3 +81,17 @@ def test_disaggregate_result_has_what_the_benchmark_counts():
     attribution = disaggregate(hourly_day(DAY_CURVE_KW), builtin_catalog(), Season.SUMMER)
     assert counts["reconcile.disaggregate"](attribution) == 15 * 24
     assert counts["catalog.builtin_catalog"](builtin_catalog()) == 15
+
+
+def test_the_cli_encodes_json_only_in_its_payload_writer():
+    """Every subcommand's JSON goes through ``cli._json_payload``, the one writer that refuses NaN and infinities."""
+    tree = ast.parse((ROOT / "src" / "loadcomp" / "cli.py").read_text(encoding="utf-8"))
+
+    def encoder_calls(node):
+        return sum(
+            isinstance(call, ast.Call) and ast.unparse(call.func) in ("json.dumps", "json.dump", "dumps", "dump")
+            for call in ast.walk(node)
+        )
+
+    writer = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_json_payload")
+    assert encoder_calls(tree) == encoder_calls(writer) == 1

@@ -110,6 +110,19 @@ class TestParseProfile:
         source = "timestamp,power_kw\n2016-06-01T00:00+02:00,5\n2016-06-01T00:00+00:00,6\n"
         assert len(parse_profile(source)) == 2
 
+    def test_blank_lines_are_not_numbered(self):
+        source = "timestamp,power_kw\n\n2016-06-01T00:00,5\n\n\n2016-06-01T01:00,much\n"
+        with pytest.raises(ProfileError, match="^row 3: invalid power 'much'$"):
+            parse_profile(source)
+
+    def test_row_without_a_power_is_an_invalid_power(self):
+        with pytest.raises(ProfileError, match="^row 2: invalid power ''$"):
+            parse_profile("timestamp,power_kw\n2016-06-01T00:00\n")
+
+    def test_extra_cells_are_ignored(self):
+        profile = parse_profile("timestamp,power_kw\n2016-06-01T00:00,5,x\n2016-06-01T01:00, 6 ,,\n")
+        assert profile.samples == ((datetime(2016, 6, 1, 0), 5.0), (datetime(2016, 6, 1, 1), 6.0))
+
     def test_malformed_later_row_is_reported_before_an_earlier_sign_error(self):
         source = "timestamp,power_kw\n2016-06-01T00:00,-5\nyesterday,5\n"
         with pytest.raises(ProfileError, match="row 3: invalid timestamp"):
