@@ -69,4 +69,3 @@ def test_a_non_finite_float_anywhere_is_refused(payload, key, value):
     payload[key] = value
     with pytest.raises(PayloadError, match="not a finite number"):
         _json_payload(payload)
-
