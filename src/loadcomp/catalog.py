@@ -21,6 +21,9 @@ from ._sourceio import csv_text, read_text
 # Run and idle fractions must sum to 1; slack for binary floating point.
 FRACTION_SUM_TOL = 1e-12
 
+# Magnitude bounds: with ToU at most 24 h, every energy, total and share stays finite.
+MAGNITUDE_BOUNDS = {"run_watts": 1e7, "idle_watts": 1e7, "units_winter": 10**6, "units_summer": 10**6}
+
 # Historic spellings in source data map onto one canonical activity name.
 ACTIVITY_ALIASES = {
     "water bump (dynamo)": "Water pump",
@@ -126,6 +129,9 @@ def validate_spec(spec: ApplianceSpec) -> list[str]:
         q = spec.units(season)
         if q < 0:
             violations.append(f"units_{season.value}: must be >= 0 (got {q})")
+    for name, bound in MAGNITUDE_BOUNDS.items():
+        if getattr(spec, name) > bound:
+            violations.append(f"{name}: must be <= {bound:g} (got {getattr(spec, name)})")
     if spec.idle_watts < 0:
         violations.append(f"idle_watts: must be >= 0 (got {spec.idle_watts})")
     elif spec.run_watts < spec.idle_watts:

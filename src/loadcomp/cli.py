@@ -9,6 +9,7 @@ goes to a ``<out>.meta.json`` sidecar instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shlex
@@ -52,6 +53,7 @@ _INPUT_ERRORS = (CatalogError, CompositionError, ProfileError, ReconcileError, O
 _CELL = {str: _quote, int: int.__repr__, float: float.__repr__}  # cells written as json.dumps writes them
 
 
+@functools.cache  # one shared parser per process: parse_args leaves it unchanged, so callers must too
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loadcomp",

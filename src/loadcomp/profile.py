@@ -22,6 +22,7 @@ from ._sourceio import read_text
 from .catalog import Season
 
 PROFILE_CSV_HEADER = ("timestamp", "power_kw")
+MAX_POWER_KW = 1e9  # keeps sums, means and day-to-month scaling finite
 
 
 class ProfileError(ValueError):
@@ -38,11 +39,11 @@ class Granularity(enum.Enum):
 class LoadProfile:
     """Timestamped power series in kW.
 
-    Power is finite and non-negative; timestamps strictly increase and are all
-    naive or all offset-aware; a monthly profile has at most one sample per
-    calendar month. Errors name a sample by its CSV row (the first is row 2).
-    Parsed profiles are never empty; :func:`seasonal_split` may return an
-    empty sub-profile when the input has no samples in that season.
+    Power is finite, non-negative and at most ``MAX_POWER_KW``; timestamps
+    strictly increase and are all naive or all offset-aware; a monthly profile
+    has at most one sample per calendar month. Errors name a sample by its CSV
+    row (the first is row 2). Parsed profiles are never empty; :func:`seasonal_split`
+    may return an empty sub-profile when the input has no samples in that season.
     """
 
     samples: tuple[tuple[datetime, float], ...]
@@ -57,6 +58,8 @@ class LoadProfile:
                 raise ProfileError(f"row {rownum}: power must be a finite number")
             if power < 0:
                 raise ProfileError(f"row {rownum}: negative power {power}")
+            if power > MAX_POWER_KW:
+                raise ProfileError(f"row {rownum}: power {power} exceeds {MAX_POWER_KW:g} kW")
             if previous is not None and (ts.utcoffset() is None) != (previous.utcoffset() is None):
                 raise ProfileError(f"row {rownum}: cannot mix naive and offset-aware timestamps")
             if previous is not None and ts <= previous:

@@ -9,6 +9,7 @@ daily energy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ._sourceio import read_text
@@ -52,11 +53,15 @@ class OccupancyCurve:
     def from_values(cls, values) -> OccupancyCurve:
         """Normalize raw non-negative values to sum to 1."""
         values = tuple(float(v) for v in values)
+        largest = max(values, default=0.0)
+        if largest > 0:  # scaled first, so that large finite values cannot overflow the sum
+            values = tuple(v / largest for v in values)
         total = sum(values)
         # A non-positive total cannot be normalized; the weight rule then names the fault.
         return cls(weights=values if total <= 0 else tuple(v / total for v in values))
 
 
+@functools.cache  # the curve is constant and immutable, so one per process serves every caller
 def default_occupancy() -> OccupancyCurve:
     return OccupancyCurve.from_values(DEFAULT_OCCUPANCY_RAW)
 

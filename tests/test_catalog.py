@@ -104,6 +104,28 @@ class TestValidateSpec:
         spec = dataclasses.replace(paper_catalog.specs[0], run_watts=50.0, idle_watts=80.0)
         assert any("run_watts" in v for v in validate_spec(spec))
 
+    def test_magnitudes_at_their_bounds_ok(self, paper_catalog):
+        import dataclasses
+
+        spec = dataclasses.replace(paper_catalog.specs[0], run_watts=1e7, idle_watts=1e7,
+                                   units_winter=10**6, units_summer=10**6)
+        assert validate_spec(spec) == []
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"run_watts": 2e7}, "run_watts"),
+            ({"run_watts": 2e7, "idle_watts": 2e7}, "idle_watts"),
+            ({"units_winter": 10**6 + 1}, "units_winter"),
+            ({"units_summer": 10**6 + 1}, "units_summer"),
+        ],
+    )
+    def test_magnitude_above_its_bound_names_the_field(self, paper_catalog, changes, field):
+        import dataclasses
+
+        spec = dataclasses.replace(paper_catalog.specs[0], **changes)
+        assert any(v.startswith(f"{field}: must be <= ") for v in validate_spec(spec))
+
 
 class TestParseCatalog:
     def test_single_row_example(self):

@@ -280,6 +280,14 @@ class TestSynth:
         )
         assert code == 1 and "expected 24 occupancy values, got 23" in err
 
+    def test_large_uniform_occupancy_gives_the_bytes_of_a_small_one(self, capsys, tmp_path):
+        outputs = []
+        for value in ("1e308", "1"):
+            occupancy = tmp_path / f"{value}.csv"
+            occupancy.write_text(",".join([value] * 24) + "\n")
+            outputs.append(run(capsys, "synth", "--builtin-paper", "--season", "winter", "--occupancy", str(occupancy)))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
     def test_json_total_matches_table(self, capsys):
         code, out, _ = run(capsys, "synth", "--builtin-paper", "--season", "summer")
         assert code == 0
@@ -337,10 +345,16 @@ class TestInputDefects:
             # finite inputs whose results overflow: strict JSON has no Infinity
             (["profile-stats", "--profile"], "timestamp,power_kw\n2016-01-01T00:00,1e-300\n2016-02-01T00:00,1e300\n"),
             (["composition", "--catalog"], CATALOG_HEADER + "Big,24,24,10,10,1e308,0,Auto,1,0\n"),
+            # finite inputs beyond the magnitude bounds, which CSV output and fsum cannot otherwise survive
+            (["composition", "--format", "csv", "--catalog"], CATALOG_HEADER + "Big,24,24,10,10,1e308,0,Auto,1,0\n"),
+            (["synth", "--season", "winter", "--format", "csv", "--catalog"],
+             CATALOG_HEADER + "Big,24,24,10,10,1e308,0,Auto,1,0\n"),
+            (["profile-stats", "--profile"], "timestamp,power_kw\n2016-06-01T00:00,1e308\n2016-06-01T01:00,1e308\n"),
         ],
         ids=["nan-power", "inf-power", "mixed-timestamps", "undecodable-profile", "nan-catalog-tou",
              "nan-occupancy", "undecodable-occupancy", "quarter-hour-day", "23-hour-day", "monthly-declared-day",
-             "growth-overflow", "catalog-energy-overflow"],
+             "growth-overflow", "catalog-energy-overflow", "catalog-energy-overflow-csv",
+             "synth-energy-overflow-csv", "power-sum-overflow"],
     )
     def test_exits_1_with_one_error_line(self, capsys, tmp_path, argv, content):
         path = tmp_path / "input.csv"

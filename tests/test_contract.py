@@ -7,7 +7,7 @@ import re
 import sys
 from pathlib import Path
 
-from loadcomp import Season, builtin_catalog
+from loadcomp import Season, builtin_catalog, cli
 from loadcomp.reconcile import disaggregate
 from conftest import DAY_CURVE_KW, hourly_day
 
@@ -74,6 +74,11 @@ def test_every_traced_benchmark_hook_is_called_by_its_bare_name():
             for node in (call.func, *call.args) if isinstance(node, ast.Name)
         }
         assert attribute in callees, f"{module_name} never calls {attribute} by that name"
+
+
+def test_the_cli_builds_its_parser_once_per_process():
+    """In-process callers of ``cli.main`` reuse one parser instead of rebuilding it on every call."""
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_disaggregate_result_has_what_the_benchmark_counts():

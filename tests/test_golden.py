@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from loadcomp.cli import main
+from loadcomp.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -115,6 +115,47 @@ def test_golden_payload(name, status, monkeypatch):
     code, out, err = run_case(CASES[name])
     assert out.encode("utf-8") == (PAYLOADS / f"{name}.out").read_bytes()
     assert {"exit": code, "stderr": err} == status[name]
+
+
+def test_one_shared_parser_gives_every_case_its_golden_bytes(status, monkeypatch):
+    """One process runs every case in sorted and then in reverse order, all through one cached parser."""
+    monkeypatch.chdir(INPUTS)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in sorted(CASES) + sorted(CASES, reverse=True):
+        code, out, err = run_case(CASES[name])
+        assert out.encode("utf-8") == (PAYLOADS / f"{name}.out").read_bytes(), name
+        assert {"exit": code, "stderr": err} == status[name], name
+
+
+USAGE_ERROR = ["composition", "--format", "csv"]  # neither --catalog nor --builtin-paper
+
+
+def fresh_case(argv: list[str]) -> tuple[int, str, str]:
+    """``run_case`` through a newly built parser."""
+    build_parser.cache_clear()
+    return run_case(argv)
+
+
+def test_usage_errors_and_successes_do_not_leak_into_each_other(monkeypatch):
+    monkeypatch.chdir(INPUTS)
+    monkeypatch.setenv("COLUMNS", "80")
+    success = CASES["reconcile-csvcat-winter-day-json"]
+    expected = {"error": fresh_case(USAGE_ERROR), "success": fresh_case(success)}
+    assert expected["error"][0] == 1 and expected["success"][0] == 0
+    for kind in ("error", "success", "error", "success"):  # each follows the other through the cached parser
+        assert run_case(USAGE_ERROR if kind == "error" else success) == expected[kind], kind
+
+
+def test_usage_message_wraps_to_the_columns_of_each_call(monkeypatch):
+    """The parser is built once, but each usage message is formatted at the ``COLUMNS`` in force."""
+    expected = {}
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        expected[columns] = fresh_case(USAGE_ERROR)
+    assert expected["200"] != expected["40"]
+    for columns in ("200", "40"):  # the cached parser was built at 40 columns
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run_case(USAGE_ERROR) == expected[columns], columns
 
 
 def test_every_golden_file_has_a_case(status):
