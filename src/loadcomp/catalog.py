@@ -13,8 +13,8 @@ import enum
 import io
 import json
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from ._sourceio import csv_text, read_text
 
@@ -72,13 +72,22 @@ class Season(enum.Enum):
         return cls.WINTER if month in WINTER_MONTHS else cls.SUMMER
 
 
-@dataclass(frozen=True)
-class ApplianceSpec:
+class _Frozen:
+    """Base of the validated types: ``__init__`` checks and sets every field, and nothing reassigns one."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ApplianceSpec(NamedTuple):
     """Calculation parameters for one household activity.
 
     Wattages in W, time of use in hours/day, unit counts per household.
     ``run_fraction`` and ``idle_fraction`` split the time of use between
-    rated and standby power and must sum to 1. The dataclass itself does
+    rated and standby power and must sum to 1. The record itself does
     not validate; see :func:`validate_spec`.
     """
 
@@ -101,8 +110,9 @@ class ApplianceSpec:
 
 
 # The CSV columns and JSON keys of the wire format, in field order.
-CSV_HEADER = tuple(f.name for f in fields(ApplianceSpec))
-_FLOAT_FIELDS = tuple(f.name for f in fields(ApplianceSpec) if f.type == "float")
+CSV_HEADER = ApplianceSpec._fields
+# Named, not read from the annotations: postponed annotations make each field's type a ForwardRef.
+_FLOAT_FIELDS = ("tou_winter", "tou_summer", "run_watts", "idle_watts", "run_fraction", "idle_fraction")
 
 
 def validate_spec(spec: ApplianceSpec) -> list[str]:
@@ -149,21 +159,21 @@ def validate_spec(spec: ApplianceSpec) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(_Frozen):
     """Ordered, non-empty collection of appliance specs with case-insensitively unique names."""
 
     specs: tuple[ApplianceSpec, ...]
 
-    def __post_init__(self) -> None:
-        if not self.specs:
+    def __init__(self, specs: tuple[ApplianceSpec, ...]) -> None:
+        if not specs:
             raise CatalogError("no entries")
         seen: set[str] = set()
-        for rownum, spec in enumerate(self.specs, start=1):
+        for rownum, spec in enumerate(specs, start=1):
             key = spec.activity.casefold()
             if key in seen:
                 raise CatalogError(f"row {rownum}: duplicate activity name {spec.activity!r}")
             seen.add(key)
+        vars(self).update(specs=specs)
 
     def __iter__(self):
         return iter(self.specs)
@@ -223,7 +233,7 @@ def serialize_catalog(catalog: Catalog, fmt: str = "csv") -> str:
     ``parse_catalog(serialize_catalog(c), fmt)`` returns a catalog with the
     same specs as ``c``.
     """
-    rows = [{**vars(spec), "operation": spec.operation.value} for spec in catalog]
+    rows = [{**spec._asdict(), "operation": spec.operation.value} for spec in catalog]
     if fmt == "csv":
         return csv_text(CSV_HEADER, (row.values() for row in rows))
     if fmt == "json":

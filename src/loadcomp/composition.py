@@ -9,9 +9,8 @@ Shares are each activity's percentage of the household daily total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ._sourceio import csv_text
 from .catalog import ApplianceSpec, Catalog, Season
@@ -32,8 +31,7 @@ def household_device_energy(spec: ApplianceSpec, season: Season) -> float:
     return spec.units(season) * device_daily_energy(spec, season)
 
 
-@dataclass(frozen=True)
-class DeviceEnergy:
+class DeviceEnergy(NamedTuple):
     """One activity's daily energy for one season."""
 
     activity: str
@@ -42,8 +40,7 @@ class DeviceEnergy:
     household_daily_wh: float
 
 
-@dataclass(frozen=True)
-class SeasonalConsumptionTable:
+class SeasonalConsumptionTable(NamedTuple):
     """Per-activity daily energies for one season, in catalog order."""
 
     season: Season
@@ -59,11 +56,9 @@ class SeasonalConsumptionTable:
         return self.daily_total_wh * self.days_per_month / 1000.0
 
 
-@dataclass(frozen=True)
-class CompositionReport:
+class CompositionReport(NamedTuple):
     """Percentage share per activity (catalog order) for one season."""
 
-    season: Season
     shares: dict[str, float]
 
 
@@ -90,7 +85,7 @@ def composition_shares(catalog: Catalog, season: Season) -> CompositionReport:
     if total <= 0:
         raise CompositionError("empty composition basis")
     shares = {activity: 100.0 * energy / total for activity, energy in energies}
-    return CompositionReport(season=season, shares=shares)
+    return CompositionReport(shares=shares)
 
 
 def _half_up(value: float, decimals: int) -> Decimal:

@@ -11,15 +11,13 @@ import csv
 import enum
 import io
 import math
-import statistics
-from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
 from ._sourceio import read_text
-from .catalog import Season
+from .catalog import Season, _Frozen
 
 PROFILE_CSV_HEADER = ("timestamp", "power_kw")
 MAX_POWER_KW = 1e9  # keeps sums, means and day-to-month scaling finite
@@ -35,8 +33,7 @@ class Granularity(enum.Enum):
     MONTHLY_PEAK = "monthly-peak"
 
 
-@dataclass(frozen=True)
-class LoadProfile:
+class LoadProfile(_Frozen):
     """Timestamped power series in kW.
 
     Power is finite, non-negative and at most ``MAX_POWER_KW``; timestamps
@@ -48,12 +45,12 @@ class LoadProfile:
 
     samples: tuple[tuple[datetime, float], ...]
     granularity: Granularity
-    label: str = ""
+    label: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, samples: tuple[tuple[datetime, float], ...], granularity: Granularity, label: str = "") -> None:
         previous = None
-        months = None if self.granularity is Granularity.HOURLY else set()
-        for rownum, (ts, power) in enumerate(self.samples, start=2):  # header is row 1
+        months = None if granularity is Granularity.HOURLY else set()
+        for rownum, (ts, power) in enumerate(samples, start=2):  # header is row 1
             if not math.isfinite(power):
                 raise ProfileError(f"row {rownum}: power must be a finite number")
             if power < 0:
@@ -66,14 +63,15 @@ class LoadProfile:
                 raise ProfileError(f"row {rownum}: timestamps must be strictly increasing")
             if months is not None:
                 if (ts.year, ts.month) in months:
-                    raise ProfileError(f"row {rownum}: {self.granularity.value} profile has two samples in {ts:%Y-%m}")
+                    raise ProfileError(f"row {rownum}: {granularity.value} profile has two samples in {ts:%Y-%m}")
                 months.add((ts.year, ts.month))
             previous = ts
+        vars(self).update(samples=samples, granularity=granularity, label=label)
 
     def __len__(self) -> int:
         return len(self.samples)
 
-    @cached_property  # computed once per instance; frozen does not stop it writing __dict__
+    @cached_property  # computed once per instance; cached_property writes __dict__, past the frozen guard
     def powers(self) -> tuple[float, ...]:
         return tuple(power for _, power in self.samples)
 
@@ -87,8 +85,11 @@ class LoadProfile:
 
     @cached_property
     def mean_kw(self) -> float:
-        """Correctly rounded mean power; an empty profile raises ``StatisticsError``."""
-        return statistics.fmean(self.powers)
+        """Mean power, correctly rounded as ``statistics.fmean`` computes it."""
+        powers = self.powers
+        if not powers:
+            raise ProfileError("empty profile: no samples")
+        return math.fsum(powers) / len(powers)
 
 
 class DailyExtrema(NamedTuple):

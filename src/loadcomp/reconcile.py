@@ -8,7 +8,7 @@ hourly energies, conserving the measured power at every hour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import Catalog, Season
 from .composition import CompositionReport, DeviceEnergy, SeasonalConsumptionTable
@@ -35,8 +35,7 @@ class UnattributableLoadError(ReconcileError):
         self.hour = hour
 
 
-@dataclass(frozen=True)
-class ReconciliationResult:
+class ReconciliationResult(NamedTuple):
     """Scaled seasonal table plus the measured-vs-modeled diagnostics."""
 
     scale_factor: float
@@ -50,15 +49,13 @@ class ReconciliationResult:
         return self.relative_gap > GAP_WARNING_THRESHOLD
 
 
-@dataclass(frozen=True)
-class HourlyAttribution:
+class HourlyAttribution(NamedTuple):
     """Per-hour split of measured power (kW) across activities.
 
     For every measured sample the per-activity values sum back to the
     measured power at that hour.
     """
 
-    season: Season
     by_activity: dict[str, tuple[float, ...]]
     measured: LoadProfile
 
@@ -137,7 +134,6 @@ def disaggregate(
             for activity, hourly in day.per_activity.items():
                 series[activity].append(power * (hourly[hour] / total))
     return HourlyAttribution(
-        season=season,
         by_activity={activity: tuple(values) for activity, values in series.items()},
         measured=measured,
     )
@@ -152,4 +148,4 @@ def composition_from_attribution(attribution: HourlyAttribution) -> CompositionR
     if total <= 0:
         raise ReconcileError("zero total attributed energy")
     shares = {activity: 100.0 * energy / total for activity, energy in energies.items()}
-    return CompositionReport(season=attribution.season, shares=shares)
+    return CompositionReport(shares=shares)

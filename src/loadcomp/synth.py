@@ -10,10 +10,10 @@ daily energy.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._sourceio import read_text
-from .catalog import Catalog, OperationClass, Season
+from .catalog import Catalog, OperationClass, Season, _Frozen
 from .composition import household_device_energy
 
 WEIGHT_SUM_TOL = 1e-12
@@ -31,14 +31,12 @@ class OccupancyError(ValueError):
     """Occupancy curve data is malformed."""
 
 
-@dataclass(frozen=True)
-class OccupancyCurve:
+class OccupancyCurve(_Frozen):
     """24 hourly presence weights summing to 1."""
 
     weights: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        weights = self.weights
+    def __init__(self, weights: tuple[float, ...]) -> None:
         if len(weights) != 24:
             raise OccupancyError(f"expected 24 occupancy values, got {len(weights)}")
         if not all(w >= 0 for w in weights):  # false for nan too; an inf breaks the sum rule
@@ -48,6 +46,7 @@ class OccupancyCurve:
             raise OccupancyError("occupancy values must not all be zero")
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise OccupancyError("occupancy values must sum to 1")
+        vars(self).update(weights=weights)
 
     @classmethod
     def from_values(cls, values) -> OccupancyCurve:
@@ -91,11 +90,9 @@ def shape_for(operation: OperationClass, occupancy: OccupancyCurve) -> tuple[flo
     return tuple(w / total for w in mixed)
 
 
-@dataclass(frozen=True)
-class SynthesizedDay:
+class SynthesizedDay(NamedTuple):
     """Hourly Wh series per activity, catalog order preserved."""
 
-    season: Season
     per_activity: dict[str, tuple[float, ...]]
 
     @property
@@ -117,4 +114,4 @@ def synth_household_day(catalog: Catalog, season: Season, occupancy: OccupancyCu
     for spec in catalog:
         energy = household_device_energy(spec, season)
         per_activity[spec.activity] = tuple(energy * w for w in shapes[spec.operation])
-    return SynthesizedDay(season=season, per_activity=per_activity)
+    return SynthesizedDay(per_activity=per_activity)

@@ -1,7 +1,5 @@
 """Bottom-up energy math against frozen reference values, plus properties."""
 
-import dataclasses
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -68,7 +66,7 @@ class TestDeviceEnergy:
         assert device_daily_energy(spec, Season.WINTER) == pytest.approx(6594, rel=1e-9)
 
     def test_zero_tou_gives_zero(self, paper_catalog):
-        spec = dataclasses.replace(paper_catalog.specs[0], tou_winter=0.0)
+        spec = paper_catalog.specs[0]._replace(tou_winter=0.0)
         assert device_daily_energy(spec, Season.WINTER) == 0.0
 
     def test_ac_summer_household(self, paper_catalog):
@@ -80,7 +78,7 @@ class TestDeviceEnergy:
         assert household_device_energy(spec, Season.WINTER) == pytest.approx(12000, rel=1e-9)
 
     def test_zero_units_gives_zero(self, paper_catalog):
-        spec = dataclasses.replace(paper_catalog.get("Air conditioning"), units_summer=0)
+        spec = paper_catalog.get("Air conditioning")._replace(units_summer=0)
         assert household_device_energy(spec, Season.SUMMER) == 0.0
 
 
@@ -189,7 +187,7 @@ class TestProperties:
         assume(sum(household_device_energy(s, season) for s in catalog) > 0)
         scaled = Catalog(
             specs=tuple(
-                dataclasses.replace(s, run_watts=s.run_watts * k, idle_watts=s.idle_watts * k)
+                s._replace(run_watts=s.run_watts * k, idle_watts=s.idle_watts * k)
                 for s in catalog
             )
         )
@@ -200,15 +198,15 @@ class TestProperties:
 
     @given(spec=catalogs(min_size=1, max_size=1).map(lambda c: c.specs[0]))
     def test_energy_linear_in_tou(self, spec):
-        doubled = dataclasses.replace(spec, tou_winter=spec.tou_winter / 2 * 2, tou_summer=spec.tou_summer)
-        half = dataclasses.replace(spec, tou_winter=spec.tou_winter / 2)
+        doubled = spec._replace(tou_winter=spec.tou_winter / 2 * 2, tou_summer=spec.tou_summer)
+        half = spec._replace(tou_winter=spec.tou_winter / 2)
         assert device_daily_energy(half, Season.WINTER) * 2 == pytest.approx(
             device_daily_energy(doubled, Season.WINTER), rel=1e-12, abs=1e-12
         )
 
     @given(spec=catalogs(min_size=1, max_size=1).map(lambda c: c.specs[0]), units=st.integers(0, 50))
     def test_household_energy_linear_in_units(self, spec, units):
-        rebased = dataclasses.replace(spec, units_winter=units)
+        rebased = spec._replace(units_winter=units)
         assert household_device_energy(rebased, Season.WINTER) == pytest.approx(
             units * device_daily_energy(spec, Season.WINTER), rel=1e-12, abs=1e-12
         )
@@ -224,7 +222,7 @@ class TestProperties:
         index = data.draw(st.integers(0, len(catalog) - 1))
         bump = data.draw(st.floats(min_value=0.1, max_value=24.0, allow_nan=False))
         target = catalog.specs[index]
-        bumped = dataclasses.replace(target, tou_summer=min(24.0, target.tou_summer + bump))
+        bumped = target._replace(tou_summer=min(24.0, target.tou_summer + bump))
         specs = list(catalog.specs)
         specs[index] = bumped
         before = composition_shares(catalog, season).shares

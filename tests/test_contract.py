@@ -3,12 +3,21 @@
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
+import pytest
+
 from loadcomp import Season, builtin_catalog, cli
-from loadcomp.reconcile import disaggregate
+from loadcomp.catalog import ApplianceSpec, Catalog
+from loadcomp.composition import CompositionReport, DeviceEnergy, SeasonalConsumptionTable
+from loadcomp.profile import Granularity, LoadProfile
+from loadcomp.reconcile import HourlyAttribution, ReconciliationResult, disaggregate
+from loadcomp.synth import OccupancyCurve, SynthesizedDay
 from conftest import DAY_CURVE_KW, hourly_day
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +43,60 @@ def test_sources_import_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: import {name}"
+
+
+def test_sources_import_only_at_module_level():
+    """An import inside a function does not make start-up cheaper; it moves the cost into the first call."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nested = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+        ]
+        assert not nested, f"{path.name}: imports below module level at lines {nested}"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_statistics():
+    """Start-up is most of a one-day command's time; these modules would add milliseconds to every run."""
+    code = "import sys; before = set(sys.modules); import loadcomp.cli; print(*sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True, timeout=60).stdout.split()
+    assert "loadcomp.cli" in loaded
+    assert not {"dataclasses", "inspect", "statistics", "fractions"} & set(loaded)
+
+
+def _records():
+    spec = builtin_catalog().specs[0]
+    row = DeviceEnergy(activity="TV", units=1, per_unit_daily_wh=120.0, household_daily_wh=120.0)
+    table = SeasonalConsumptionTable(season=Season.WINTER, rows=(row,), days_per_month=30)
+    profile = LoadProfile(samples=((datetime(2016, 1, 1), 1.0),), granularity=Granularity.HOURLY, label="day")
+    return (
+        ApplianceSpec(**spec._asdict()),
+        Catalog(specs=(spec,)),
+        row,
+        table,
+        CompositionReport(shares={"TV": 100.0}),
+        ReconciliationResult(scale_factor=1.0, measured_energy_kwh=3.6, bottom_up_energy_kwh=3.6,
+                             relative_gap=0.0, adjusted_table=table),
+        HourlyAttribution(by_activity={"TV": (1.0,)}, measured=profile),
+        SynthesizedDay(per_activity={"TV": (5.0,) * 24}),
+        OccupancyCurve(weights=(1.0 / 24.0,) * 24),
+        profile,
+    )
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+def test_every_record_rejects_assignment(record):
+    """Results are shared freely (the default occupancy curve by every caller), so no field may change."""
+    names = getattr(record, "_fields", None) or tuple(vars(record))
+    assert names
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
 
 
 def test_project_declares_no_dependencies():

@@ -1,5 +1,6 @@
 """Load profile ingestion, normalization, and summary statistics."""
 
+import statistics
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -265,6 +266,16 @@ class TestDailyExtrema:
         profile = LoadProfile(samples=samples, granularity=Granularity.HOURLY)
         with pytest.raises(ProfileError, match="single-day"):
             daily_extrema(profile)
+
+
+class TestMeanKw:
+    @given(powers=st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=48))
+    def test_is_statistics_fmean_bit_for_bit(self, powers):
+        assert hourly_day(powers).mean_kw.hex() == statistics.fmean(powers).hex()
+
+    def test_empty_profile_names_the_fault(self):
+        with pytest.raises(ProfileError, match="^empty profile: no samples$"):
+            LoadProfile(samples=(), granularity=Granularity.HOURLY).mean_kw
 
 
 class TestLoadProfileInvariants:

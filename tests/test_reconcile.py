@@ -99,9 +99,7 @@ class TestScaleToMeasured:
 
     def test_zero_bottom_up_rejected(self):
         spec = one_manual_device().specs[0]
-        import dataclasses
-
-        dead = Catalog(specs=(dataclasses.replace(spec, tou_winter=0.0, tou_summer=0.0),))
+        dead = Catalog(specs=(spec._replace(tou_winter=0.0, tou_summer=0.0),))
         table = seasonal_table(dead, Season.WINTER, 30)
         with pytest.raises(ReconcileError, match="zero bottom-up"):
             scale_to_measured(table, 100.0)
