@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from ._sourceio import csv_text, read_text
+from ._sourceio import read_text
 
 # Run and idle fractions must sum to 1; slack for binary floating point.
 FRACTION_SUM_TOL = 1e-12
@@ -165,6 +165,7 @@ class Catalog(_Frozen):
     specs: tuple[ApplianceSpec, ...]
 
     def __init__(self, specs: tuple[ApplianceSpec, ...]) -> None:
+        specs = tuple(specs)  # a caller's list could change after the checks
         if not specs:
             raise CatalogError("no entries")
         seen: set[str] = set()
@@ -181,15 +182,6 @@ class Catalog(_Frozen):
     def __len__(self) -> int:
         return len(self.specs)
 
-    def activities(self) -> list[str]:
-        return [spec.activity for spec in self.specs]
-
-    def get(self, activity: str) -> ApplianceSpec:
-        for spec in self.specs:
-            if spec.activity.casefold() == activity.casefold():
-                return spec
-        raise KeyError(activity)
-
 
 def parse_catalog(source, fmt: str = "csv") -> Catalog:
     """Parse and validate a catalog from CSV or JSON content.
@@ -199,46 +191,24 @@ def parse_catalog(source, fmt: str = "csv") -> Catalog:
     field on the first malformed or invalid entry; duplicate names are
     reported after every row has passed :func:`validate_spec`.
     """
-    text = read_text(source)
-    if fmt == "csv":
-        rows = _rows_from_csv(text)
-    elif fmt == "json":
-        rows = _rows_from_json(text)
-    else:
-        raise CatalogError(f"unknown catalog format {fmt!r}")
-
     specs = []
     # Data rows are numbered from 1; a CSV header is not counted.
-    for rownum, raw in enumerate(rows, start=1):
+    for rownum, raw in enumerate(_ROW_READERS[fmt](read_text(source)), start=1):
         spec = _spec_from_mapping(raw, rownum)
         violations = validate_spec(spec)
         if violations:
             raise CatalogError(f"row {rownum} ({spec.activity!r}): " + "; ".join(violations))
         specs.append(spec)
-    return Catalog(specs=tuple(specs))
+    return Catalog(specs=specs)
 
 
 def load_catalog(path: str | Path) -> Catalog:
     """Read a catalog file; its suffix, ``.csv`` or ``.json``, decides the format."""
     path = Path(path)
     fmt = path.suffix.lower().lstrip(".")
-    if fmt not in ("csv", "json"):
+    if fmt not in _ROW_READERS:
         raise CatalogError(f"cannot infer catalog format from suffix of {path.name!r}")
     return parse_catalog(path, fmt=fmt)
-
-
-def serialize_catalog(catalog: Catalog, fmt: str = "csv") -> str:
-    """Render a catalog back to its CSV or JSON wire format.
-
-    ``parse_catalog(serialize_catalog(c), fmt)`` returns a catalog with the
-    same specs as ``c``.
-    """
-    rows = [{**spec._asdict(), "operation": spec.operation.value} for spec in catalog]
-    if fmt == "csv":
-        return csv_text(CSV_HEADER, (row.values() for row in rows))
-    if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    raise CatalogError(f"unknown catalog format {fmt!r}")
 
 
 def _rows_from_csv(text: str) -> list[dict]:
@@ -266,6 +236,10 @@ def _rows_from_json(text: str) -> list[dict]:
         if not isinstance(item, dict):
             raise CatalogError(f"row {i}: expected an object, got {type(item).__name__}")
     return data
+
+
+# Each supported catalog format, by name and file suffix, with the reader of its rows.
+_ROW_READERS = {"csv": _rows_from_csv, "json": _rows_from_json}
 
 
 def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:

@@ -216,9 +216,9 @@ def cmd_composition(args) -> tuple[str, int]:
     if args.format == "csv":
         return table_csv(pairs), 0
     payload = {"days_per_month": args.days_per_month, "seasons": {}}
-    for table, report in pairs:
-        entry = table_json(table, report)
-        entry["pie"] = pie_data(report, integer_percent=args.integer_shares)
+    for table, shares in pairs:
+        entry = table_json(table, shares)
+        entry["pie"] = pie_data(shares, integer_percent=args.integer_shares)
         payload["seasons"][table.season.value] = entry
     return _json_payload(payload), 0
 
@@ -244,7 +244,7 @@ def cmd_profile_stats(args) -> tuple[str, int]:
             split_summary[season.value] = {"samples": 0, "mean_kw": None, "peak_kw": None}
 
     try:
-        extrema = daily_extrema(profile)._asdict()
+        extrema = daily_extrema(profile)
     except ProfileError:  # not one hourly day
         extrema = None
 
@@ -320,7 +320,7 @@ def cmd_reconcile(args) -> tuple[str, int]:
             }
             for row in result.adjusted_table.rows
         ],
-        "attributed_shares_pct": shares.shares,
+        "attributed_shares_pct": shares,
         "attribution": [
             {
                 "hour": ts.hour,

@@ -56,12 +56,6 @@ class SeasonalConsumptionTable(NamedTuple):
         return self.daily_total_wh * self.days_per_month / 1000.0
 
 
-class CompositionReport(NamedTuple):
-    """Percentage share per activity (catalog order) for one season."""
-
-    shares: dict[str, float]
-
-
 def seasonal_table(catalog: Catalog, season: Season, days_per_month: int = 30) -> SeasonalConsumptionTable:
     """Tabulate per-activity daily energy and household totals for a season."""
     if not 1 <= days_per_month <= 31:
@@ -78,14 +72,13 @@ def seasonal_table(catalog: Catalog, season: Season, days_per_month: int = 30) -
     return SeasonalConsumptionTable(season=season, rows=rows, days_per_month=days_per_month)
 
 
-def composition_shares(catalog: Catalog, season: Season) -> CompositionReport:
-    """Each activity's percentage of the household daily total for a season."""
+def composition_shares(catalog: Catalog, season: Season) -> dict[str, float]:
+    """Each activity's percentage of the household daily total for a season, in catalog order."""
     energies = [(spec.activity, household_device_energy(spec, season)) for spec in catalog]
     total = sum(energy for _, energy in energies)
     if total <= 0:
         raise CompositionError("empty composition basis")
-    shares = {activity: 100.0 * energy / total for activity, energy in energies}
-    return CompositionReport(shares=shares)
+    return {activity: 100.0 * energy / total for activity, energy in energies}
 
 
 def _half_up(value: float, decimals: int) -> Decimal:
@@ -103,8 +96,8 @@ def render_value(value: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def table_csv(pairs: Iterable[tuple[SeasonalConsumptionTable, CompositionReport]]) -> str:
-    """Render one or more (table, report) pairs as CSV, one row per activity."""
+def table_csv(pairs: Iterable[tuple[SeasonalConsumptionTable, dict[str, float]]]) -> str:
+    """Render one or more (table, shares) pairs as CSV, one row per activity."""
     return csv_text(
         ("activity", "season", "per_unit_wh_day", "household_wh_day", "share_pct"),
         (
@@ -113,15 +106,15 @@ def table_csv(pairs: Iterable[tuple[SeasonalConsumptionTable, CompositionReport]
                 table.season.value,
                 render_value(row.per_unit_daily_wh),
                 render_value(row.household_daily_wh),
-                render_value(report.shares[row.activity]),
+                render_value(shares[row.activity]),
             )
-            for table, report in pairs
+            for table, shares in pairs
             for row in table.rows
         ),
     )
 
 
-def table_json(table: SeasonalConsumptionTable, report: CompositionReport) -> dict:
+def table_json(table: SeasonalConsumptionTable, shares: dict[str, float]) -> dict:
     """JSON-ready dict for one season, full precision values."""
     return {
         "season": table.season.value,
@@ -134,16 +127,16 @@ def table_json(table: SeasonalConsumptionTable, report: CompositionReport) -> di
                 "units": row.units,
                 "per_unit_wh_day": row.per_unit_daily_wh,
                 "household_wh_day": row.household_daily_wh,
-                "share_pct": report.shares[row.activity],
+                "share_pct": shares[row.activity],
             }
             for row in table.rows
         ],
     }
 
 
-def pie_data(report: CompositionReport, integer_percent: bool = False) -> list[dict]:
+def pie_data(shares: dict[str, float], integer_percent: bool = False) -> list[dict]:
     """Pie-chart-ready share list; integer rounding is presentation only."""
     return [
         {"label": activity, "percent": int(round_half_up(share, 0)) if integer_percent else share}
-        for activity, share in report.shares.items()
+        for activity, share in shares.items()
     ]

@@ -14,7 +14,6 @@ import math
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 from ._sourceio import read_text
 from .catalog import Season, _Frozen
@@ -48,6 +47,7 @@ class LoadProfile(_Frozen):
     label: str
 
     def __init__(self, samples: tuple[tuple[datetime, float], ...], granularity: Granularity, label: str = "") -> None:
+        samples = tuple(samples)  # a caller's list could change after the checks
         previous = None
         months = None if granularity is Granularity.HOURLY else set()
         for rownum, (ts, power) in enumerate(samples, start=2):  # header is row 1
@@ -90,11 +90,6 @@ class LoadProfile(_Frozen):
         if not powers:
             raise ProfileError("empty profile: no samples")
         return math.fsum(powers) / len(powers)
-
-
-class DailyExtrema(NamedTuple):
-    peak_hour: int
-    trough_hour: int
 
 
 def parse_profile(source, granularity: Granularity | None = None, label: str = "") -> LoadProfile:
@@ -197,8 +192,8 @@ def seasonal_split(profile: LoadProfile) -> dict[Season, LoadProfile]:
     }
 
 
-def daily_extrema(profile: LoadProfile) -> DailyExtrema:
-    """Hours of maximum and minimum power in a one-day hourly profile.
+def daily_extrema(profile: LoadProfile) -> dict[str, int]:
+    """Hours of maximum and minimum power in a one-day hourly profile, as ``peak_hour`` and ``trough_hour``.
 
     Ties are broken toward the earliest hour.
     """
@@ -215,4 +210,4 @@ def daily_extrema(profile: LoadProfile) -> DailyExtrema:
             peak_hour, peak = ts.hour, power
         if power < trough:
             trough_hour, trough = ts.hour, power
-    return DailyExtrema(peak_hour=peak_hour, trough_hour=trough_hour)
+    return {"peak_hour": peak_hour, "trough_hour": trough_hour}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .catalog import Catalog, Season
-from .composition import CompositionReport, DeviceEnergy, SeasonalConsumptionTable
+from .composition import DeviceEnergy, SeasonalConsumptionTable
 from .profile import Granularity, LoadProfile
 from .synth import OccupancyCurve, synth_household_day
 
@@ -58,13 +58,6 @@ class HourlyAttribution(NamedTuple):
 
     by_activity: dict[str, tuple[float, ...]]
     measured: LoadProfile
-
-    def hour_total(self, index: int) -> float:
-        return sum(series[index] for series in self.by_activity.values())
-
-    def activity_energy_kwh(self, activity: str) -> float:
-        # hourly samples: kW over one hour = kWh
-        return sum(self.by_activity[activity])
 
 
 def scale_to_measured(table: SeasonalConsumptionTable, measured_energy_kwh: float) -> ReconciliationResult:
@@ -139,13 +132,11 @@ def disaggregate(
     )
 
 
-def composition_from_attribution(attribution: HourlyAttribution) -> CompositionReport:
+def composition_from_attribution(attribution: HourlyAttribution) -> dict[str, float]:
     """Shares of total attributed energy per activity over the measured day."""
-    energies = {
-        activity: attribution.activity_energy_kwh(activity) for activity in attribution.by_activity
-    }
+    # hourly samples: kW over one hour = kWh
+    energies = {activity: sum(series) for activity, series in attribution.by_activity.items()}
     total = sum(energies.values())
     if total <= 0:
         raise ReconcileError("zero total attributed energy")
-    shares = {activity: 100.0 * energy / total for activity, energy in energies.items()}
-    return CompositionReport(shares=shares)
+    return {activity: 100.0 * energy / total for activity, energy in energies.items()}

@@ -37,6 +37,7 @@ class OccupancyCurve(_Frozen):
     weights: tuple[float, ...]
 
     def __init__(self, weights: tuple[float, ...]) -> None:
+        weights = tuple(weights)  # a caller's list could change after the checks
         if len(weights) != 24:
             raise OccupancyError(f"expected 24 occupancy values, got {len(weights)}")
         if not all(w >= 0 for w in weights):  # false for nan too; an inf breaks the sum rule

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import string
 from datetime import datetime, timedelta
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 from loadcomp import builtin_catalog
-from loadcomp.catalog import ACTIVITY_ALIASES, ApplianceSpec, Catalog, OperationClass
+from loadcomp._sourceio import csv_text
+from loadcomp.catalog import ACTIVITY_ALIASES, CSV_HEADER, ApplianceSpec, Catalog, OperationClass
 from loadcomp.profile import Granularity, LoadProfile
 
 # Reference household Wh/day for the builtin catalog (30-day months), as
@@ -69,6 +71,18 @@ MONTHLY_AVG_KW = {
 @pytest.fixture
 def paper_catalog() -> Catalog:
     return builtin_catalog()
+
+
+def spec_named(catalog: Catalog, activity: str) -> ApplianceSpec:
+    return next(spec for spec in catalog if spec.activity == activity)
+
+
+def serialize_catalog(catalog: Catalog, fmt: str = "csv") -> str:
+    """A catalog in its CSV or JSON wire format; ``parse_catalog`` reads it back to the same specs."""
+    rows = [{**spec._asdict(), "operation": spec.operation.value} for spec in catalog]
+    if fmt == "csv":
+        return csv_text(CSV_HEADER, (row.values() for row in rows))
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def hourly_day(powers, day: datetime = datetime(2016, 6, 1), label: str = "") -> LoadProfile:

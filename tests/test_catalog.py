@@ -10,10 +10,9 @@ from loadcomp.catalog import (
     CatalogError,
     OperationClass,
     parse_catalog,
-    serialize_catalog,
     validate_spec,
 )
-from conftest import catalogs
+from conftest import catalogs, serialize_catalog, spec_named
 
 CSV_HEADER = (
     "activity,tou_winter,tou_summer,units_winter,units_summer,"
@@ -69,11 +68,11 @@ class TestOperationClass:
 
 class TestValidateSpec:
     def test_half_and_half_fractions_ok(self, paper_catalog):
-        heating = paper_catalog.get("Heating (oil-filled)")
+        heating = spec_named(paper_catalog, "Heating (oil-filled)")
         assert validate_spec(heating) == []
 
     def test_boundary_fractions_ok(self, paper_catalog):
-        spec = paper_catalog.get("Ironing")  # run 1.0, idle 0.0
+        spec = spec_named(paper_catalog, "Ironing")  # run 1.0, idle 0.0
         assert spec.run_fraction == 1.0 and spec.idle_fraction == 0.0
         assert validate_spec(spec) == []
 
@@ -227,10 +226,11 @@ class TestCatalogStructure:
         with pytest.raises(CatalogError, match="duplicate activity"):
             Catalog(specs=(paper_catalog.specs[1], clone))
 
-    def test_get_is_case_insensitive(self, paper_catalog):
-        assert paper_catalog.get("lighting").activity == "Lighting"
-        with pytest.raises(KeyError):
-            paper_catalog.get("Sauna")
+    def test_a_list_changed_after_construction_leaves_the_catalog_unchanged(self, paper_catalog):
+        specs = [paper_catalog.specs[0]]
+        catalog = Catalog(specs=specs)
+        specs.append(paper_catalog.specs[0])  # a duplicate name that the check never saw
+        assert catalog.specs == (paper_catalog.specs[0],)
 
 
 class TestBuiltinCatalog:
@@ -238,7 +238,7 @@ class TestBuiltinCatalog:
         assert len(paper_catalog) == 15
 
     def test_water_heating_parameters(self, paper_catalog):
-        spec = paper_catalog.get("Water heating")
+        spec = spec_named(paper_catalog, "Water heating")
         assert spec.tou_winter == 14 and spec.tou_summer == 4.7
         assert spec.units_winter == 3 and spec.units_summer == 1
         assert spec.run_watts == 1500 and spec.idle_watts == 30
@@ -246,7 +246,7 @@ class TestBuiltinCatalog:
         assert spec.operation is OperationClass.AUTO
 
     def test_lighting_parameters(self, paper_catalog):
-        spec = paper_catalog.get("Lighting")
+        spec = spec_named(paper_catalog, "Lighting")
         assert spec.units_winter == 50 and spec.units_summer == 50
         assert spec.run_watts == 10
 
@@ -255,12 +255,9 @@ class TestBuiltinCatalog:
             assert validate_spec(spec) == [], spec.activity
 
     def test_row_order_matches_source_table(self, paper_catalog):
-        assert paper_catalog.activities()[:3] == [
-            "Heating (oil-filled)",
-            "Air conditioning",
-            "Water heating",
-        ]
-        assert paper_catalog.activities()[-1] == "Gaming devices"
+        activities = [spec.activity for spec in paper_catalog]
+        assert activities[:3] == ["Heating (oil-filled)", "Air conditioning", "Water heating"]
+        assert activities[-1] == "Gaming devices"
 
 
 class TestRoundTrip:

@@ -1,19 +1,24 @@
 """End-to-end CLI behavior: payloads, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import re
 import shlex
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadcomp import Season, builtin_catalog, composition_shares
-from loadcomp.catalog import serialize_catalog
+from loadcomp._sourceio import csv_text
 from loadcomp.cli import main
 from loadcomp.composition import round_half_up
 from loadcomp.synth import synth_household_day
-from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW
+from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, serialize_catalog
 
 
 def run(capsys, *argv):
@@ -81,8 +86,7 @@ class TestComposition:
         assert "sum to 1" in err
 
     def test_custom_catalog_file(self, capsys, tmp_path):
-        from loadcomp.catalog import serialize_catalog
-
+        
         path = tmp_path / "catalog.csv"
         path.write_text(serialize_catalog(builtin_catalog()))
         code, out, _ = run(capsys, "composition", "--catalog", str(path), "--season", "summer")
@@ -181,7 +185,7 @@ class TestReconcile:
         assert payload["season"] == "summer"  # inferred from June timestamps
         assert payload["scale_factor"] == pytest.approx(1.0, rel=1e-9)
         assert "scale_factor=" in err
-        expected = composition_shares(builtin_catalog(), Season.SUMMER).shares
+        expected = composition_shares(builtin_catalog(), Season.SUMMER)
         for activity, share in payload["attributed_shares_pct"].items():
             assert share == pytest.approx(expected[activity], abs=0.01)
 
@@ -448,3 +452,143 @@ class TestExitContract:
         assert main([command, "--help"]) == 0
         listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
         assert listed == flags | {"--help"}
+
+
+# ---------------------------------------------------------------------------
+# fuzz: random CSV, JSON and bytes for every file a command reads
+
+# Cells that sit near a rule's edge, plus small and arbitrary floats and short text.
+_CELLS = st.one_of(
+    st.sampled_from([
+        "0", "1", "24", "25", "-1", "0.5", "1e7", "1e308", "5e-324", "nan", "inf", "-inf", "", " ", "9" * 400,
+        "Auto", "Manual", "Semi Auto", "x", '"', "2016-01-01T00:00", "2016-06-01T00:00+00:00", "2016-13-01",
+    ]),
+    st.floats(min_value=0, max_value=30).map(repr),  # within most ranges
+    st.floats().map(repr),
+    st.text(max_size=8),
+)
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8), _CELLS)
+_TOO_MANY_DIGITS = "<digits>"  # stands for an integer literal that json.dumps refuses to write
+
+
+def _catalog_table():
+    return list(csv.reader(io.StringIO(serialize_catalog(builtin_catalog()))))
+
+
+def _profile_table(day):
+    if day == "monthly":
+        return [["timestamp", "power_kw"], *([f"2016-{m:02d}-01T00:00", str(kw)] for m, kw in MONTHLY_AVG_KW.items())]
+    return [["timestamp", "power_kw"], *([f"{day}T{h:02d}:00", str(kw)] for h, kw in enumerate(DAY_CURVE_KW))]
+
+
+def _mutated(draw, table):
+    """The first rows of ``table`` with a few cells replaced."""
+    if draw(st.sampled_from([False, False, False, True])):
+        table = table[:draw(st.integers(1, len(table)))]
+    table = [list(row) for row in table]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        row = table[draw(st.integers(0, len(table) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(_CELLS)
+    return table
+
+
+@st.composite
+def _catalog_texts(draw, fmt):
+    table = _mutated(draw, _catalog_table())
+    if fmt == "csv":
+        return csv_text(table[0], table[1:])
+    rows = [dict(zip(table[0], row)) for row in table[1:]]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        key = draw(st.sampled_from([*table[0], "extra"]))
+        rows[draw(st.integers(0, len(rows) - 1))][key] = draw(_JSON_VALUES | st.just(_TOO_MANY_DIGITS))
+    data = rows if draw(st.sampled_from([True, True, True, False])) else draw(_JSON_VALUES)
+    return json.dumps(data).replace(json.dumps(_TOO_MANY_DIGITS), "9" * 4400)
+
+
+@st.composite
+def _profile_texts(draw):
+    table = _mutated(draw, _profile_table(draw(st.sampled_from(["2016-01-15", "2016-06-01", "monthly"]))))
+    return csv_text(table[0], table[1:])
+
+
+@st.composite
+def _occupancy_texts(draw):
+    values = _mutated(draw, [["1"] * draw(st.integers(22, 25))])[0]
+    return draw(st.sampled_from([",", "\n"])).join(values)
+
+
+@st.composite
+def _file_contents(draw, texts):
+    """Mostly text of the expected shape; else arbitrary text, or bytes that need not decode."""
+    kind = draw(st.sampled_from(["shaped", "shaped", "shaped", "text", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    return draw(texts if kind == "shaped" else st.text(max_size=64)).encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def invocations(draw):
+    """A command line and the content of each file it names, by file name."""
+    command = draw(st.sampled_from(["composition", "profile-stats", "reconcile", "synth", "validate"]))
+    argv, files = [command], {}
+    if command != "profile-stats":
+        catalog = draw(st.sampled_from(["catalog.csv", "catalog.json"] + ["builtin"] * (command != "validate")))
+        if catalog == "builtin":
+            argv.append("--builtin-paper")
+        else:
+            argv += ["--catalog", catalog]
+            files[catalog] = draw(_file_contents(_catalog_texts(catalog.rpartition(".")[2])))
+    if command in ("profile-stats", "reconcile"):
+        argv += ["--profile", "profile.csv"]
+        files["profile.csv"] = draw(_file_contents(_profile_texts()))
+    if command in ("reconcile", "synth") and draw(st.booleans()):
+        argv += ["--occupancy", "occupancy.txt"]
+        files["occupancy.txt"] = draw(_file_contents(_occupancy_texts()))
+    if command != "validate":
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if command == "composition":
+        argv += ["--season", draw(st.sampled_from(["winter", "summer", "both"]))]
+        argv += draw(st.sampled_from([[], ["--integer-shares"]]))
+    if command == "synth":
+        argv += ["--season", draw(st.sampled_from(["winter", "summer"]))]
+    if command == "reconcile":
+        argv += draw(st.sampled_from([[], ["--season", "winter"], ["--season", "summer"]]))
+    if command == "profile-stats":
+        argv += draw(st.sampled_from([[], *(["--granularity", g] for g in ("hourly", "monthly-average", "monthly-peak"))]))
+    return argv, files
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestFuzz:
+    @settings(max_examples=250, deadline=None)
+    @given(invocation=invocations())
+    def test_every_input_gives_valid_output_or_one_error_line(self, invocation):
+        argv, files = invocation
+        with tempfile.TemporaryDirectory() as directory:
+            for name, content in files.items():
+                (Path(directory) / name).write_bytes(content)
+            argv = [str(Path(directory) / arg) if arg in files else arg for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        if code == 0 and "csv" in argv:
+            rows = list(csv.reader(io.StringIO(out, newline=""), strict=True))
+            assert out.endswith("\n") and rows and {len(row) for row in rows} == {len(rows[0])}
+        elif code == 0:
+            _strict_json(out)
+        elif argv[0] == "validate" and code == 1 and err == "":
+            assert _strict_json(out)["valid"] is False
+        else:
+            assert code in (1, 2) and out == ""
+            errors = [line for line in err.splitlines() if line.startswith(("loadcomp: error:", "loadcomp: I/O error:"))]
+            assert len(errors) == 1, err
+        if code == 0:
+            assert "error:" not in err

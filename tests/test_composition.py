@@ -23,6 +23,7 @@ from conftest import (
     WINTER_MONTHLY_KWH,
     WINTER_WH_DAY,
     catalogs,
+    spec_named,
 )
 
 
@@ -56,12 +57,12 @@ def single_activity_catalog(**overrides) -> Catalog:
 
 class TestDeviceEnergy:
     def test_ac_summer_per_unit(self, paper_catalog):
-        spec = paper_catalog.get("Air conditioning")
+        spec = spec_named(paper_catalog, "Air conditioning")
         # (1800*0.6 + 100*0.4) * 10 hours
         assert device_daily_energy(spec, Season.SUMMER) == pytest.approx(11200, rel=1e-9)
 
     def test_water_heating_winter_per_unit(self, paper_catalog):
-        spec = paper_catalog.get("Water heating")
+        spec = spec_named(paper_catalog, "Water heating")
         # hand arithmetic: (1500*0.3 + 30*0.7) * 14 = 471 * 14
         assert device_daily_energy(spec, Season.WINTER) == pytest.approx(6594, rel=1e-9)
 
@@ -70,15 +71,15 @@ class TestDeviceEnergy:
         assert device_daily_energy(spec, Season.WINTER) == 0.0
 
     def test_ac_summer_household(self, paper_catalog):
-        spec = paper_catalog.get("Air conditioning")
+        spec = spec_named(paper_catalog, "Air conditioning")
         assert household_device_energy(spec, Season.SUMMER) == pytest.approx(56000, rel=1e-9)
 
     def test_heating_winter_household(self, paper_catalog):
-        spec = paper_catalog.get("Heating (oil-filled)")
+        spec = spec_named(paper_catalog, "Heating (oil-filled)")
         assert household_device_energy(spec, Season.WINTER) == pytest.approx(12000, rel=1e-9)
 
     def test_zero_units_gives_zero(self, paper_catalog):
-        spec = paper_catalog.get("Air conditioning")._replace(units_summer=0)
+        spec = spec_named(paper_catalog, "Air conditioning")._replace(units_summer=0)
         assert household_device_energy(spec, Season.SUMMER) == 0.0
 
 
@@ -111,7 +112,7 @@ class TestReferenceTables:
 
     def test_rows_in_catalog_order(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
-        assert [row.activity for row in table.rows] == paper_catalog.activities()
+        assert [row.activity for row in table.rows] == [spec.activity for spec in paper_catalog]
 
     def test_calendar_length_months_scale_linearly(self, paper_catalog):
         t30 = seasonal_table(paper_catalog, Season.WINTER, 30)
@@ -135,22 +136,22 @@ class TestReferenceTables:
 
 class TestCompositionShares:
     def test_summer_ac_share(self, paper_catalog):
-        report = composition_shares(paper_catalog, Season.SUMMER)
-        assert round_half_up(report.shares["Air conditioning"], 1) == 61.9
+        shares = composition_shares(paper_catalog, Season.SUMMER)
+        assert round_half_up(shares["Air conditioning"], 1) == 61.9
 
     def test_winter_heating_block_share(self, paper_catalog):
-        report = composition_shares(paper_catalog, Season.WINTER)
-        combined = report.shares["Heating (oil-filled)"] + report.shares["Water heating"]
+        shares = composition_shares(paper_catalog, Season.WINTER)
+        combined = shares["Heating (oil-filled)"] + shares["Water heating"]
         assert combined == pytest.approx(50.3, abs=0.05)
 
     def test_shares_sum_to_100(self, paper_catalog):
         for season in Season:
-            report = composition_shares(paper_catalog, season)
-            assert sum(report.shares.values()) == pytest.approx(100.0, abs=1e-9)
+            shares = composition_shares(paper_catalog, season)
+            assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
 
     def test_single_activity_gets_everything(self):
-        report = composition_shares(single_activity_catalog(), Season.WINTER)
-        assert report.shares == {"Space heater": 100.0}
+        shares = composition_shares(single_activity_catalog(), Season.WINTER)
+        assert shares == {"Space heater": 100.0}
 
     def test_all_zero_catalog_rejected(self):
         catalog = single_activity_catalog(tou_winter=0.0, tou_summer=0.0)
@@ -162,21 +163,21 @@ class TestSeasonPairReport:
     """The paper's winter and summer composition shares side by side."""
 
     def test_lighting_shares_both_seasons(self, paper_catalog):
-        assert composition_shares(paper_catalog, Season.WINTER).shares["Lighting"] == pytest.approx(5.8, abs=0.05)
-        assert composition_shares(paper_catalog, Season.SUMMER).shares["Lighting"] == pytest.approx(4.1, abs=0.05)
+        assert composition_shares(paper_catalog, Season.WINTER)["Lighting"] == pytest.approx(5.8, abs=0.05)
+        assert composition_shares(paper_catalog, Season.SUMMER)["Lighting"] == pytest.approx(4.1, abs=0.05)
 
     def test_winter_ac_share(self, paper_catalog):
-        report = composition_shares(paper_catalog, Season.WINTER)
-        assert report.shares["Air conditioning"] == pytest.approx(10.6, abs=0.05)
+        shares = composition_shares(paper_catalog, Season.WINTER)
+        assert shares["Air conditioning"] == pytest.approx(10.6, abs=0.05)
 
 
 class TestProperties:
     @given(catalog=catalogs(), season=st.sampled_from(list(Season)))
     def test_shares_conserve_100(self, catalog, season):
         assume(sum(household_device_energy(s, season) for s in catalog) > 0)
-        report = composition_shares(catalog, season)
-        assert sum(report.shares.values()) == pytest.approx(100.0, abs=1e-9)
-        assert all(share >= 0 for share in report.shares.values())
+        shares = composition_shares(catalog, season)
+        assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
+        assert all(share >= 0 for share in shares.values())
 
     @given(
         catalog=catalogs(),
@@ -193,8 +194,8 @@ class TestProperties:
         )
         base = composition_shares(catalog, season)
         after = composition_shares(scaled, season)
-        for activity in base.shares:
-            assert after.shares[activity] == pytest.approx(base.shares[activity], abs=1e-9)
+        for activity in base:
+            assert after[activity] == pytest.approx(base[activity], abs=1e-9)
 
     @given(spec=catalogs(min_size=1, max_size=1).map(lambda c: c.specs[0]))
     def test_energy_linear_in_tou(self, spec):
@@ -225,8 +226,8 @@ class TestProperties:
         bumped = target._replace(tou_summer=min(24.0, target.tou_summer + bump))
         specs = list(catalog.specs)
         specs[index] = bumped
-        before = composition_shares(catalog, season).shares
-        after = composition_shares(Catalog(specs=tuple(specs)), season).shares
+        before = composition_shares(catalog, season)
+        after = composition_shares(Catalog(specs=tuple(specs)), season)
         assert after[target.activity] >= before[target.activity] - 1e-9
         for activity in before:
             if activity != target.activity:
@@ -245,16 +246,16 @@ class TestRendering:
 
     def test_table_csv_shape(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
-        report = composition_shares(paper_catalog, Season.SUMMER)
-        lines = table_csv([(table, report)]).splitlines()
+        shares = composition_shares(paper_catalog, Season.SUMMER)
+        lines = table_csv([(table, shares)]).splitlines()
         assert lines[0] == "activity,season,per_unit_wh_day,household_wh_day,share_pct"
         assert len(lines) == 16
         assert "Air conditioning,summer,11200,56000,61.9" in lines
 
     def test_pie_data_integer_option(self, paper_catalog):
-        report = composition_shares(paper_catalog, Season.SUMMER)
-        exact = pie_data(report)
-        rounded = pie_data(report, integer_percent=True)
+        shares = composition_shares(paper_catalog, Season.SUMMER)
+        exact = pie_data(shares)
+        rounded = pie_data(shares, integer_percent=True)
         assert exact[1]["label"] == "Air conditioning"
         assert exact[1]["percent"] == pytest.approx(61.885, abs=1e-3)
         assert rounded[1]["percent"] == 62

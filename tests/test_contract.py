@@ -14,7 +14,7 @@ import pytest
 
 from loadcomp import Season, builtin_catalog, cli
 from loadcomp.catalog import ApplianceSpec, Catalog
-from loadcomp.composition import CompositionReport, DeviceEnergy, SeasonalConsumptionTable
+from loadcomp.composition import DeviceEnergy, SeasonalConsumptionTable
 from loadcomp.profile import Granularity, LoadProfile
 from loadcomp.reconcile import HourlyAttribution, ReconciliationResult, disaggregate
 from loadcomp.synth import OccupancyCurve, SynthesizedDay
@@ -77,7 +77,6 @@ def _records():
         Catalog(specs=(spec,)),
         row,
         table,
-        CompositionReport(shares={"TV": 100.0}),
         ReconciliationResult(scale_factor=1.0, measured_energy_kwh=3.6, bottom_up_energy_kwh=3.6,
                              relative_gap=0.0, adjusted_table=table),
         HourlyAttribution(by_activity={"TV": (1.0,)}, measured=profile),
@@ -163,3 +162,39 @@ def test_the_cli_encodes_json_only_in_its_payload_writer():
 
     writer = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_json_payload")
     assert encoder_calls(tree) == encoder_calls(writer) == 1
+
+
+def test_every_definition_in_the_library_has_a_caller_outside_the_tests():
+    """A function, class or module constant that only the tests use is a test helper: it belongs in the tests.
+
+    A use is the name as a load, an attribute, an imported name or a string anywhere in ``src/`` or ``bench/``
+    (the benchmark looks its hooks up by string). A method that shares its name with another use, such as
+    ``get``, looks used here, so this check cannot see it.
+    """
+    defined = []
+    used = set()
+    for path in (*SOURCES, *sorted((ROOT / "bench").glob("*.py"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+        if path in SOURCES:
+            constants = (
+                target.id
+                for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name)
+            )
+            functions = (
+                node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            )
+            defined += [(path.name, name) for name in (*constants, *functions)
+                        if not (name.startswith("__") and name.endswith("__"))]
+    unused = [f"{module}: {name}" for module, name in defined if name not in used]
+    assert not unused, unused

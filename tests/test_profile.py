@@ -124,6 +124,13 @@ class TestParseProfile:
         profile = parse_profile("timestamp,power_kw\n2016-06-01T00:00,5,x\n2016-06-01T01:00, 6 ,,\n")
         assert profile.samples == ((datetime(2016, 6, 1, 0), 5.0), (datetime(2016, 6, 1, 1), 6.0))
 
+    def test_a_list_changed_after_construction_leaves_the_profile_unchanged(self):
+        samples = [(datetime(2016, 6, 1), 5.0)]
+        profile = LoadProfile(samples=samples, granularity=Granularity.HOURLY)
+        samples.append((datetime(2016, 5, 1), -1.0))  # negative and out of order: never checked
+        assert profile.samples == ((datetime(2016, 6, 1), 5.0),)
+        assert profile.powers == (5.0,)
+
     def test_malformed_later_row_is_reported_before_an_earlier_sign_error(self):
         source = "timestamp,power_kw\n2016-06-01T00:00,-5\nyesterday,5\n"
         with pytest.raises(ProfileError, match="row 3: invalid timestamp"):
@@ -246,14 +253,14 @@ class TestSeasonalSplit:
 
 class TestDailyExtrema:
     def test_reference_day_peaks_at_15_and_troughs_at_6(self, day_profile):
-        assert daily_extrema(day_profile) == (15, 6)
+        assert daily_extrema(day_profile) == {"peak_hour": 15, "trough_hour": 6}
 
     def test_constant_day_breaks_ties_earliest(self):
-        assert daily_extrema(hourly_day([4.0] * 24)) == (0, 0)
+        assert daily_extrema(hourly_day([4.0] * 24)) == {"peak_hour": 0, "trough_hour": 0}
 
     def test_peak_at_hour_zero(self):
         powers = [100.0] + [50.0] * 23
-        assert daily_extrema(hourly_day(powers)).peak_hour == 0
+        assert daily_extrema(hourly_day(powers))["peak_hour"] == 0
 
     def test_monthly_profile_rejected(self, annual_profile):
         with pytest.raises(ProfileError, match="hourly granularity"):

@@ -77,7 +77,7 @@ class TestScaleToMeasured:
     def test_scaling_preserves_shares_and_argmax(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
         result = scale_to_measured(table, 1234.5)
-        base = composition_shares(paper_catalog, Season.SUMMER).shares
+        base = composition_shares(paper_catalog, Season.SUMMER)
         adjusted_total = result.adjusted_table.daily_total_wh
         for row in result.adjusted_table.rows:
             share = 100.0 * row.household_daily_wh / adjusted_total
@@ -169,7 +169,7 @@ class TestDisaggregate:
         measured = hourly_day(powers)
         attribution = disaggregate(measured, catalog, season)
         for index, (_, power) in enumerate(measured.samples):
-            total = attribution.hour_total(index)
+            total = sum(series[index] for series in attribution.by_activity.values())
             assert total == pytest.approx(power, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=25)
@@ -187,16 +187,16 @@ class TestCompositionFromAttribution:
     def test_round_trip_matches_bottom_up_shares(self, paper_catalog):
         measured = synth_as_measured(paper_catalog, Season.SUMMER)
         attribution = disaggregate(measured, paper_catalog, Season.SUMMER)
-        report = composition_from_attribution(attribution)
-        expected = composition_shares(paper_catalog, Season.SUMMER).shares
-        for activity, share in report.shares.items():
+        shares = composition_from_attribution(attribution)
+        expected = composition_shares(paper_catalog, Season.SUMMER)
+        for activity, share in shares.items():
             assert share == pytest.approx(expected[activity], abs=0.01)
 
     def test_single_activity_is_100_percent(self):
         catalog = one_manual_device()
         attribution = disaggregate(hourly_day([0.5] * 24), catalog, Season.SUMMER)
-        report = composition_from_attribution(attribution)
-        assert report.shares["Toaster"] == pytest.approx(100.0)
+        shares = composition_from_attribution(attribution)
+        assert shares["Toaster"] == pytest.approx(100.0)
 
     @settings(max_examples=40)
     @given(catalog=catalogs(min_size=1, max_size=5), powers=power_days)
@@ -206,8 +206,8 @@ class TestCompositionFromAttribution:
         assume(all(t > 0 for t in day.household_total))
         assume(max(powers) > 0)
         attribution = disaggregate(hourly_day(powers), catalog, season)
-        report = composition_from_attribution(attribution)
-        assert sum(report.shares.values()) == pytest.approx(100.0, abs=1e-9)
+        shares = composition_from_attribution(attribution)
+        assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
 
     def test_zero_total_rejected(self, paper_catalog):
         attribution = disaggregate(hourly_day([0.0] * 24), paper_catalog, Season.SUMMER)

@@ -78,6 +78,12 @@ class TestLoadOccupancy:
         with pytest.raises(OccupancyError, match="non-negative"):
             OccupancyCurve(weights=(float("nan"),) + (1.0 / 23.0,) * 23)
 
+    def test_a_list_changed_after_construction_leaves_the_weights_unchanged(self):
+        weights = [1.0 / 24.0] * 24
+        curve = OccupancyCurve(weights=weights)
+        weights[0] = 5.0  # the weights would no longer sum to 1
+        assert curve.weights == (1.0 / 24.0,) * 24
+
     def test_all_zero_rejected(self):
         with pytest.raises(OccupancyError, match="not all be zero"):
             load_occupancy(",".join(["0"] * 24))
@@ -144,7 +150,7 @@ class TestSynthHouseholdDay:
 
     def test_activities_keep_catalog_order(self, paper_catalog):
         day = synth_household_day(paper_catalog, Season.WINTER)
-        assert list(day.per_activity) == paper_catalog.activities()
+        assert list(day.per_activity) == [spec.activity for spec in paper_catalog]
 
     def test_one_shape_per_operation_class(self, paper_catalog, monkeypatch):
         operations = []
