@@ -219,9 +219,9 @@ def _rows_from_csv(text: str) -> list[dict]:
     missing = [name for name in CSV_HEADER if name not in have]
     extra = [name for name in have if name not in CSV_HEADER]
     if missing:
-        raise CatalogError(f"missing column(s): {', '.join(missing)}")
+        raise CatalogError(f"missing column(s): {', '.join(map(repr, missing))}")
     if extra:
-        raise CatalogError(f"unexpected column(s): {', '.join(extra)}")
+        raise CatalogError(f"unexpected column(s): {', '.join(map(repr, extra))}")
     return list(reader)
 
 

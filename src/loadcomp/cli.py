@@ -15,6 +15,7 @@ import math
 import shlex
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterator
@@ -47,6 +48,15 @@ from .synth import OccupancyError, default_occupancy, load_occupancy, synth_hous
 
 class PayloadError(ValueError):
     """A result cannot be written as strict JSON: it is NaN or infinite."""
+
+
+class Rows(dict):
+    """A list of same-key dicts given as its columns: row ``i`` is ``{key: column[i] for key, column in items()}``.
+
+    A column is a sequence, or a ``Rows`` whose rows are the column's dicts. ``_json_payload`` writes
+    a ``Rows`` as that list (but as a dict inside an object with a key that is not a string, which it
+    leaves to ``json.dumps``), and ``csv_text`` writes its keys as the header and then its rows.
+    """
 
 
 _INPUT_ERRORS = (CatalogError, CompositionError, ProfileError, ReconcileError, OccupancyError, PayloadError)
@@ -148,22 +158,24 @@ def _emit(args, payload: str) -> None:
 
 
 def _json_payload(obj: dict) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"``, refusing NaN and infinities.
+    """``json.dumps(obj, indent=2) + "\\n"`` with each :class:`Rows` written as its list, refusing NaN and infinities.
 
-    The indenting encoder is pure Python. Here dicts of one shape share one
-    ``%``-template, and a column of cells of one type is converted in one pass.
+    The indenting encoder is pure Python. Here the rows of a ``Rows``, and dicts of one shape, share
+    one ``%``-template, and a column of cells of one type is converted in one pass.
     """
 
-    def texts(values: list, indent: str) -> Iterator[str]:
-        """Each of ``values`` as json.dumps writes it, with ``indent`` starting each line after the first."""
-        kinds = set(map(type, values))
+    def texts(values, indent: str) -> Iterator[str]:
+        """Each of ``values`` (a list or a ``Rows``) as json.dumps writes it, ``indent`` starting each later line."""
         inner = indent + "  "
+        if type(values) is Rows:
+            template = "{" + ",".join(inner + _quote(key).replace("%", "%%") + ": %s" for key in values) + indent + "}"
+            return map(template.__mod__, zip(*(texts(column, inner) for column in values.values())))
+        kinds = set(map(type, values))
         if kinds == {dict} and len(set(map(tuple, values))) == 1 and set(map(type, values[0])) == {str}:
-            template = "{" + ",".join(inner + _quote(key).replace("%", "%%") + ": %s" for key in values[0])
-            columns = [texts([value[key] for value in values], inner) for key in values[0]]
-            return map((template + indent + "}").__mod__, zip(*columns))
-        if kinds == {list} and all(values):
-            return ("[" + inner + ("," + inner).join(texts(value, inner)) + indent + "]" for value in values)
+            return texts(Rows({key: [value[key] for value in values] for key in values[0]}), indent)
+        if kinds <= {list, Rows}:  # arrays: one item on each line, or [] for none
+            items = (list(texts(value, inner)) for value in values)
+            return ("[" + inner + ("," + inner).join(lines) + indent + "]" if lines else "[]" for lines in items)
         if len(kinds) == 1 and kinds <= _CELL.keys() and (kinds != {float} or all(map(math.isfinite, values))):
             return map(_CELL[kinds.pop()], values)
         if len(values) > 1:  # values of mixed shapes: each on its own
@@ -225,16 +237,15 @@ def cmd_composition(args) -> tuple[str, int]:
 
 def cmd_profile_stats(args) -> tuple[str, int]:
     profile = _get_profile(args)
-    fractions = normalize(profile)
-    stamps = [ts.isoformat() for ts in profile.timestamps]
+    normalized = Rows(timestamp=list(map(datetime.isoformat, profile.timestamps)), fraction=normalize(profile))
 
     if args.format == "csv":
-        return csv_text(("timestamp", "fraction"), zip(stamps, fractions)), 0
+        return csv_text(normalized), 0
 
     split = seasonal_split(profile)
     split_summary = {}
     for season, part in split.items():
-        if part.samples:
+        if len(part):
             split_summary[season.value] = {
                 "samples": len(part),
                 "mean_kw": part.mean_kw,
@@ -254,7 +265,8 @@ def cmd_profile_stats(args) -> tuple[str, int]:
         growth = None
     else:
         month = {ts: ts.strftime("%Y-%m") for ts in profile.timestamps}
-        growth = [{"from": month[a], "to": month[b], "pct": pct} for a, b, pct in pairs]
+        froms, tos, pcts = zip(*pairs) if pairs else ((), (), ())
+        growth = Rows({"from": [*map(month.__getitem__, froms)], "to": [*map(month.__getitem__, tos)], "pct": pcts})
 
     payload = {
         "label": profile.label,
@@ -262,7 +274,7 @@ def cmd_profile_stats(args) -> tuple[str, int]:
         "samples": len(profile),
         "peak_kw": profile.peak_kw,
         "peak_average_ratio": peak_average_ratio(profile),
-        "normalized": [{"timestamp": ts, "fraction": f} for ts, f in zip(stamps, fractions)],
+        "normalized": normalized,
         "daily_extrema": extrema,
         "seasonal_split": split_summary,
         "monthly_growth_pct": growth,
@@ -276,7 +288,7 @@ def cmd_reconcile(args) -> tuple[str, int]:
     occupancy = _get_occupancy(args)
     if measured.peak_kw <= 0:
         raise ProfileError("zero peak")
-    season = Season(args.season) if args.season else Season.for_month(measured.samples[0][0].month)
+    season = Season(args.season) if args.season else Season.for_month(measured.timestamps[0].month)
 
     attribution = disaggregate(measured, catalog, season, occupancy)
     table = seasonal_table(catalog, season, args.days_per_month)
@@ -284,7 +296,37 @@ def cmd_reconcile(args) -> tuple[str, int]:
     measured_kwh_month = sum(measured.powers) * args.days_per_month
     result = scale_to_measured(table, measured_kwh_month)
     shares = composition_from_attribution(attribution)
+    hours = [ts.hour for ts in measured.timestamps]
 
+    if args.format == "csv":
+        names = list(attribution.by_activity)
+        text = csv_text({
+            "hour": [hour for hour in hours for _ in names],
+            "activity": names * len(hours),
+            "kw": list(chain.from_iterable(zip(*attribution.by_activity.values()))),
+        })
+    else:
+        payload = {
+            "season": season.value,
+            "scale_factor": result.scale_factor,
+            "relative_gap": result.relative_gap,
+            "gap_warning": result.gap_warning,
+            "measured_kwh_month": result.measured_energy_kwh,
+            "bottom_up_kwh_month": result.bottom_up_energy_kwh,
+            "adjusted_rows": [
+                {
+                    "activity": row.activity,
+                    "per_unit_wh_day": row.per_unit_daily_wh,
+                    "household_wh_day": row.household_daily_wh,
+                }
+                for row in result.adjusted_table.rows
+            ],
+            "attributed_shares_pct": shares,
+            "attribution": Rows(hour=hours, kw=Rows(attribution.by_activity)),
+        }
+        text = _json_payload(payload)
+
+    # the diagnostics follow the payload, so that a payload error is the only line on stderr
     print(
         f"scale_factor={result.scale_factor:.6f} relative_gap={result.relative_gap:.6f}",
         file=sys.stderr,
@@ -296,40 +338,7 @@ def cmd_reconcile(args) -> tuple[str, int]:
             "the catalog may not represent this household",
             file=sys.stderr,
         )
-
-    if args.format == "csv":
-        rows = (
-            (ts.hour, activity, series[index])
-            for index, (ts, _) in enumerate(measured.samples)
-            for activity, series in attribution.by_activity.items()
-        )
-        return csv_text(("hour", "activity", "kw"), rows), 0
-
-    payload = {
-        "season": season.value,
-        "scale_factor": result.scale_factor,
-        "relative_gap": result.relative_gap,
-        "gap_warning": result.gap_warning,
-        "measured_kwh_month": result.measured_energy_kwh,
-        "bottom_up_kwh_month": result.bottom_up_energy_kwh,
-        "adjusted_rows": [
-            {
-                "activity": row.activity,
-                "per_unit_wh_day": row.per_unit_daily_wh,
-                "household_wh_day": row.household_daily_wh,
-            }
-            for row in result.adjusted_table.rows
-        ],
-        "attributed_shares_pct": shares,
-        "attribution": [
-            {
-                "hour": ts.hour,
-                "kw": {activity: series[index] for activity, series in attribution.by_activity.items()},
-            }
-            for index, (ts, _) in enumerate(measured.samples)
-        ],
-    }
-    return _json_payload(payload), 0
+    return text, 0
 
 
 def cmd_synth(args) -> tuple[str, int]:
@@ -339,12 +348,12 @@ def cmd_synth(args) -> tuple[str, int]:
     day = synth_household_day(catalog, season, occupancy)
 
     if args.format == "csv":
-        rows = (
-            (hour, activity, series[hour])
-            for hour in range(24)
-            for activity, series in day.per_activity.items()
-        )
-        return csv_text(("hour", "activity", "wh"), rows), 0
+        names = list(day.per_activity)
+        return csv_text({
+            "hour": [hour for hour in range(24) for _ in names],
+            "activity": names * 24,
+            "wh": list(chain.from_iterable(zip(*day.per_activity.values()))),
+        }), 0
 
     payload = {
         "season": season.value,

@@ -98,20 +98,19 @@ def render_value(value: float) -> str:
 
 def table_csv(pairs: Iterable[tuple[SeasonalConsumptionTable, dict[str, float]]]) -> str:
     """Render one or more (table, shares) pairs as CSV, one row per activity."""
-    return csv_text(
-        ("activity", "season", "per_unit_wh_day", "household_wh_day", "share_pct"),
+    cells = [
         (
-            (
-                row.activity,
-                table.season.value,
-                render_value(row.per_unit_daily_wh),
-                render_value(row.household_daily_wh),
-                render_value(shares[row.activity]),
-            )
-            for table, shares in pairs
-            for row in table.rows
-        ),
-    )
+            row.activity,
+            table.season.value,
+            render_value(row.per_unit_daily_wh),
+            render_value(row.household_daily_wh),
+            render_value(shares[row.activity]),
+        )
+        for table, shares in pairs
+        for row in table.rows
+    ]
+    header = ("activity", "season", "per_unit_wh_day", "household_wh_day", "share_pct")
+    return csv_text(dict(zip(header, zip(*cells))))
 
 
 def table_json(table: SeasonalConsumptionTable, shares: dict[str, float]) -> dict:

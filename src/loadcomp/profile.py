@@ -13,10 +13,12 @@ import io
 import math
 from datetime import datetime
 from functools import cached_property
+from itertools import compress, count, repeat
+from operator import attrgetter, itemgetter, not_, truediv
 from pathlib import Path
 
 from ._sourceio import read_text
-from .catalog import Season, _Frozen
+from .catalog import WINTER_MONTHS, Season, _Frozen
 
 PROFILE_CSV_HEADER = ("timestamp", "power_kw")
 MAX_POWER_KW = 1e9  # keeps sums, means and day-to-month scaling finite
@@ -33,7 +35,7 @@ class Granularity(enum.Enum):
 
 
 class LoadProfile(_Frozen):
-    """Timestamped power series in kW.
+    """Timestamped power series in kW, held as two columns of equal length.
 
     Power is finite, non-negative and at most ``MAX_POWER_KW``; timestamps
     strictly increase and are all naive or all offset-aware; a monthly profile
@@ -42,22 +44,26 @@ class LoadProfile(_Frozen):
     may return an empty sub-profile when the input has no samples in that season.
     """
 
-    samples: tuple[tuple[datetime, float], ...]
+    timestamps: tuple[datetime, ...]
+    powers: tuple[float, ...]
     granularity: Granularity
     label: str
 
-    def __init__(self, samples: tuple[tuple[datetime, float], ...], granularity: Granularity, label: str = "") -> None:
-        samples = tuple(samples)  # a caller's list could change after the checks
-        previous = None
+    def __init__(self, timestamps, powers, granularity: Granularity, label: str = "") -> None:
+        timestamps, powers = tuple(timestamps), tuple(powers)  # a caller's list could change after the checks
+        if len(timestamps) != len(powers):
+            raise ProfileError(f"{len(timestamps)} timestamps but {len(powers)} powers")
+        previous = previous_naive = None
         months = None if granularity is Granularity.HOURLY else set()
-        for rownum, (ts, power) in enumerate(samples, start=2):  # header is row 1
-            if not math.isfinite(power):
-                raise ProfileError(f"row {rownum}: power must be a finite number")
-            if power < 0:
-                raise ProfileError(f"row {rownum}: negative power {power}")
-            if power > MAX_POWER_KW:
+        for rownum, ts, power in zip(count(2), timestamps, powers):  # header is row 1
+            if not 0 <= power <= MAX_POWER_KW:  # one test for the common case; false for nan too
+                if not math.isfinite(power):
+                    raise ProfileError(f"row {rownum}: power must be a finite number")
+                if power < 0:
+                    raise ProfileError(f"row {rownum}: negative power {power}")
                 raise ProfileError(f"row {rownum}: power {power} exceeds {MAX_POWER_KW:g} kW")
-            if previous is not None and (ts.utcoffset() is None) != (previous.utcoffset() is None):
+            naive = ts.utcoffset() is None
+            if previous is not None and naive != previous_naive:
                 raise ProfileError(f"row {rownum}: cannot mix naive and offset-aware timestamps")
             if previous is not None and ts <= previous:
                 raise ProfileError(f"row {rownum}: timestamps must be strictly increasing")
@@ -65,21 +71,13 @@ class LoadProfile(_Frozen):
                 if (ts.year, ts.month) in months:
                     raise ProfileError(f"row {rownum}: {granularity.value} profile has two samples in {ts:%Y-%m}")
                 months.add((ts.year, ts.month))
-            previous = ts
-        vars(self).update(samples=samples, granularity=granularity, label=label)
+            previous, previous_naive = ts, naive
+        vars(self).update(timestamps=timestamps, powers=powers, granularity=granularity, label=label)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.powers)
 
     @cached_property  # computed once per instance; cached_property writes __dict__, past the frozen guard
-    def powers(self) -> tuple[float, ...]:
-        return tuple(power for _, power in self.samples)
-
-    @cached_property
-    def timestamps(self) -> tuple[datetime, ...]:
-        return tuple(ts for ts, _ in self.samples)
-
-    @cached_property
     def peak_kw(self) -> float:
         return max(self.powers, default=0.0)
 
@@ -109,34 +107,37 @@ def parse_profile(source, granularity: Granularity | None = None, label: str = "
     if have != PROFILE_CSV_HEADER:
         raise ProfileError(f"expected header {','.join(PROFILE_CSV_HEADER)!r}, got {','.join(have)!r}")
 
-    samples: list[tuple[datetime, float]] = []
-    # blank lines are not numbered; a missing power reads as "" and extra cells are ignored
-    for rownum, row in enumerate(filter(None, reader), start=2):  # header is line 1
-        raw_ts, raw_power, *_ = *map(str.strip, row), ""
-        try:
-            ts = datetime.fromisoformat(raw_ts)
-        except ValueError:
-            raise ProfileError(f"row {rownum}: invalid timestamp {raw_ts!r}") from None
-        try:
-            power = float(raw_power)
-        except ValueError:
-            raise ProfileError(f"row {rownum}: invalid power {raw_power!r}") from None
-        samples.append((ts, power))
-    if not samples:
+    rows = list(filter(None, reader))  # blank lines are not numbered
+    if not rows:
         raise ProfileError("empty profile: no samples")
+    try:  # one pass per column; extra cells are ignored
+        timestamps = tuple(map(datetime.fromisoformat, map(str.strip, map(itemgetter(0), rows))))
+        powers = tuple(map(float, map(str.strip, map(itemgetter(1), rows))))
+    except (ValueError, IndexError):  # a bad cell, or a row without a power: name the first such row
+        for rownum, row in enumerate(rows, start=2):  # header is line 1
+            raw_ts, raw_power, *_ = *map(str.strip, row), ""  # a missing power reads as ""
+            try:
+                datetime.fromisoformat(raw_ts)
+            except ValueError:
+                raise ProfileError(f"row {rownum}: invalid timestamp {raw_ts!r}") from None
+            try:
+                float(raw_power)
+            except ValueError:
+                raise ProfileError(f"row {rownum}: invalid power {raw_power!r}") from None
+        raise  # not reached: the walk meets the cell that failed
 
     if granularity is None:
-        granularity = _infer_granularity(samples)
-    return LoadProfile(samples=tuple(samples), granularity=granularity, label=label)
+        granularity = _infer_granularity(timestamps)
+    return LoadProfile(timestamps, powers, granularity, label)
 
 
-def _infer_granularity(samples: list[tuple[datetime, float]]) -> Granularity:
+def _infer_granularity(timestamps: tuple[datetime, ...]) -> Granularity:
     def is_month_start(ts: datetime) -> bool:
         return ts.day == 1 and ts.hour == 0 and ts.minute == 0 and ts.second == 0 and ts.microsecond == 0
 
     # one month start at two UTC offsets is not monthly data
-    if (len(samples) > 1 and all(is_month_start(ts) for ts, _ in samples)
-            and len({(ts.year, ts.month) for ts, _ in samples}) == len(samples)):
+    if (len(timestamps) > 1 and all(map(is_month_start, timestamps))
+            and len({(ts.year, ts.month) for ts in timestamps}) == len(timestamps)):
         return Granularity.MONTHLY_AVERAGE
     return Granularity.HOURLY
 
@@ -151,7 +152,7 @@ def normalize(profile: LoadProfile) -> tuple[float, ...]:
     peak = profile.peak_kw
     if peak <= 0:
         raise ProfileError("zero peak")
-    return tuple(power / peak for power in profile.powers)
+    return tuple(map(truediv, profile.powers, repeat(peak)))
 
 
 def peak_average_ratio(profile: LoadProfile) -> float:
@@ -171,24 +172,24 @@ def monthly_growth(profile: LoadProfile) -> list[tuple[datetime, datetime, float
     """
     if profile.granularity is Granularity.HOURLY:
         raise ProfileError("monthly granularity required")
-    samples = profile.samples
+    timestamps, powers = profile.timestamps, profile.powers
     return [
-        (ts_from, ts_to, 100.0 * (p_to - p_from) / p_from)
-        for i, (ts_from, p_from) in enumerate(samples)
+        (timestamps[i], ts_to, 100.0 * (p_to - p_from) / p_from)
+        for i, p_from in enumerate(powers)
         if p_from != 0
-        for ts_to, p_to in samples[i + 1:]
+        for ts_to, p_to in zip(timestamps[i + 1:], powers[i + 1:])
     ]
 
 
 def seasonal_split(profile: LoadProfile) -> dict[Season, LoadProfile]:
     """Partition samples by season; together the two halves cover the input."""
-    buckets: dict[Season, list[tuple[datetime, float]]] = {Season.WINTER: [], Season.SUMMER: []}
-    by_month = [None, *(buckets[Season.for_month(month)] for month in range(1, 13))]
-    for sample in profile.samples:
-        by_month[sample[0].month].append(sample)
+    months = bytes(map(attrgetter("month"), profile.timestamps))  # one byte per sample
+    winter = [month in WINTER_MONTHS for month in range(256)]  # a bytes.translate table: month -> 1 in winter
+    masks = {Season.WINTER: months.translate(bytes(winter)), Season.SUMMER: months.translate(bytes(map(not_, winter)))}
     return {
-        season: LoadProfile(samples=tuple(samples), granularity=profile.granularity, label=profile.label)
-        for season, samples in buckets.items()
+        season: LoadProfile(tuple(compress(profile.timestamps, mask)), tuple(compress(profile.powers, mask)),
+                            profile.granularity, profile.label)
+        for season, mask in masks.items()
     }
 
 
@@ -199,15 +200,11 @@ def daily_extrema(profile: LoadProfile) -> dict[str, int]:
     """
     if profile.granularity is not Granularity.HOURLY:
         raise ProfileError("hourly granularity required")
-    dates = {ts.date() for ts, _ in profile.samples}
+    dates = set(map(datetime.date, profile.timestamps))
     if len(dates) != 1:
         raise ProfileError(f"single-day profile required (spans {len(dates)} days)")
 
-    peak_hour, peak = profile.samples[0][0].hour, profile.samples[0][1]
-    trough_hour, trough = peak_hour, peak
-    for ts, power in profile.samples[1:]:
-        if power > peak:
-            peak_hour, peak = ts.hour, power
-        if power < trough:
-            trough_hour, trough = ts.hour, power
-    return {"peak_hour": peak_hour, "trough_hour": trough_hour}
+    indexes = range(len(profile))
+    peak = max(indexes, key=profile.powers.__getitem__)  # max and min keep the first of equal values
+    trough = min(indexes, key=profile.powers.__getitem__)
+    return {"peak_hour": profile.timestamps[peak].hour, "trough_hour": profile.timestamps[trough].hour}

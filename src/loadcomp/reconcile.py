@@ -8,6 +8,8 @@ hourly energies, conserving the measured power at every hour.
 
 from __future__ import annotations
 
+import math
+from operator import mul, truediv
 from typing import NamedTuple
 
 from .catalog import Catalog, Season
@@ -111,25 +113,19 @@ def disaggregate(
         )
 
     day = synth_household_day(catalog, season, occupancy)
-    totals = day.household_total
-    series: dict[str, list[float]] = {activity: [] for activity in day.per_activity}
-    for ts, power in measured.samples:
-        hour = ts.hour
-        total = totals[hour]
-        if power == 0:
-            for activity in series:
-                series[activity].append(0.0)
-        elif total <= 0:
+    # an hour of zero measured power (-0.0 too) attributes 0.0 * (energy / inf) = 0.0 everywhere
+    powers = [power or 0.0 for power in measured.powers]
+    totals = [total if power else math.inf for power, total in zip(powers, day.household_total)]
+    for hour, total in enumerate(totals):
+        if total <= 0:
             raise UnattributableLoadError(hour)
-        else:
-            # divide first: the weight ratio stays in normal float range even
-            # when the synthesized energies are tiny
-            for activity, hourly in day.per_activity.items():
-                series[activity].append(power * (hourly[hour] / total))
-    return HourlyAttribution(
-        by_activity={activity: tuple(values) for activity, values in series.items()},
-        measured=measured,
-    )
+    # divide first: the weight ratio stays in normal float range even when the
+    # synthesized energies are tiny
+    series = {
+        activity: tuple(map(mul, powers, map(truediv, hourly, totals)))
+        for activity, hourly in day.per_activity.items()
+    }
+    return HourlyAttribution(by_activity=series, measured=measured)
 
 
 def composition_from_attribution(attribution: HourlyAttribution) -> dict[str, float]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import string
 from datetime import datetime, timedelta
@@ -81,20 +83,33 @@ def serialize_catalog(catalog: Catalog, fmt: str = "csv") -> str:
     """A catalog in its CSV or JSON wire format; ``parse_catalog`` reads it back to the same specs."""
     rows = [{**spec._asdict(), "operation": spec.operation.value} for spec in catalog]
     if fmt == "csv":
-        return csv_text(CSV_HEADER, (row.values() for row in rows))
+        return csv_text({name: [row[name] for row in rows] for name in CSV_HEADER})
     return json.dumps(rows, indent=2) + "\n"
+
+
+def csv_table(table) -> str:
+    """A table of rows, header first, as ``csv.writer`` writes it with ``\\n`` line endings."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(table)
+    return buf.getvalue()
+
+
+def profile_of(samples, granularity: Granularity = Granularity.HOURLY, label: str = "") -> LoadProfile:
+    """A profile of ``(timestamp, power)`` pairs."""
+    samples = tuple(samples)
+    return LoadProfile([ts for ts, _ in samples], [power for _, power in samples], granularity, label)
 
 
 def hourly_day(powers, day: datetime = datetime(2016, 6, 1), label: str = "") -> LoadProfile:
     samples = tuple((day + timedelta(hours=h), float(p)) for h, p in enumerate(powers))
-    return LoadProfile(samples=samples, granularity=Granularity.HOURLY, label=label)
+    return profile_of(samples, Granularity.HOURLY, label)
 
 
 def monthly_profile(month_to_kw=MONTHLY_AVG_KW, year: int = 2016, label: str = "") -> LoadProfile:
     samples = tuple(
         (datetime(year, month, 1), float(month_to_kw[month])) for month in sorted(month_to_kw)
     )
-    return LoadProfile(samples=samples, granularity=Granularity.MONTHLY_AVERAGE, label=label)
+    return profile_of(samples, Granularity.MONTHLY_AVERAGE, label)
 
 
 @pytest.fixture

@@ -176,7 +176,7 @@ def test_conservation_suite():
 
         measured = random_measured_day(rng)
         attribution = disaggregate(measured, catalog, season)
-        for index, (_, power) in enumerate(measured.samples):
+        for index, power in enumerate(measured.powers):
             total = sum(series[index] for series in attribution.by_activity.values())
             if power == 0.0:
                 assert total == 0.0

@@ -193,6 +193,16 @@ class TestParseCatalog:
         with pytest.raises(CatalogError, match="unexpected column"):
             parse_catalog(CSV_HEADER + ",color\n")
 
+    @pytest.mark.parametrize("header, message", [
+        (CSV_HEADER + ',"x\nloadcomp: error: fake"', "^unexpected column\\(s\\): 'x\\\\nloadcomp: error: fake'$"),
+        (CSV_HEADER.replace("idle_fraction", '"idle_fraction\nfake"'),
+         "^missing column\\(s\\): 'idle_fraction'$"),
+    ])
+    def test_column_names_in_errors_are_quoted(self, header, message):
+        """A header cell can hold a line break; quoted, it cannot start a second line of the message."""
+        with pytest.raises(CatalogError, match=message):
+            parse_catalog(header + "\n")
+
     def test_unknown_operation_names_row(self):
         with pytest.raises(CatalogError, match="row 1: unknown operation"):
             parse_catalog(csv_of(row(op="mystery")))

@@ -14,11 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadcomp import Season, builtin_catalog, composition_shares
-from loadcomp._sourceio import csv_text
 from loadcomp.cli import main
 from loadcomp.composition import round_half_up
 from loadcomp.synth import synth_household_day
-from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, serialize_catalog
+from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, csv_table, serialize_catalog
 
 
 def run(capsys, *argv):
@@ -106,6 +105,14 @@ class TestComposition:
         assert json.loads(out_path.read_text())["days_per_month"] == 30
         sidecar = json.loads((tmp_path / "report.json.meta.json").read_text())
         assert sidecar["tool"] == "loadcomp" and "created_utc" in sidecar
+
+    def test_a_header_cell_with_a_line_break_gives_one_error_line(self, capsys, tmp_path):
+        catalog = tmp_path / "catalog.csv"
+        header, _, rows = serialize_catalog(builtin_catalog()).partition("\n")
+        catalog.write_text(header + ',"x\nloadcomp: error: fake"\n' + rows)
+        code, out, err = run(capsys, "composition", "--catalog", str(catalog))
+        assert (code, out) == (1, "")
+        assert err == "loadcomp: error: unexpected column(s): 'x\\nloadcomp: error: fake'\n"
 
     def test_sidecar_command_splits_back_to_the_argv(self, capsys, tmp_path):
         catalog = tmp_path / "my catalog.csv"
@@ -200,6 +207,12 @@ class TestReconcile:
         path = write_day_csv(tmp_path / "zero.csv", [0.0] * 24)
         code, _, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path))
         assert code == 1 and "zero peak" in err
+
+    def test_a_payload_error_is_the_only_line_on_stderr(self, capsys, tmp_path):
+        path = write_day_csv(tmp_path / "subnormal.csv", [5e-324] * 24)  # the relative gap overflows
+        code, out, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path))
+        assert (code, out) == (1, "")
+        assert err == "loadcomp: error: a result is not a finite number; an input value is out of range\n"
 
     def test_large_gap_warns(self, capsys, tmp_path):
         powers = [p * 1.5 for p in synth_day_kw()]
@@ -496,7 +509,7 @@ def _mutated(draw, table):
 def _catalog_texts(draw, fmt):
     table = _mutated(draw, _catalog_table())
     if fmt == "csv":
-        return csv_text(table[0], table[1:])
+        return csv_table(table)
     rows = [dict(zip(table[0], row)) for row in table[1:]]
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         key = draw(st.sampled_from([*table[0], "extra"]))
@@ -508,7 +521,7 @@ def _catalog_texts(draw, fmt):
 @st.composite
 def _profile_texts(draw):
     table = _mutated(draw, _profile_table(draw(st.sampled_from(["2016-01-15", "2016-06-01", "monthly"]))))
-    return csv_text(table[0], table[1:])
+    return csv_table(table)
 
 
 @st.composite
@@ -588,7 +601,7 @@ class TestFuzz:
             assert _strict_json(out)["valid"] is False
         else:
             assert code in (1, 2) and out == ""
-            errors = [line for line in err.splitlines() if line.startswith(("loadcomp: error:", "loadcomp: I/O error:"))]
-            assert len(errors) == 1, err
+            assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+            assert err.startswith(("loadcomp: error:", "loadcomp: I/O error:")), err
         if code == 0:
             assert "error:" not in err

@@ -71,7 +71,7 @@ def _records():
     spec = builtin_catalog().specs[0]
     row = DeviceEnergy(activity="TV", units=1, per_unit_daily_wh=120.0, household_daily_wh=120.0)
     table = SeasonalConsumptionTable(season=Season.WINTER, rows=(row,), days_per_month=30)
-    profile = LoadProfile(samples=((datetime(2016, 1, 1), 1.0),), granularity=Granularity.HOURLY, label="day")
+    profile = LoadProfile((datetime(2016, 1, 1),), (1.0,), Granularity.HOURLY, label="day")
     return (
         ApplianceSpec(**spec._asdict()),
         Catalog(specs=(spec,)),

@@ -1,5 +1,7 @@
-"""The CLI's JSON writer: the bytes of ``json.dumps(obj, indent=2)``, and no NaN or infinity."""
+"""The payload writers: the bytes of ``json.dumps(obj, indent=2)`` and of ``csv.writer``; no NaN or infinity in JSON."""
 
+import csv
+import io
 import json
 import math
 
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loadcomp.cli import PayloadError, _json_payload
+from loadcomp._sourceio import csv_text
+from loadcomp.cli import PayloadError, Rows, _json_payload
 
 # keys and strings that JSON must escape: quotes, backslashes, control characters,
 # non-ASCII and astral text, and "%", which a row template must not read as a placeholder
@@ -69,3 +72,81 @@ def test_a_non_finite_float_anywhere_is_refused(payload, key, value):
     payload[key] = value
     with pytest.raises(PayloadError, match="not a finite number"):
         _json_payload(payload)
+
+
+@st.composite
+def rows_and_lists(draw, size=None, depth=0):
+    """A ``Rows`` and the list of dicts it stands for; a column holds cells of one kind, or is a ``Rows`` itself."""
+    size = draw(st.integers(0, 4)) if size is None else size
+    columns, plain = {}, {}
+    for key in draw(st.lists(texts, min_size=1, max_size=3, unique=True)):
+        if depth < 1 and draw(st.booleans()):
+            columns[key], plain[key] = draw(rows_and_lists(size, depth + 1))
+        else:
+            cells = draw(st.lists(draw(st.sampled_from(cell_kinds)), min_size=size, max_size=size))
+            columns[key] = plain[key] = draw(st.sampled_from([list, tuple]))(cells)
+    return Rows(columns), [dict(zip(plain, cells)) for cells in zip(*plain.values())]
+
+
+@st.composite
+def payloads_with_rows(draw):
+    """A payload that holds ``Rows`` (as a value, in a list, in an object), and the same payload with lists of dicts."""
+    with_rows, plain = {}, {}
+    for key in draw(st.lists(texts, max_size=4, unique=True)):
+        where = draw(st.sampled_from(["rows", "list", "object", "value"]))
+        if where == "rows":
+            with_rows[key], plain[key] = draw(rows_and_lists() | st.just((Rows(), [])))
+        elif where == "list":
+            items = draw(st.lists(rows_and_lists() | values.map(lambda value: (value, value)), max_size=3))
+            with_rows[key], plain[key] = [item for item, _ in items], [item for _, item in items]
+        elif where == "object":
+            inner = {name: draw(rows_and_lists()) for name in draw(st.lists(texts, max_size=2, unique=True))}
+            with_rows[key] = {name: rows for name, (rows, _) in inner.items()}
+            plain[key] = {name: dicts for name, (_, dicts) in inner.items()}
+        else:
+            with_rows[key] = plain[key] = draw(values)
+    return with_rows, plain
+
+
+@settings(max_examples=60)
+@given(payloads_with_rows())
+@example((
+    {"attribution": Rows(hour=[0, 1], kw=Rows({'A, "b"': [1.5, 0.0], "ü%s": [2.0, 3.0]}))},
+    {"attribution": [{"hour": 0, "kw": {'A, "b"': 1.5, "ü%s": 2.0}}, {"hour": 1, "kw": {'A, "b"': 0.0, "ü%s": 3.0}}]},
+))
+def test_rows_are_written_as_the_lists_of_dicts_they_stand_for(pair):
+    with_rows, plain = pair
+    assert _json_payload(with_rows) == json.dumps(plain, indent=2) + "\n"
+
+
+@settings(max_examples=30)
+@given(st.lists(finite_floats, min_size=1, max_size=4), st.data(), NON_FINITE, st.booleans())
+def test_a_non_finite_float_in_a_rows_column_is_refused(column, data, bad, nested):
+    column[data.draw(st.integers(0, len(column) - 1))] = bad
+    rows = Rows(hour=list(range(len(column))), kw=Rows(x=column)) if nested else Rows(x=column)
+    with pytest.raises(PayloadError, match="not a finite number"):
+        _json_payload({"rows": rows})
+
+
+# text cells that csv.writer quotes, or leaves alone: separators, quotes, line breaks, NUL, non-ASCII and ""
+csv_texts = st.text(alphabet=',"\r\n\x00 az%ü€🧊', max_size=5)
+csv_cells = [csv_texts, st.integers(), st.floats()]
+
+
+@st.composite
+def csv_rows(draw):
+    size = draw(st.integers(0, 5))
+    keys = draw(st.lists(csv_texts, min_size=1, max_size=4, unique=True))
+    return Rows({key: draw(st.lists(draw(st.sampled_from(csv_cells)), min_size=size, max_size=size)) for key in keys})
+
+
+@settings(max_examples=80)
+@given(csv_rows())
+@example(Rows(a=["", "x"]))  # one empty cell alone on a line is written as ""
+@example(Rows({"a": ["1,2", ""], "b": [0, 1]}))
+def test_csv_text_writes_the_bytes_of_csv_writer(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows)
+    writer.writerows(zip(*rows.values()))
+    assert csv_text(rows) == buf.getvalue()

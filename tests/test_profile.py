@@ -1,10 +1,12 @@
 """Load profile ingestion, normalization, and summary statistics."""
 
+import csv
+import io
 import statistics
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loadcomp import Season
@@ -19,7 +21,7 @@ from loadcomp.profile import (
     peak_average_ratio,
     seasonal_split,
 )
-from conftest import DAY_CURVE_KW, hourly_day, monthly_profile
+from conftest import DAY_CURVE_KW, hourly_day, monthly_profile, profile_of
 
 
 def day_csv(powers, day="2016-06-01"):
@@ -122,19 +124,86 @@ class TestParseProfile:
 
     def test_extra_cells_are_ignored(self):
         profile = parse_profile("timestamp,power_kw\n2016-06-01T00:00,5,x\n2016-06-01T01:00, 6 ,,\n")
-        assert profile.samples == ((datetime(2016, 6, 1, 0), 5.0), (datetime(2016, 6, 1, 1), 6.0))
+        assert profile.timestamps == (datetime(2016, 6, 1, 0), datetime(2016, 6, 1, 1))
+        assert profile.powers == (5.0, 6.0)
 
     def test_a_list_changed_after_construction_leaves_the_profile_unchanged(self):
-        samples = [(datetime(2016, 6, 1), 5.0)]
-        profile = LoadProfile(samples=samples, granularity=Granularity.HOURLY)
-        samples.append((datetime(2016, 5, 1), -1.0))  # negative and out of order: never checked
-        assert profile.samples == ((datetime(2016, 6, 1), 5.0),)
+        timestamps, powers = [datetime(2016, 6, 1)], [5.0]
+        profile = LoadProfile(timestamps, powers, Granularity.HOURLY)
+        timestamps.append(datetime(2016, 5, 1))  # out of order: never checked
+        powers.append(-1.0)  # negative: never checked
+        assert profile.timestamps == (datetime(2016, 6, 1),)
         assert profile.powers == (5.0,)
 
     def test_malformed_later_row_is_reported_before_an_earlier_sign_error(self):
         source = "timestamp,power_kw\n2016-06-01T00:00,-5\nyesterday,5\n"
         with pytest.raises(ProfileError, match="row 3: invalid timestamp"):
             parse_profile(source)
+
+
+def row_by_row(text):
+    """The samples of a profile CSV as the row-by-row parser before the column passes read them, or its error."""
+    rows = csv.reader(io.StringIO(text))
+    next(rows)  # the header, checked as before
+    samples = []
+    for rownum, row in enumerate(filter(None, rows), start=2):
+        raw_ts, raw_power, *_ = *map(str.strip, row), ""
+        try:
+            ts = datetime.fromisoformat(raw_ts)
+        except ValueError:
+            return f"row {rownum}: invalid timestamp {raw_ts!r}"
+        try:
+            power = float(raw_power)
+        except ValueError:
+            return f"row {rownum}: invalid power {raw_power!r}"
+        samples.append((ts, power))
+    return samples
+
+
+_BAD_CELLS = ["", " ", "yesterday", "2016-13-01", "much", "1,5", "nan", "-1", "1e999", "5e-324", "1_000", "\x1c5\x1f",
+              "\u0665", "2016-06-01T00:00", "2016-06-01T00:00+00:00", '"']
+
+
+@st.composite
+def mutated_profile_csv(draw):
+    """A day of profile CSV with bad cells, blank lines, short rows, extra cells and padding in a few rows."""
+    lines = [[f"2016-06-01T{hour:02d}:00", repr(float(hour + 1))] for hour in range(draw(st.integers(1, 24)))]
+    for _ in range(draw(st.integers(0, 4))):
+        line = draw(st.sampled_from(lines))
+        change = draw(st.sampled_from(["cell", "short", "extra", "pad", "blank"]))
+        column = draw(st.integers(0, len(line) - 1)) if line else 0
+        if change == "cell" and line:
+            line[column] = draw(st.sampled_from(_BAD_CELLS) | st.text(max_size=4))
+        elif change == "short" and line:
+            del line[-1]
+        elif change == "extra":
+            line.append(draw(st.sampled_from(_BAD_CELLS)))
+        elif change == "pad" and line:
+            line[column] = draw(st.sampled_from([" ", "\t", "\u3000"])) + line[column] + " "
+        elif change == "blank":
+            lines.insert(lines.index(line), [])
+    return "timestamp,power_kw\n" + "".join(",".join(line) + "\n" for line in lines)
+
+
+class TestParseEquivalence:
+    @settings(max_examples=150)
+    @given(mutated_profile_csv())
+    @example("timestamp,power_kw\n2016-06-01T00:00,much\nyesterday,5\n")  # the bad power comes first
+    @example("timestamp,power_kw\n2016-06-01T00:00\n\nyesterday,5\n")  # a short row, then a bad timestamp
+    def test_columns_match_the_row_by_row_parse(self, text):
+        expected = row_by_row(text)
+        if isinstance(expected, list):  # parsed: the sample rules decide, as they did then
+            try:
+                profile_of(expected)
+            except ProfileError as exc:
+                expected = str(exc)
+        try:
+            profile = parse_profile(text, granularity=Granularity.HOURLY)
+        except ProfileError as exc:
+            got = str(exc)
+        else:
+            got = list(zip(profile.timestamps, profile.powers))
+        assert got == (expected or "empty profile: no samples")
 
 
 class TestNormalize:
@@ -207,10 +276,7 @@ class TestMonthlyGrowth:
 
     def test_every_sample_pair_in_sample_order(self):
         stamps = [datetime(2016 + m // 12, m % 12 + 1, 1) for m in range(24)]
-        profile = LoadProfile(
-            samples=tuple((ts, 100.0 + m) for m, ts in enumerate(stamps)),
-            granularity=Granularity.MONTHLY_AVERAGE,
-        )
+        profile = profile_of(((ts, 100.0 + m) for m, ts in enumerate(stamps)), Granularity.MONTHLY_AVERAGE)
         growth = monthly_growth(profile)
         assert len(growth) == 276
         assert [(a, b) for a, b, _ in growth] == [
@@ -236,7 +302,8 @@ class TestSeasonalSplit:
     def test_single_season_input_leaves_other_empty(self, day_profile):
         split = seasonal_split(day_profile)  # July-side day (June)
         assert len(split[Season.WINTER]) == 0
-        assert split[Season.SUMMER].samples == day_profile.samples
+        assert split[Season.SUMMER].timestamps == day_profile.timestamps
+        assert split[Season.SUMMER].powers == day_profile.powers
 
     @given(
         powers=st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=30),
@@ -245,10 +312,10 @@ class TestSeasonalSplit:
     def test_partition_preserves_all_samples(self, powers, start_month):
         start = datetime(2016, start_month, 1)
         samples = tuple((start + timedelta(days=31 * i), p) for i, p in enumerate(powers))
-        profile = LoadProfile(samples=samples, granularity=Granularity.HOURLY)
+        profile = profile_of(samples, Granularity.HOURLY)
         split = seasonal_split(profile)
-        merged = sorted(split[Season.WINTER].samples + split[Season.SUMMER].samples)
-        assert merged == sorted(profile.samples)
+        merged = sorted(pair for part in split.values() for pair in zip(part.timestamps, part.powers))
+        assert merged == sorted(samples)
 
 
 class TestDailyExtrema:
@@ -270,7 +337,7 @@ class TestDailyExtrema:
         samples = tuple(
             (datetime(2016, 6, 1) + timedelta(hours=12 * i), 5.0) for i in range(4)
         )
-        profile = LoadProfile(samples=samples, granularity=Granularity.HOURLY)
+        profile = profile_of(samples, Granularity.HOURLY)
         with pytest.raises(ProfileError, match="single-day"):
             daily_extrema(profile)
 
@@ -282,33 +349,33 @@ class TestMeanKw:
 
     def test_empty_profile_names_the_fault(self):
         with pytest.raises(ProfileError, match="^empty profile: no samples$"):
-            LoadProfile(samples=(), granularity=Granularity.HOURLY).mean_kw
+            LoadProfile(timestamps=(), powers=(), granularity=Granularity.HOURLY).mean_kw
 
 
 class TestLoadProfileInvariants:
     def test_negative_power_rejected_on_construction(self):
         with pytest.raises(ProfileError, match="negative power"):
-            LoadProfile(samples=((datetime(2016, 1, 1), -1.0),), granularity=Granularity.HOURLY)
+            profile_of(((datetime(2016, 1, 1), -1.0),), Granularity.HOURLY)
 
     def test_non_increasing_timestamps_rejected(self):
         ts = datetime(2016, 1, 1)
         with pytest.raises(ProfileError, match="strictly increasing"):
-            LoadProfile(samples=((ts, 1.0), (ts, 2.0)), granularity=Granularity.HOURLY)
+            profile_of(((ts, 1.0), (ts, 2.0)), Granularity.HOURLY)
 
     def test_samples_are_numbered_as_csv_rows(self):
         samples = ((datetime(2016, 1, 1), 1.0), (datetime(2016, 1, 2), -1.0))
         with pytest.raises(ProfileError, match="row 3: negative power"):
-            LoadProfile(samples=samples, granularity=Granularity.HOURLY)
+            profile_of(samples, Granularity.HOURLY)
 
     @pytest.mark.parametrize("power", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_power_rejected_on_construction(self, power):
         with pytest.raises(ProfileError, match="row 2: power must be a finite number"):
-            LoadProfile(samples=((datetime(2016, 1, 1), power),), granularity=Granularity.HOURLY)
+            profile_of(((datetime(2016, 1, 1), power),), Granularity.HOURLY)
 
     def test_mixed_naive_and_aware_timestamps_rejected_on_construction(self):
         samples = ((datetime(2016, 1, 1, tzinfo=timezone.utc), 1.0), (datetime(2016, 1, 2), 2.0))
         with pytest.raises(ProfileError, match="row 3: cannot mix naive and offset-aware timestamps"):
-            LoadProfile(samples=samples, granularity=Granularity.HOURLY)
+            profile_of(samples, Granularity.HOURLY)
 
     def test_day_curve_has_expected_shape(self):
         assert min(DAY_CURVE_KW) == DAY_CURVE_KW[6]

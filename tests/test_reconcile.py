@@ -1,5 +1,6 @@
 """Scaling to measured energy and hour-by-hour attribution."""
 
+import math
 from datetime import datetime, timedelta
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from loadcomp import Season, composition_shares, seasonal_table
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
-from loadcomp.profile import Granularity, LoadProfile
+from loadcomp.profile import Granularity
 from loadcomp.reconcile import (
     GAP_WARNING_THRESHOLD,
     ReconcileError,
@@ -18,7 +19,7 @@ from loadcomp.reconcile import (
     scale_to_measured,
 )
 from loadcomp.synth import OccupancyCurve, synth_household_day
-from conftest import catalogs, hourly_day, monthly_profile
+from conftest import catalogs, hourly_day, monthly_profile, profile_of
 
 JUNE1 = datetime(2016, 6, 1)
 
@@ -156,9 +157,17 @@ class TestDisaggregate:
     )
     def test_day_without_one_sample_per_hour_rejected(self, paper_catalog, hours):
         samples = tuple((JUNE1 + timedelta(hours=h), 1.0) for h in hours)
-        measured = LoadProfile(samples=samples, granularity=Granularity.HOURLY)
+        measured = profile_of(samples, Granularity.HOURLY)
         with pytest.raises(ReconcileError, match="granularity mismatch: need one sample for each hour 0-23"):
             disaggregate(measured, paper_catalog, Season.SUMMER)
+
+    def test_an_hour_of_zero_power_attributes_positive_zero(self, paper_catalog):
+        powers = [1.0] * 24
+        powers[3], powers[7] = 0.0, -0.0
+        attribution = disaggregate(hourly_day(powers), paper_catalog, Season.SUMMER)
+        for series in attribution.by_activity.values():
+            assert [math.copysign(1.0, series[hour]) for hour in (3, 7)] == [1.0, 1.0]
+            assert series[3] == series[7] == 0.0
 
     @settings(max_examples=40)
     @given(catalog=catalogs(min_size=1, max_size=5), powers=power_days)
@@ -168,7 +177,7 @@ class TestDisaggregate:
         assume(all(t > 0 for t in day.household_total) or max(powers) == 0)
         measured = hourly_day(powers)
         attribution = disaggregate(measured, catalog, season)
-        for index, (_, power) in enumerate(measured.samples):
+        for index, power in enumerate(measured.powers):
             total = sum(series[index] for series in attribution.by_activity.values())
             assert total == pytest.approx(power, rel=1e-9, abs=1e-12)
 
