@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
 import json
 import math
@@ -306,6 +307,7 @@ _BUILTIN_ROWS = (
 )
 
 
+@functools.cache  # the catalog is constant and immutable, so one per process serves every caller
 def builtin_catalog() -> Catalog:
     """The built-in 15-activity household archetype catalog."""
     return Catalog(specs=tuple(ApplianceSpec(*row) for row in _BUILTIN_ROWS))

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import shlex
 import sys
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterator
@@ -54,13 +53,13 @@ class Rows(dict):
     """A list of same-key dicts given as its columns: row ``i`` is ``{key: column[i] for key, column in items()}``.
 
     A column is a sequence, or a ``Rows`` whose rows are the column's dicts. ``_json_payload`` writes
-    a ``Rows`` as that list (but as a dict inside an object with a key that is not a string, which it
-    leaves to ``json.dumps``), and ``csv_text`` writes its keys as the header and then its rows.
+    a ``Rows`` as that list wherever it is, and ``csv_text`` writes its keys as the header and then its rows.
     """
 
 
 _INPUT_ERRORS = (CatalogError, CompositionError, ProfileError, ReconcileError, OccupancyError, PayloadError)
-_CELL = {str: _quote, int: int.__repr__, float: float.__repr__}  # cells written as json.dumps writes them
+_CELL = {str: _quote, int: int.__repr__, float: float.__repr__,  # scalars written as json.dumps writes them
+         bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
 
 
 @functools.cache  # one shared parser per process: parse_args leaves it unchanged, so callers must too
@@ -160,32 +159,49 @@ def _emit(args, payload: str) -> None:
 def _json_payload(obj: dict) -> str:
     """``json.dumps(obj, indent=2) + "\\n"`` with each :class:`Rows` written as its list, refusing NaN and infinities.
 
-    The indenting encoder is pure Python. Here the rows of a ``Rows``, and dicts of one shape, share
-    one ``%``-template, and a column of cells of one type is converted in one pass.
+    The indenting encoder is pure Python. Here the rows of a ``Rows``, and lists of dicts of one shape, share
+    one ``%``-template, and a list of cells of one type is converted in one pass.
     """
-
-    def texts(values, indent: str) -> Iterator[str]:
-        """Each of ``values`` (a list or a ``Rows``) as json.dumps writes it, ``indent`` starting each later line."""
-        inner = indent + "  "
-        if type(values) is Rows:
-            template = "{" + ",".join(inner + _quote(key).replace("%", "%%") + ": %s" for key in values) + indent + "}"
-            return map(template.__mod__, zip(*(texts(column, inner) for column in values.values())))
-        kinds = set(map(type, values))
-        if kinds == {dict} and len(set(map(tuple, values))) == 1 and set(map(type, values[0])) == {str}:
-            return texts(Rows({key: [value[key] for value in values] for key in values[0]}), indent)
-        if kinds <= {list, Rows}:  # arrays: one item on each line, or [] for none
-            items = (list(texts(value, inner)) for value in values)
-            return ("[" + inner + ("," + inner).join(lines) + indent + "]" if lines else "[]" for lines in items)
-        if len(kinds) == 1 and kinds <= _CELL.keys() and (kinds != {float} or all(map(math.isfinite, values))):
-            return map(_CELL[kinds.pop()], values)
-        if len(values) > 1:  # values of mixed shapes: each on its own
-            return (text for value in values for text in texts([value], indent))
-        return iter([json.dumps(values[0], indent=2, allow_nan=False).replace("\n", indent)])
-
-    try:  # texts are made lazily: json.dumps may raise while they are joined
-        return "".join(texts([obj], "\n")) + "\n"
-    except ValueError:  # json.dumps refuses NaN and infinities
+    try:
+        return _text(obj, "\n") + "\n"
+    except ValueError:  # a NaN or an infinity, or an int with more digits than str() writes
         raise PayloadError("a result is not a finite number; an input value is out of range") from None
+
+
+def _text(value, indent: str) -> str:
+    """``value`` as json.dumps writes it, ``indent`` starting each later line."""
+    inner = indent + "  "
+    if type(value) is dict:  # one key at a time
+        items = (inner + _key(key) + ": " + _text(item, inner) for key, item in value.items())
+        return "{" + ",".join(items) + indent + "}" if value else "{}"
+    if type(value) in (list, tuple, Rows):  # one item on each line
+        items = list(_items(value, inner))
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if type(value) is float and not -math.inf < value < math.inf:
+        raise ValueError(value)
+    return _CELL[type(value)](value)
+
+
+def _key(key) -> str:
+    """An object key as json.dumps writes it: a str quoted, an int, float, bool or None written and then quoted."""
+    return _quote(key) if type(key) is str else _quote(_text(key, ""))
+
+
+def _items(values, indent: str) -> Iterator[str]:
+    """The texts, made as they are read, of a list's items or a ``Rows``' rows, ``indent`` starting each later line."""
+    if type(values) is Rows:
+        inner = indent + "  "
+        template = "{" + ",".join(inner + _key(key).replace("%", "%%") + ": %s" for key in values) + indent + "}"
+        return map(template.__mod__, zip(*(_items(column, inner) for column in values.values())))
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _CELL:
+        if kind is float and not all(map(math.isfinite, values)):
+            raise ValueError(values)
+        return map(_CELL[kind], values)
+    if kind is dict and values[0] and len(set(map(tuple, values))) == 1:  # dicts of one shape: a Rows
+        return _items(Rows({key: [value[key] for value in values] for key in values[0]}), indent)
+    return map(_text, values, repeat(indent))
 
 
 def _read(load, path: Path, what: str, error: type[Exception], **options):
@@ -306,6 +322,7 @@ def cmd_reconcile(args) -> tuple[str, int]:
             "kw": list(chain.from_iterable(zip(*attribution.by_activity.values()))),
         })
     else:
+        activities, _, per_unit, household = zip(*result.adjusted_table.rows)
         payload = {
             "season": season.value,
             "scale_factor": result.scale_factor,
@@ -313,14 +330,7 @@ def cmd_reconcile(args) -> tuple[str, int]:
             "gap_warning": result.gap_warning,
             "measured_kwh_month": result.measured_energy_kwh,
             "bottom_up_kwh_month": result.bottom_up_energy_kwh,
-            "adjusted_rows": [
-                {
-                    "activity": row.activity,
-                    "per_unit_wh_day": row.per_unit_daily_wh,
-                    "household_wh_day": row.household_daily_wh,
-                }
-                for row in result.adjusted_table.rows
-            ],
+            "adjusted_rows": Rows(activity=activities, per_unit_wh_day=per_unit, household_wh_day=household),
             "attributed_shares_pct": shares,
             "attribution": Rows(hour=hours, kw=Rows(attribution.by_activity)),
         }

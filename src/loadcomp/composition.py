@@ -9,7 +9,6 @@ Shares are each activity's percentage of the household daily total.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, NamedTuple
 
 from ._sourceio import csv_text
@@ -60,16 +59,11 @@ def seasonal_table(catalog: Catalog, season: Season, days_per_month: int = 30) -
     """Tabulate per-activity daily energy and household totals for a season."""
     if not 1 <= days_per_month <= 31:
         raise CompositionError(f"days_per_month must be between 1 and 31 (got {days_per_month})")
-    rows = tuple(
-        DeviceEnergy(
-            activity=spec.activity,
-            units=spec.units(season),
-            per_unit_daily_wh=device_daily_energy(spec, season),
-            household_daily_wh=household_device_energy(spec, season),
-        )
-        for spec in catalog
-    )
-    return SeasonalConsumptionTable(season=season, rows=rows, days_per_month=days_per_month)
+    rows = []
+    for spec in catalog:  # household_device_energy's product, with the device energy computed once
+        units, per_unit = spec.units(season), device_daily_energy(spec, season)
+        rows.append(DeviceEnergy(spec.activity, units, per_unit, units * per_unit))
+    return SeasonalConsumptionTable(season=season, rows=tuple(rows), days_per_month=days_per_month)
 
 
 def composition_shares(catalog: Catalog, season: Season) -> dict[str, float]:
@@ -81,19 +75,21 @@ def composition_shares(catalog: Catalog, season: Season) -> dict[str, float]:
     return {activity: 100.0 * energy / total for activity, energy in energies}
 
 
-def _half_up(value: float, decimals: int) -> Decimal:
-    return Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
-
-
-def round_half_up(value: float, decimals: int = 1) -> float:
-    """Round half away from zero at the given decimal place."""
-    return float(_half_up(value, decimals))
-
-
-def render_value(value: float) -> str:
-    """Rendered table cell: one decimal, half-up, trailing '.0' dropped."""
-    text = str(_half_up(value, 1))
-    return text[:-2] if text.endswith(".0") else text
+def render_value(value: float, decimals: int = 1) -> str:
+    """``value`` rounded half up at ``decimals`` (0 or 1) places on the digits of its ``repr``, with no '.0'."""
+    text = repr(value)
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    shift = int(exponent or 0) - len(fraction) + decimals  # |value| is the digits times 10**shift last places
+    digits = int(whole + fraction)
+    if shift < 0:  # dividing by scale drops the digits below the last place; adding half of it first rounds up
+        scale = 10 ** -shift
+        digits = (digits + scale // 2) // scale
+    elif shift:
+        digits *= 10 ** shift
+    units, tenths = divmod(digits, 10) if decimals else (digits, 0)
+    rounded = f"{units}.{tenths}" if tenths else str(units)
+    return "-" + rounded if text[0] == "-" else rounded
 
 
 def table_csv(pairs: Iterable[tuple[SeasonalConsumptionTable, dict[str, float]]]) -> str:
@@ -136,6 +132,6 @@ def table_json(table: SeasonalConsumptionTable, shares: dict[str, float]) -> dic
 def pie_data(shares: dict[str, float], integer_percent: bool = False) -> list[dict]:
     """Pie-chart-ready share list; integer rounding is presentation only."""
     return [
-        {"label": activity, "percent": int(round_half_up(share, 0)) if integer_percent else share}
+        {"label": activity, "percent": int(render_value(share, 0)) if integer_percent else share}
         for activity, share in shares.items()
     ]

@@ -70,15 +70,7 @@ def scale_to_measured(table: SeasonalConsumptionTable, measured_energy_kwh: floa
     if measured_energy_kwh <= 0:
         raise ReconcileError("zero measured energy")
     k = measured_energy_kwh / bottom_up
-    rows = tuple(
-        DeviceEnergy(
-            activity=row.activity,
-            units=row.units,
-            per_unit_daily_wh=row.per_unit_daily_wh * k,
-            household_daily_wh=row.household_daily_wh * k,
-        )
-        for row in table.rows
-    )
+    rows = tuple(DeviceEnergy(name, units, per_unit * k, total * k) for name, units, per_unit, total in table.rows)
     adjusted = SeasonalConsumptionTable(season=table.season, rows=rows, days_per_month=table.days_per_month)
     gap = abs(1.0 - bottom_up / measured_energy_kwh)
     return ReconciliationResult(

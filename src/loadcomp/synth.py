@@ -10,6 +10,8 @@ daily energy.
 from __future__ import annotations
 
 import functools
+from itertools import repeat
+from operator import mul
 from typing import NamedTuple
 
 from ._sourceio import read_text
@@ -98,13 +100,11 @@ class SynthesizedDay(NamedTuple):
 
     @property
     def household_total(self) -> tuple[float, ...]:
-        return tuple(
-            sum(series[hour] for series in self.per_activity.values()) for hour in range(24)
-        )
+        return tuple(map(sum, zip(*self.per_activity.values())))
 
     @property
     def daily_total_wh(self) -> float:
-        return sum(sum(series) for series in self.per_activity.values())
+        return sum(map(sum, self.per_activity.values()))
 
 
 def synth_household_day(catalog: Catalog, season: Season, occupancy: OccupancyCurve | None = None) -> SynthesizedDay:
@@ -113,6 +113,6 @@ def synth_household_day(catalog: Catalog, season: Season, occupancy: OccupancyCu
     shapes = {operation: shape_for(operation, occ) for operation in OperationClass}
     per_activity: dict[str, tuple[float, ...]] = {}
     for spec in catalog:
-        energy = household_device_energy(spec, season)
-        per_activity[spec.activity] = tuple(energy * w for w in shapes[spec.operation])
+        energy = household_device_energy(spec, season)  # mul, not energy.__mul__: an int's returns NotImplemented
+        per_activity[spec.activity] = tuple(map(mul, repeat(energy), shapes[spec.operation]))
     return SynthesizedDay(per_activity=per_activity)

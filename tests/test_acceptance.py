@@ -24,7 +24,7 @@ from loadcomp.catalog import (
     validate_spec,
 )
 from loadcomp.cli import main
-from loadcomp.composition import household_device_energy, round_half_up
+from loadcomp.composition import household_device_energy, render_value
 from loadcomp.profile import monthly_growth, normalize, peak_average_ratio
 from loadcomp.reconcile import composition_from_attribution, disaggregate
 from loadcomp.synth import synth_household_day
@@ -109,7 +109,7 @@ def test_seasonal_table_reproduction(capsys):
         rows = payload["seasons"][season_key]["rows"]
         assert len(rows) == 15
         for row in rows:
-            got = round_half_up(row["household_wh_day"], 1)
+            got = float(render_value(row["household_wh_day"], 1))
             assert got == expected[row["activity"]], (season_key, row["activity"])
     assert payload["seasons"]["winter"]["monthly_total_kwh"] == pytest.approx(1895.55, abs=0.01)
     assert payload["seasons"]["summer"]["monthly_total_kwh"] == pytest.approx(2714.69, abs=0.01)

@@ -2,11 +2,13 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import re
 import shlex
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from loadcomp import Season, builtin_catalog, composition_shares
 from loadcomp.cli import main
-from loadcomp.composition import round_half_up
+from loadcomp.composition import render_value
 from loadcomp.synth import synth_household_day
 from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, csv_table, serialize_catalog
 
@@ -49,6 +51,33 @@ def synth_day_kw(season=Season.SUMMER):
     return [wh / 1000.0 for wh in total]
 
 
+def test_calls_leave_no_cyclic_garbage(capsys, tmp_path):
+    """Each JSON subcommand frees what it builds by reference counting, so no call waits on the cyclic collector."""
+    day = str(write_day_csv(tmp_path / "day.csv", DAY_CURVE_KW))
+    months = str(write_monthly_csv(tmp_path / "months.csv"))
+    argvs = [
+        ["composition", "--builtin-paper"],
+        ["profile-stats", "--profile", day],
+        ["profile-stats", "--profile", months],
+        ["reconcile", "--builtin-paper", "--profile", day],
+        ["synth", "--builtin-paper", "--season", "winter"],
+        ["validate", "--builtin-paper"],
+    ]
+    codes = [main(argv) for argv in argvs]  # the first call in a process builds the parser, which argparse leaves cyclic
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        codes += [main(argv) for _ in range(3) for argv in argvs]
+        gc.collect()
+        garbage = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert codes == [0] * len(codes)
+    assert not garbage
+
+
 class TestComposition:
     def test_builtin_both_seasons_json(self, capsys):
         code, out, _ = run(capsys, "composition", "--builtin-paper", "--season", "both")
@@ -59,7 +88,7 @@ class TestComposition:
         assert winter["monthly_total_kwh"] == pytest.approx(1895.55, abs=0.01)
         assert summer["monthly_total_kwh"] == pytest.approx(2714.69, abs=0.01)
         ac = next(r for r in summer["rows"] if r["activity"] == "Air conditioning")
-        assert round_half_up(ac["share_pct"], 1) == 61.9
+        assert float(render_value(ac["share_pct"], 1)) == 61.9
 
     def test_csv_has_one_row_per_activity_per_season(self, capsys):
         code, out, _ = run(capsys, "composition", "--builtin-paper", "--season", "both", "--format", "csv")

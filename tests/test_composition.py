@@ -1,7 +1,11 @@
 """Bottom-up energy math against frozen reference values, plus properties."""
 
+import math
+import struct
+from decimal import ROUND_HALF_UP, Decimal
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loadcomp import Season, composition_shares, seasonal_table
@@ -12,7 +16,6 @@ from loadcomp.composition import (
     household_device_energy,
     pie_data,
     render_value,
-    round_half_up,
     table_csv,
 )
 from conftest import (
@@ -87,12 +90,12 @@ class TestReferenceTables:
     def test_all_winter_values_at_printed_precision(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.WINTER, 30)
         for row in table.rows:
-            assert round_half_up(row.household_daily_wh, 1) == WINTER_WH_DAY[row.activity]
+            assert float(render_value(row.household_daily_wh, 1)) == WINTER_WH_DAY[row.activity]
 
     def test_all_summer_values_at_printed_precision(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
         for row in table.rows:
-            assert round_half_up(row.household_daily_wh, 1) == SUMMER_WH_DAY[row.activity]
+            assert float(render_value(row.household_daily_wh, 1)) == SUMMER_WH_DAY[row.activity]
 
     def test_monthly_totals(self, paper_catalog):
         assert seasonal_table(paper_catalog, Season.WINTER, 30).monthly_total_kwh == pytest.approx(
@@ -137,7 +140,7 @@ class TestReferenceTables:
 class TestCompositionShares:
     def test_summer_ac_share(self, paper_catalog):
         shares = composition_shares(paper_catalog, Season.SUMMER)
-        assert round_half_up(shares["Air conditioning"], 1) == 61.9
+        assert float(render_value(shares["Air conditioning"], 1)) == 61.9
 
     def test_winter_heating_block_share(self, paper_catalog):
         shares = composition_shares(paper_catalog, Season.WINTER)
@@ -197,6 +200,12 @@ class TestProperties:
         for activity in base:
             assert after[activity] == pytest.approx(base[activity], abs=1e-9)
 
+    @given(catalog=catalogs(), season=st.sampled_from(list(Season)))
+    def test_table_rows_have_the_bits_of_household_device_energy(self, catalog, season):
+        for spec, row in zip(catalog, seasonal_table(catalog, season).rows, strict=True):
+            assert repr(row.household_daily_wh) == repr(household_device_energy(spec, season))
+            assert repr(row.per_unit_daily_wh) == repr(device_daily_energy(spec, season))
+
     @given(spec=catalogs(min_size=1, max_size=1).map(lambda c: c.specs[0]))
     def test_energy_linear_in_tou(self, spec):
         doubled = spec._replace(tou_winter=spec.tou_winter / 2 * 2, tou_summer=spec.tou_summer)
@@ -234,11 +243,46 @@ class TestProperties:
                 assert after[activity] <= before[activity] + 1e-9
 
 
+def float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def decimal_half_up(value: float, decimals: int) -> str:
+    """The reference rounding: ``decimal`` on the text of ``repr(value)``, with a trailing '.0' dropped."""
+    rounded = Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
+    return str(rounded).removesuffix(".0")
+
+
+# ties at one decimal and at none, both signs of zero, the smallest subnormal, the catalog bound's
+# largest energy, and any bit pattern of a float up to 1e25
+renderable = st.one_of(
+    st.integers(-10**6, 10**6).map(lambda n: n / 20),
+    st.floats(min_value=-2.4e14, max_value=2.4e14),
+    st.tuples(st.integers(0, struct.unpack("<Q", struct.pack("<d", 1e25))[0]), st.booleans()).map(
+        lambda pair: math.copysign(float_of_bits(pair[0]), -1.0 if pair[1] else 1.0)
+    ),
+)
+
+
 class TestRendering:
+    @settings(max_examples=500)
+    @given(renderable, st.sampled_from([0, 1]))
+    @example(0.05, 1)
+    @example(2.5, 0)
+    @example(9.95, 1)
+    @example(-0.0, 0)
+    @example(-0.0, 1)
+    @example(5e-324, 1)
+    @example(2.4e14, 1)
+    @example(1e25, 1)
+    @example(-0.04, 1)
+    def test_render_value_rounds_as_decimal_does(self, value, decimals):
+        assert render_value(value, decimals) == decimal_half_up(value, decimals)
+
     def test_round_half_up_at_one_decimal(self):
-        assert round_half_up(2213.65, 1) == 2213.7
-        assert round_half_up(2213.64999, 1) == 2213.6
-        assert round_half_up(19781.999999999996, 1) == 19782.0
+        assert float(render_value(2213.65, 1)) == 2213.7
+        assert float(render_value(2213.64999, 1)) == 2213.6
+        assert float(render_value(19781.999999999996, 1)) == 19782.0
 
     def test_render_value_drops_trailing_zero(self):
         assert render_value(12000.0) == "12000"

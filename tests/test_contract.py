@@ -64,7 +64,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_statistics():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             check=True, timeout=60).stdout.split()
     assert "loadcomp.cli" in loaded
-    assert not {"dataclasses", "inspect", "statistics", "fractions"} & set(loaded)
+    assert not {"dataclasses", "inspect", "statistics", "fractions", "decimal"} & set(loaded)
 
 
 def _records():
@@ -143,6 +143,11 @@ def test_the_cli_builds_its_parser_once_per_process():
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_the_builtin_catalog_is_built_once_per_process():
+    """The built-in catalog is constant and immutable, so every caller shares one."""
+    assert builtin_catalog() is builtin_catalog()
+
+
 def test_disaggregate_result_has_what_the_benchmark_counts():
     counts = {name: count for _, _, name, count in _benchmark_child().TRACED}
     attribution = disaggregate(hourly_day(DAY_CURVE_KW), builtin_catalog(), Season.SUMMER)
@@ -151,17 +156,17 @@ def test_disaggregate_result_has_what_the_benchmark_counts():
 
 
 def test_the_cli_encodes_json_only_in_its_payload_writer():
-    """Every subcommand's JSON goes through ``cli._json_payload``, the one writer that refuses NaN and infinities."""
+    """Every subcommand's JSON goes through ``cli._json_payload``, the one writer that refuses NaN and infinities.
+
+    That writer encodes every value itself, so nothing in ``cli.py`` calls ``json.dump`` or ``json.dumps``.
+    """
     tree = ast.parse((ROOT / "src" / "loadcomp" / "cli.py").read_text(encoding="utf-8"))
-
-    def encoder_calls(node):
-        return sum(
-            isinstance(call, ast.Call) and ast.unparse(call.func) in ("json.dumps", "json.dump", "dumps", "dump")
-            for call in ast.walk(node)
-        )
-
-    writer = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_json_payload")
-    assert encoder_calls(tree) == encoder_calls(writer) == 1
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_json_payload" for node in tree.body)
+    encoders = [
+        ast.unparse(call.func) for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) in ("json.dumps", "json.dump", "dumps", "dump")
+    ]
+    assert not encoders
 
 
 def test_every_definition_in_the_library_has_a_caller_outside_the_tests():

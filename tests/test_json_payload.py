@@ -19,7 +19,7 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_fr
 scalars = st.none() | st.booleans() | st.integers() | finite_floats | texts
 values = st.recursive(
     scalars,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts | st.integers(), inner, max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts | scalars, inner, max_size=3),
     max_leaves=4,
 )
 # cells of one type per key, as payload rows have, or of any kind, which the writer must tell apart
@@ -72,6 +72,12 @@ def test_a_non_finite_float_anywhere_is_refused(payload, key, value):
     payload[key] = value
     with pytest.raises(PayloadError, match="not a finite number"):
         _json_payload(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_float_key_is_refused(bad):
+    with pytest.raises(PayloadError, match="not a finite number"):
+        _json_payload({"a": {1: 2, bad: 3}})
 
 
 @st.composite

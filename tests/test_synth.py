@@ -1,7 +1,7 @@
 """Hourly shape rules and daily energy conservation of the synthesized day."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from loadcomp import Season, synth
@@ -15,7 +15,7 @@ from loadcomp.synth import (
     shape_for,
     synth_household_day,
 )
-from conftest import SUMMER_DAILY_WH, appliance_specs
+from conftest import SUMMER_DAILY_WH, appliance_specs, catalogs
 
 UNIFORM = OccupancyCurve(weights=(1.0 / 24.0,) * 24)
 
@@ -119,6 +119,10 @@ class TestShapeFor:
         assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
+# every field an int, so that the household energy is an int too
+INT_DEVICE = auto_device(watts=100, tou=24, units=2)._replace(run_fraction=1, idle_fraction=0, idle_watts=0)
+
+
 class TestSynthHouseholdDay:
     def test_per_activity_energy_conserved(self, paper_catalog):
         for season in Season:
@@ -162,3 +166,15 @@ class TestSynthHouseholdDay:
         monkeypatch.setattr(synth, "shape_for", counting_shape_for)
         synth_household_day(paper_catalog, Season.WINTER)
         assert sorted(op.value for op in operations) == sorted(op.value for op in OperationClass)
+
+    @given(catalogs(), st.sampled_from(Season))
+    @example(Catalog(specs=(INT_DEVICE,)), Season.WINTER)
+    def test_columns_have_the_bits_of_the_per_hour_sums(self, catalog, season):
+        day = synth_household_day(catalog, season)
+        shapes = {operation: shape_for(operation, default_occupancy()) for operation in OperationClass}
+        for spec in catalog:
+            energy = household_device_energy(spec, season)
+            assert day.per_activity[spec.activity] == tuple(energy * w for w in shapes[spec.operation])
+        expected = tuple(sum(series[hour] for series in day.per_activity.values()) for hour in range(24))
+        assert day.household_total == expected
+        assert list(map(repr, day.household_total)) == list(map(repr, expected))  # -0.0 and 0.0 differ here
