@@ -15,7 +15,7 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from ._sourceio import read_text
 
@@ -89,7 +89,7 @@ class ApplianceSpec(NamedTuple):
     Wattages in W, time of use in hours/day, unit counts per household.
     ``run_fraction`` and ``idle_fraction`` split the time of use between
     rated and standby power and must sum to 1. The record itself does
-    not validate; see :func:`validate_spec`.
+    not validate; :class:`Catalog` checks each entry with :func:`validate_spec`.
     """
 
     activity: str
@@ -161,12 +161,19 @@ def validate_spec(spec: ApplianceSpec) -> list[str]:
 
 
 class Catalog(_Frozen):
-    """Ordered, non-empty collection of appliance specs with case-insensitively unique names."""
+    """Ordered, non-empty collection of valid appliance specs with case-insensitively unique names."""
 
     specs: tuple[ApplianceSpec, ...]
 
-    def __init__(self, specs: tuple[ApplianceSpec, ...]) -> None:
-        specs = tuple(specs)  # a caller's list could change after the checks
+    def __init__(self, specs: Iterable[ApplianceSpec]) -> None:
+        """Copy ``specs``, numbered from 1 as rows, checking each one as it is read; duplicates are checked last."""
+        copied = []  # a caller's list could change after the checks
+        for rownum, spec in enumerate(specs, start=1):
+            violations = validate_spec(spec)
+            if violations:
+                raise CatalogError(f"row {rownum} ({spec.activity!r}): " + "; ".join(violations))
+            copied.append(spec)
+        specs = tuple(copied)
         if not specs:
             raise CatalogError("no entries")
         seen: set[str] = set()
@@ -189,18 +196,12 @@ def parse_catalog(source, fmt: str = "csv") -> Catalog:
 
     ``source`` is the content as text, or a Path to read it from. Rows are
     kept in file order. Raises :class:`CatalogError` naming the row and
-    field on the first malformed or invalid entry; duplicate names are
-    reported after every row has passed :func:`validate_spec`.
+    field on the first malformed or invalid entry; :class:`Catalog` checks
+    each row as it is converted, so rows are reported in file order.
     """
-    specs = []
-    # Data rows are numbered from 1; a CSV header is not counted.
-    for rownum, raw in enumerate(_ROW_READERS[fmt](read_text(source)), start=1):
-        spec = _spec_from_mapping(raw, rownum)
-        violations = validate_spec(spec)
-        if violations:
-            raise CatalogError(f"row {rownum} ({spec.activity!r}): " + "; ".join(violations))
-        specs.append(spec)
-    return Catalog(specs=specs)
+    rows = _ROW_READERS[fmt](read_text(source))
+    # Data rows are numbered from 1, as Catalog numbers its entries; a CSV header is not counted.
+    return Catalog(specs=(_spec_from_mapping(raw, rownum) for rownum, raw in enumerate(rows, start=1)))
 
 
 def load_catalog(path: str | Path) -> Catalog:

@@ -17,19 +17,12 @@ from datetime import datetime, timezone
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import __version__, reconcile
 from ._sourceio import csv_text
 from .catalog import Catalog, CatalogError, Season, builtin_catalog, load_catalog
-from .composition import (
-    CompositionError,
-    composition_shares,
-    pie_data,
-    seasonal_table,
-    table_csv,
-    table_json,
-)
+from .composition import CompositionError, SeasonalConsumptionTable, composition_shares, seasonal_table
 from .profile import (
     Granularity,
     LoadProfile,
@@ -159,8 +152,8 @@ def _emit(args, payload: str) -> None:
 def _json_payload(obj: dict) -> str:
     """``json.dumps(obj, indent=2) + "\\n"`` with each :class:`Rows` written as its list, refusing NaN and infinities.
 
-    The indenting encoder is pure Python. Here the rows of a ``Rows``, and lists of dicts of one shape, share
-    one ``%``-template, and a list of cells of one type is converted in one pass.
+    The indenting encoder is pure Python. Here the rows of a ``Rows`` share one ``%``-template, and a list
+    of cells of one type is converted in one pass.
     """
     try:
         return _text(obj, "\n") + "\n"
@@ -199,8 +192,6 @@ def _items(values, indent: str) -> Iterator[str]:
         if kind is float and not all(map(math.isfinite, values)):
             raise ValueError(values)
         return map(_CELL[kind], values)
-    if kind is dict and values[0] and len(set(map(tuple, values))) == 1:  # dicts of one shape: a Rows
-        return _items(Rows({key: [value[key] for value in values] for key in values[0]}), indent)
     return map(_text, values, repeat(indent))
 
 
@@ -233,6 +224,59 @@ def _seasons(choice: str) -> list[Season]:
     if choice == "both":
         return [Season.WINTER, Season.SUMMER]
     return [Season(choice)]
+
+
+def render_value(value: float, decimals: int = 1) -> str:
+    """``value`` rounded half up at ``decimals`` (0 or 1) places on the digits of its ``repr``, with no '.0'."""
+    text = repr(value)
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    shift = int(exponent or 0) - len(fraction) + decimals  # |value| is the digits times 10**shift last places
+    digits = int(whole + fraction)
+    if shift < 0:  # dividing by scale drops the digits below the last place; adding half of it first rounds up
+        scale = 10 ** -shift
+        digits = (digits + scale // 2) // scale
+    elif shift:
+        digits *= 10 ** shift
+    units, tenths = divmod(digits, 10) if decimals else (digits, 0)
+    rounded = f"{units}.{tenths}" if tenths else str(units)
+    return "-" + rounded if text[0] == "-" else rounded
+
+
+def table_csv(pairs: Iterable[tuple[SeasonalConsumptionTable, dict[str, float]]]) -> str:
+    """Render one or more (table, shares) pairs as CSV, one row per activity."""
+    cells = [
+        (
+            row.activity,
+            table.season.value,
+            render_value(row.per_unit_daily_wh),
+            render_value(row.household_daily_wh),
+            render_value(shares[row.activity]),
+        )
+        for table, shares in pairs
+        for row in table.rows
+    ]
+    header = ("activity", "season", "per_unit_wh_day", "household_wh_day", "share_pct")
+    return csv_text(dict(zip(header, zip(*cells))))
+
+
+def table_json(table: SeasonalConsumptionTable, shares: dict[str, float]) -> dict:
+    """JSON-ready dict for one season, full precision values, with one row per activity."""
+    activities, units, per_unit, household = zip(*table.rows)
+    return {
+        "season": table.season.value,
+        "days_per_month": table.days_per_month,
+        "daily_total_wh": table.daily_total_wh,
+        "monthly_total_kwh": table.monthly_total_kwh,
+        "rows": Rows(activity=activities, units=units, per_unit_wh_day=per_unit, household_wh_day=household,
+                     share_pct=[*map(shares.__getitem__, activities)]),
+    }
+
+
+def pie_data(shares: dict[str, float], integer_percent: bool = False) -> Rows:
+    """Pie-chart-ready rows of label and percent; integer rounding is presentation only."""
+    percents = [int(render_value(share, 0)) for share in shares.values()] if integer_percent else [*shares.values()]
+    return Rows(label=[*shares], percent=percents)
 
 
 def cmd_composition(args) -> tuple[str, int]:
@@ -307,10 +351,7 @@ def cmd_reconcile(args) -> tuple[str, int]:
     season = Season(args.season) if args.season else Season.for_month(measured.timestamps[0].month)
 
     attribution = disaggregate(measured, catalog, season, occupancy)
-    table = seasonal_table(catalog, season, args.days_per_month)
-    # kW over one hour = kWh; scale the measured day up to a month
-    measured_kwh_month = sum(measured.powers) * args.days_per_month
-    result = scale_to_measured(table, measured_kwh_month)
+    result = scale_to_measured(seasonal_table(catalog, season, args.days_per_month), measured)
     shares = composition_from_attribution(attribution)
     hours = [ts.hour for ts in measured.timestamps]
 

@@ -9,9 +9,8 @@ Shares are each activity's percentage of the household daily total.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from ._sourceio import csv_text
 from .catalog import ApplianceSpec, Catalog, Season
 
 
@@ -73,65 +72,3 @@ def composition_shares(catalog: Catalog, season: Season) -> dict[str, float]:
     if total <= 0:
         raise CompositionError("empty composition basis")
     return {activity: 100.0 * energy / total for activity, energy in energies}
-
-
-def render_value(value: float, decimals: int = 1) -> str:
-    """``value`` rounded half up at ``decimals`` (0 or 1) places on the digits of its ``repr``, with no '.0'."""
-    text = repr(value)
-    mantissa, _, exponent = text.lstrip("-").partition("e")
-    whole, _, fraction = mantissa.partition(".")
-    shift = int(exponent or 0) - len(fraction) + decimals  # |value| is the digits times 10**shift last places
-    digits = int(whole + fraction)
-    if shift < 0:  # dividing by scale drops the digits below the last place; adding half of it first rounds up
-        scale = 10 ** -shift
-        digits = (digits + scale // 2) // scale
-    elif shift:
-        digits *= 10 ** shift
-    units, tenths = divmod(digits, 10) if decimals else (digits, 0)
-    rounded = f"{units}.{tenths}" if tenths else str(units)
-    return "-" + rounded if text[0] == "-" else rounded
-
-
-def table_csv(pairs: Iterable[tuple[SeasonalConsumptionTable, dict[str, float]]]) -> str:
-    """Render one or more (table, shares) pairs as CSV, one row per activity."""
-    cells = [
-        (
-            row.activity,
-            table.season.value,
-            render_value(row.per_unit_daily_wh),
-            render_value(row.household_daily_wh),
-            render_value(shares[row.activity]),
-        )
-        for table, shares in pairs
-        for row in table.rows
-    ]
-    header = ("activity", "season", "per_unit_wh_day", "household_wh_day", "share_pct")
-    return csv_text(dict(zip(header, zip(*cells))))
-
-
-def table_json(table: SeasonalConsumptionTable, shares: dict[str, float]) -> dict:
-    """JSON-ready dict for one season, full precision values."""
-    return {
-        "season": table.season.value,
-        "days_per_month": table.days_per_month,
-        "daily_total_wh": table.daily_total_wh,
-        "monthly_total_kwh": table.monthly_total_kwh,
-        "rows": [
-            {
-                "activity": row.activity,
-                "units": row.units,
-                "per_unit_wh_day": row.per_unit_daily_wh,
-                "household_wh_day": row.household_daily_wh,
-                "share_pct": shares[row.activity],
-            }
-            for row in table.rows
-        ],
-    }
-
-
-def pie_data(shares: dict[str, float], integer_percent: bool = False) -> list[dict]:
-    """Pie-chart-ready share list; integer rounding is presentation only."""
-    return [
-        {"label": activity, "percent": int(render_value(share, 0)) if integer_percent else share}
-        for activity, share in shares.items()
-    ]

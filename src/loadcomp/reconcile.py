@@ -26,17 +26,6 @@ class ReconcileError(ValueError):
     """Reconciliation preconditions are not met."""
 
 
-class UnattributableLoadError(ReconcileError):
-    """Measured power is positive at an hour where the model predicts none."""
-
-    def __init__(self, hour: int):
-        super().__init__(
-            f"unattributable load at hour {hour}: measured power is positive "
-            "but the synthesized household total is zero"
-        )
-        self.hour = hour
-
-
 class ReconciliationResult(NamedTuple):
     """Scaled seasonal table plus the measured-vs-modeled diagnostics."""
 
@@ -62,11 +51,28 @@ class HourlyAttribution(NamedTuple):
     measured: LoadProfile
 
 
-def scale_to_measured(table: SeasonalConsumptionTable, measured_energy_kwh: float) -> ReconciliationResult:
-    """Multiply every row so the table's monthly total equals the measured energy."""
+def _check_one_hourly_day(measured: LoadProfile) -> None:
+    """Raise :class:`ReconcileError` unless ``measured`` holds one sample for each hour 0-23 of one date."""
+    if measured.granularity is not Granularity.HOURLY:
+        raise ReconcileError(f"granularity mismatch: need hourly, got {measured.granularity.value}")
+    dates = {ts.date() for ts in measured.timestamps}
+    if len(dates) != 1 or [ts.hour for ts in measured.timestamps] != list(range(24)):
+        raise ReconcileError(
+            "granularity mismatch: need one sample for each hour 0-23 of one date, "
+            f"got {len(measured)} samples on {len(dates)} date(s)"
+        )
+
+
+def scale_to_measured(table: SeasonalConsumptionTable, measured: LoadProfile) -> ReconciliationResult:
+    """Multiply every row so the table's monthly total equals ``table.days_per_month`` measured days.
+
+    ``measured`` is one hourly day: a sample of kW over its one hour is that many kWh.
+    """
+    _check_one_hourly_day(measured)
     bottom_up = table.monthly_total_kwh
     if bottom_up <= 0:
         raise ReconcileError("zero bottom-up total")
+    measured_energy_kwh = sum(measured.powers) * table.days_per_month
     if measured_energy_kwh <= 0:
         raise ReconcileError("zero measured energy")
     k = measured_energy_kwh / bottom_up
@@ -93,24 +99,19 @@ def disaggregate(
     ``measured`` must hold one sample for each hour 0-23 of one date. Hours
     with zero measured power get zero attribution everywhere; positive
     measured power at an hour where the synthesized household total is zero
-    is unattributable and raises :class:`UnattributableLoadError`.
+    is unattributable and raises :class:`ReconcileError`.
     """
-    if measured.granularity is not Granularity.HOURLY:
-        raise ReconcileError(f"granularity mismatch: need hourly, got {measured.granularity.value}")
-    dates = {ts.date() for ts in measured.timestamps}
-    if len(dates) != 1 or [ts.hour for ts in measured.timestamps] != list(range(24)):
-        raise ReconcileError(
-            "granularity mismatch: need one sample for each hour 0-23 of one date, "
-            f"got {len(measured)} samples on {len(dates)} date(s)"
-        )
-
+    _check_one_hourly_day(measured)
     day = synth_household_day(catalog, season, occupancy)
     # an hour of zero measured power (-0.0 too) attributes 0.0 * (energy / inf) = 0.0 everywhere
     powers = [power or 0.0 for power in measured.powers]
     totals = [total if power else math.inf for power, total in zip(powers, day.household_total)]
     for hour, total in enumerate(totals):
         if total <= 0:
-            raise UnattributableLoadError(hour)
+            raise ReconcileError(
+                f"unattributable load at hour {hour}: measured power is positive "
+                "but the synthesized household total is zero"
+            )
     # divide first: the weight ratio stays in normal float range even when the
     # synthesized energies are tiny
     series = {

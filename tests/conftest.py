@@ -70,6 +70,17 @@ MONTHLY_AVG_KW = {
 }
 
 
+@pytest.fixture(scope="session", autouse=True)
+def unicode_table_built_before_the_tests():
+    """Build Hypothesis' UTF-8 character table once, before any test's health check is timing it.
+
+    The first ``st.text()`` draw builds that table (about 2 s) and caches it only in ``.hypothesis/``, which a
+    fresh checkout lacks; built inside a property, those seconds fail its too-slow-data health check.
+    Validating the strategy builds the table; at conftest import it would warn of a side effect.
+    """
+    st.text().validate()
+
+
 @pytest.fixture
 def paper_catalog() -> Catalog:
     return builtin_catalog()

@@ -23,8 +23,8 @@ from loadcomp.catalog import (
     parse_catalog,
     validate_spec,
 )
-from loadcomp.cli import main
-from loadcomp.composition import household_device_energy, render_value
+from loadcomp.cli import main, render_value
+from loadcomp.composition import household_device_energy
 from loadcomp.profile import monthly_growth, normalize, peak_average_ratio
 from loadcomp.reconcile import composition_from_attribution, disaggregate
 from loadcomp.synth import synth_household_day

@@ -1,5 +1,7 @@
 """Catalog parsing, validation, and the builtin archetype."""
 
+import re
+
 import pytest
 from hypothesis import given
 
@@ -156,6 +158,11 @@ class TestParseCatalog:
         with pytest.raises(CatalogError, match=r"row 3 \('TV'\): .*ToU exceeds 24"):
             parse_catalog(source)
 
+    def test_a_broken_rule_is_reported_before_a_later_non_number(self):
+        source = csv_of(row(tou_s=25), row(activity="TV"), row(activity="PC", run_w="lots"))
+        with pytest.raises(CatalogError, match=r"^row 1 \('Air conditioning'\): tou_summer: ToU exceeds 24"):
+            parse_catalog(source)
+
     def test_malformed_number_names_row_and_field(self):
         with pytest.raises(CatalogError, match=r"row 1: field 'run_watts' is not a number"):
             parse_catalog(csv_of(row(run_w="lots")))
@@ -235,6 +242,15 @@ class TestCatalogStructure:
         clone = paper_catalog.specs[0]._replace(activity="AIR CONDITIONING")
         with pytest.raises(CatalogError, match="duplicate activity"):
             Catalog(specs=(paper_catalog.specs[1], clone))
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_an_invalid_entry_is_rejected_naming_its_row_and_field(self, paper_catalog, position):
+        """A catalog built in Python meets the rules of a catalog file."""
+        specs = list(paper_catalog.specs[:2])
+        specs[position] = specs[position]._replace(tou_winter=-1.0)
+        message = f"row {position + 1} ({specs[position].activity!r}): tou_winter: must be >= 0 (got -1.0)"
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+            Catalog(specs=specs)
 
     def test_a_list_changed_after_construction_leaves_the_catalog_unchanged(self, paper_catalog):
         specs = [paper_catalog.specs[0]]

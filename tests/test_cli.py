@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadcomp import Season, builtin_catalog, composition_shares
-from loadcomp.cli import main
-from loadcomp.composition import render_value
+from loadcomp.cli import main, render_value
 from loadcomp.synth import synth_household_day
 from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, csv_table, serialize_catalog
 

@@ -10,14 +10,8 @@ from hypothesis import strategies as st
 
 from loadcomp import Season, composition_shares, seasonal_table
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
-from loadcomp.composition import (
-    CompositionError,
-    device_daily_energy,
-    household_device_energy,
-    pie_data,
-    render_value,
-    table_csv,
-)
+from loadcomp.cli import pie_data, render_value, table_csv
+from loadcomp.composition import CompositionError, device_daily_energy, household_device_energy
 from conftest import (
     SUMMER_DAILY_WH,
     SUMMER_MONTHLY_KWH,
@@ -300,6 +294,6 @@ class TestRendering:
         shares = composition_shares(paper_catalog, Season.SUMMER)
         exact = pie_data(shares)
         rounded = pie_data(shares, integer_percent=True)
-        assert exact[1]["label"] == "Air conditioning"
-        assert exact[1]["percent"] == pytest.approx(61.885, abs=1e-3)
-        assert rounded[1]["percent"] == 62
+        assert exact["label"][1] == "Air conditioning"
+        assert exact["percent"][1] == pytest.approx(61.885, abs=1e-3)
+        assert rounded["percent"][1] == 62

@@ -13,13 +13,12 @@ from loadcomp.profile import Granularity
 from loadcomp.reconcile import (
     GAP_WARNING_THRESHOLD,
     ReconcileError,
-    UnattributableLoadError,
     composition_from_attribution,
     disaggregate,
     scale_to_measured,
 )
 from loadcomp.synth import OccupancyCurve, synth_household_day
-from conftest import catalogs, hourly_day, monthly_profile, profile_of
+from conftest import DAY_CURVE_KW, catalogs, hourly_day, monthly_profile, profile_of
 
 JUNE1 = datetime(2016, 6, 1)
 
@@ -32,6 +31,11 @@ def synth_as_measured(catalog, season, day=JUNE1):
     """The synthesized household total, replayed as a measured day in kW."""
     total = synth_household_day(catalog, season).household_total
     return hourly_day([wh / 1000.0 for wh in total], day=day)
+
+
+def day_of_monthly_energy(kwh: float):
+    """A measured day that gives ``kwh`` over a 30-day month, all of it drawn in hour 0."""
+    return hourly_day([kwh / 30] + [0.0] * 23)
 
 
 def builtin_specs():
@@ -59,25 +63,25 @@ def one_manual_device(name="Toaster") -> Catalog:
 class TestScaleToMeasured:
     def test_self_match_has_unit_factor(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.WINTER, 30)
-        result = scale_to_measured(table, table.monthly_total_kwh)
+        result = scale_to_measured(table, day_of_monthly_energy(table.monthly_total_kwh))
         assert result.scale_factor == pytest.approx(1.0, abs=1e-12)
         assert result.relative_gap == pytest.approx(0.0, abs=1e-12)
         assert not result.gap_warning
 
     def test_ten_percent_overshoot(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
-        result = scale_to_measured(table, table.monthly_total_kwh * 1.1)
+        result = scale_to_measured(table, day_of_monthly_energy(table.monthly_total_kwh * 1.1))
         assert result.scale_factor == pytest.approx(1.1, abs=1e-9)
         assert result.measured_energy_kwh == pytest.approx(2986.16, abs=0.01)
 
     def test_adjusted_total_matches_measured(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
-        result = scale_to_measured(table, 3200.0)
+        result = scale_to_measured(table, day_of_monthly_energy(3200.0))
         assert result.adjusted_table.monthly_total_kwh == pytest.approx(3200.0, rel=1e-9)
 
     def test_scaling_preserves_shares_and_argmax(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
-        result = scale_to_measured(table, 1234.5)
+        result = scale_to_measured(table, day_of_monthly_energy(1234.5))
         base = composition_shares(paper_catalog, Season.SUMMER)
         adjusted_total = result.adjusted_table.daily_total_wh
         for row in result.adjusted_table.rows:
@@ -88,22 +92,36 @@ class TestScaleToMeasured:
 
     def test_gap_warning_threshold(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.WINTER, 30)
-        quiet = scale_to_measured(table, table.monthly_total_kwh * (1 + GAP_WARNING_THRESHOLD * 0.9))
-        loud = scale_to_measured(table, table.monthly_total_kwh * 2.0)
+        quiet_kwh = table.monthly_total_kwh * (1 + GAP_WARNING_THRESHOLD * 0.9)
+        quiet = scale_to_measured(table, day_of_monthly_energy(quiet_kwh))
+        loud = scale_to_measured(table, day_of_monthly_energy(table.monthly_total_kwh * 2.0))
         assert not quiet.gap_warning
         assert loud.gap_warning
 
     def test_zero_measured_rejected(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.WINTER, 30)
         with pytest.raises(ReconcileError, match="zero measured"):
-            scale_to_measured(table, 0.0)
+            scale_to_measured(table, hourly_day([0.0] * 24))
 
     def test_zero_bottom_up_rejected(self):
         spec = one_manual_device().specs[0]
         dead = Catalog(specs=(spec._replace(tou_winter=0.0, tou_summer=0.0),))
         table = seasonal_table(dead, Season.WINTER, 30)
         with pytest.raises(ReconcileError, match="zero bottom-up"):
-            scale_to_measured(table, 100.0)
+            scale_to_measured(table, day_of_monthly_energy(100.0))
+
+    def test_a_month_is_the_measured_day_times_the_table_days(self, paper_catalog):
+        day = hourly_day(DAY_CURVE_KW)
+        short = scale_to_measured(seasonal_table(paper_catalog, Season.SUMMER, 28), day)
+        long = scale_to_measured(seasonal_table(paper_catalog, Season.SUMMER, 31), day)
+        assert short.measured_energy_kwh == sum(DAY_CURVE_KW) * 28  # kW over one hour is kWh
+        assert short.measured_energy_kwh / long.measured_energy_kwh == pytest.approx(28 / 31, rel=1e-15)
+
+    @pytest.mark.parametrize("measured", [monthly_profile(), hourly_day([1.0] * 30)], ids=["monthly", "30-hours"])
+    def test_anything_but_one_hourly_day_rejected(self, paper_catalog, measured):
+        """A kW sample is a kWh only over one hour, and the table's month is made of one measured day."""
+        with pytest.raises(ReconcileError, match="granularity mismatch"):
+            scale_to_measured(seasonal_table(paper_catalog, Season.WINTER, 30), measured)
 
 
 class TestDisaggregate:
@@ -132,9 +150,8 @@ class TestDisaggregate:
         values = [0.0] + [1.0] * 23
         occupancy = OccupancyCurve.from_values(values)
         measured = hourly_day([1.0] * 24)
-        with pytest.raises(UnattributableLoadError, match="unattributable load at hour 0") as info:
+        with pytest.raises(ReconcileError, match="unattributable load at hour 0"):
             disaggregate(measured, one_manual_device(), Season.SUMMER, occupancy)
-        assert info.value.hour == 0
 
     def test_monthly_profile_rejected(self, paper_catalog):
         with pytest.raises(ReconcileError, match="granularity mismatch"):
