@@ -220,10 +220,14 @@ def _rows_from_csv(text: str) -> list[dict]:
     have = [name.strip() for name in reader.fieldnames]
     missing = [name for name in CSV_HEADER if name not in have]
     extra = [name for name in have if name not in CSV_HEADER]
+    repeated = [name for name in CSV_HEADER if have.count(name) > 1]
     if missing:
         raise CatalogError(f"missing column(s): {', '.join(map(repr, missing))}")
     if extra:
         raise CatalogError(f"unexpected column(s): {', '.join(map(repr, extra))}")
+    if repeated:
+        raise CatalogError(f"duplicate column(s): {', '.join(map(repr, repeated))}")
+    reader.fieldnames = have  # rows keyed by the stripped names that were checked
     return list(reader)
 
 
@@ -268,8 +272,9 @@ def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:
 
     name = str(field("activity")).strip()
     name = ACTIVITY_ALIASES.get(name.casefold(), name)
+    operation_text = str(field("operation"))  # outside the try: its CatalogError already names the row
     try:
-        operation = OperationClass.parse(str(field("operation")))
+        operation = OperationClass.parse(operation_text)
     except ValueError as exc:
         raise CatalogError(f"row {rownum}: {exc}") from None
     return ApplianceSpec(

@@ -262,7 +262,7 @@ def table_csv(pairs: Iterable[tuple[SeasonalConsumptionTable, dict[str, float]]]
 
 def table_json(table: SeasonalConsumptionTable, shares: dict[str, float]) -> dict:
     """JSON-ready dict for one season, full precision values, with one row per activity."""
-    activities, units, per_unit, household = zip(*table.rows)
+    activities, units, per_unit, household, _ = zip(*table.rows)
     return {
         "season": table.season.value,
         "days_per_month": table.days_per_month,
@@ -281,10 +281,8 @@ def pie_data(shares: dict[str, float], integer_percent: bool = False) -> Rows:
 
 def cmd_composition(args) -> tuple[str, int]:
     catalog = _get_catalog(args)
-    pairs = [
-        (seasonal_table(catalog, season, args.days_per_month), composition_shares(catalog, season))
-        for season in _seasons(args.season)
-    ]
+    tables = [seasonal_table(catalog, season, args.days_per_month) for season in _seasons(args.season)]
+    pairs = [(table, composition_shares(table)) for table in tables]
     if args.format == "csv":
         return table_csv(pairs), 0
     payload = {"days_per_month": args.days_per_month, "seasons": {}}
@@ -350,8 +348,9 @@ def cmd_reconcile(args) -> tuple[str, int]:
         raise ProfileError("zero peak")
     season = Season(args.season) if args.season else Season.for_month(measured.timestamps[0].month)
 
-    attribution = disaggregate(measured, catalog, season, occupancy)
-    result = scale_to_measured(seasonal_table(catalog, season, args.days_per_month), measured)
+    table = seasonal_table(catalog, season, args.days_per_month)
+    attribution = disaggregate(measured, table, occupancy)
+    result = scale_to_measured(table, measured)
     shares = composition_from_attribution(attribution)
     hours = [ts.hour for ts in measured.timestamps]
 
@@ -363,7 +362,7 @@ def cmd_reconcile(args) -> tuple[str, int]:
             "kw": list(chain.from_iterable(zip(*attribution.by_activity.values()))),
         })
     else:
-        activities, _, per_unit, household = zip(*result.adjusted_table.rows)
+        activities, _, per_unit, household, _ = zip(*result.adjusted_table.rows)
         payload = {
             "season": season.value,
             "scale_factor": result.scale_factor,
@@ -396,7 +395,7 @@ def cmd_synth(args) -> tuple[str, int]:
     catalog = _get_catalog(args)
     occupancy = _get_occupancy(args)
     season = Season(args.season)
-    day = synth_household_day(catalog, season, occupancy)
+    day = synth_household_day(seasonal_table(catalog, season), occupancy)
 
     if args.format == "csv":
         names = list(day.per_activity)

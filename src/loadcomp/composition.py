@@ -1,9 +1,11 @@
-"""Bottom-up energy math: device energy, household totals, and composition shares.
+"""Bottom-up energy math: the seasonal table of device energies, and composition shares.
 
 A device with time of use ``t`` hours/day draws its rated wattage for
 ``run_fraction`` of that time and its idle wattage for the rest, so one
 unit consumes ``(run_watts * run_fraction + idle_watts * idle_fraction) * t``
 Wh/day; the household total for an activity multiplies by the unit count.
+:func:`seasonal_table` is the one place that evaluates this rule; shares,
+synthesized days and reconciliation all read its rows.
 Shares are each activity's percentage of the household daily total.
 """
 
@@ -11,31 +13,21 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .catalog import ApplianceSpec, Catalog, Season
+from .catalog import Catalog, OperationClass, Season
 
 
 class CompositionError(ValueError):
     """A composition request cannot be satisfied (zero basis, bad arguments)."""
 
 
-def device_daily_energy(spec: ApplianceSpec, season: Season) -> float:
-    """Daily energy of a single unit, in Wh/day."""
-    blended_watts = spec.run_watts * spec.run_fraction + spec.idle_watts * spec.idle_fraction
-    return blended_watts * spec.tou(season)
-
-
-def household_device_energy(spec: ApplianceSpec, season: Season) -> float:
-    """Daily energy of all units of the activity in the household, in Wh/day."""
-    return spec.units(season) * device_daily_energy(spec, season)
-
-
 class DeviceEnergy(NamedTuple):
-    """One activity's daily energy for one season."""
+    """One activity's daily energy for one season, with the operation class that shapes its day."""
 
     activity: str
     units: int
     per_unit_daily_wh: float
     household_daily_wh: float
+    operation: OperationClass
 
 
 class SeasonalConsumptionTable(NamedTuple):
@@ -43,7 +35,7 @@ class SeasonalConsumptionTable(NamedTuple):
 
     season: Season
     rows: tuple[DeviceEnergy, ...]
-    days_per_month: int = 30
+    days_per_month: int
 
     @property
     def daily_total_wh(self) -> float:
@@ -59,16 +51,16 @@ def seasonal_table(catalog: Catalog, season: Season, days_per_month: int = 30) -
     if not 1 <= days_per_month <= 31:
         raise CompositionError(f"days_per_month must be between 1 and 31 (got {days_per_month})")
     rows = []
-    for spec in catalog:  # household_device_energy's product, with the device energy computed once
-        units, per_unit = spec.units(season), device_daily_energy(spec, season)
-        rows.append(DeviceEnergy(spec.activity, units, per_unit, units * per_unit))
+    for spec in catalog:
+        units = spec.units(season)
+        per_unit = (spec.run_watts * spec.run_fraction + spec.idle_watts * spec.idle_fraction) * spec.tou(season)
+        rows.append(DeviceEnergy(spec.activity, units, per_unit, units * per_unit, spec.operation))
     return SeasonalConsumptionTable(season=season, rows=tuple(rows), days_per_month=days_per_month)
 
 
-def composition_shares(catalog: Catalog, season: Season) -> dict[str, float]:
-    """Each activity's percentage of the household daily total for a season, in catalog order."""
-    energies = [(spec.activity, household_device_energy(spec, season)) for spec in catalog]
-    total = sum(energy for _, energy in energies)
+def composition_shares(table: SeasonalConsumptionTable) -> dict[str, float]:
+    """Each activity's percentage of the table's household daily total, in catalog order."""
+    total = table.daily_total_wh
     if total <= 0:
         raise CompositionError("empty composition basis")
-    return {activity: 100.0 * energy / total for activity, energy in energies}
+    return {row.activity: 100.0 * row.household_daily_wh / total for row in table.rows}

@@ -12,7 +12,6 @@ import math
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .catalog import Catalog, Season
 from .composition import DeviceEnergy, SeasonalConsumptionTable
 from .profile import Granularity, LoadProfile
 from .synth import OccupancyCurve, synth_household_day
@@ -76,7 +75,10 @@ def scale_to_measured(table: SeasonalConsumptionTable, measured: LoadProfile) ->
     if measured_energy_kwh <= 0:
         raise ReconcileError("zero measured energy")
     k = measured_energy_kwh / bottom_up
-    rows = tuple(DeviceEnergy(name, units, per_unit * k, total * k) for name, units, per_unit, total in table.rows)
+    rows = tuple(
+        DeviceEnergy(name, units, per_unit * k, total * k, operation)
+        for name, units, per_unit, total, operation in table.rows
+    )
     adjusted = SeasonalConsumptionTable(season=table.season, rows=rows, days_per_month=table.days_per_month)
     gap = abs(1.0 - bottom_up / measured_energy_kwh)
     return ReconciliationResult(
@@ -89,12 +91,9 @@ def scale_to_measured(table: SeasonalConsumptionTable, measured: LoadProfile) ->
 
 
 def disaggregate(
-    measured: LoadProfile,
-    catalog: Catalog,
-    season: Season,
-    occupancy: OccupancyCurve | None = None,
+    measured: LoadProfile, table: SeasonalConsumptionTable, occupancy: OccupancyCurve
 ) -> HourlyAttribution:
-    """Attribute each measured hour to activities by synthesized-shape ratio.
+    """Attribute each measured hour to activities by the ratios of ``table``'s synthesized day.
 
     ``measured`` must hold one sample for each hour 0-23 of one date. Hours
     with zero measured power get zero attribution everywhere; positive
@@ -102,7 +101,7 @@ def disaggregate(
     is unattributable and raises :class:`ReconcileError`.
     """
     _check_one_hourly_day(measured)
-    day = synth_household_day(catalog, season, occupancy)
+    day = synth_household_day(table, occupancy)
     # an hour of zero measured power (-0.0 too) attributes 0.0 * (energy / inf) = 0.0 everywhere
     powers = [power or 0.0 for power in measured.powers]
     totals = [total if power else math.inf for power, total in zip(powers, day.household_total)]

@@ -15,8 +15,8 @@ from operator import mul
 from typing import NamedTuple
 
 from ._sourceio import read_text
-from .catalog import Catalog, OperationClass, Season, _Frozen
-from .composition import household_device_energy
+from .catalog import OperationClass, _Frozen
+from .composition import SeasonalConsumptionTable
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -107,12 +107,10 @@ class SynthesizedDay(NamedTuple):
         return sum(map(sum, self.per_activity.values()))
 
 
-def synth_household_day(catalog: Catalog, season: Season, occupancy: OccupancyCurve | None = None) -> SynthesizedDay:
-    """Spread each activity's household daily energy over 24 hours."""
-    occ = occupancy if occupancy is not None else default_occupancy()
-    shapes = {operation: shape_for(operation, occ) for operation in OperationClass}
+def synth_household_day(table: SeasonalConsumptionTable, occupancy: OccupancyCurve) -> SynthesizedDay:
+    """Spread each row's household daily energy over 24 hours by the shape of its operation class."""
+    shapes = {operation: shape_for(operation, occupancy) for operation in OperationClass}
     per_activity: dict[str, tuple[float, ...]] = {}
-    for spec in catalog:
-        energy = household_device_energy(spec, season)  # mul, not energy.__mul__: an int's returns NotImplemented
-        per_activity[spec.activity] = tuple(map(mul, repeat(energy), shapes[spec.operation]))
+    for row in table.rows:  # mul, not the energy's __mul__: an int's returns NotImplemented
+        per_activity[row.activity] = tuple(map(mul, repeat(row.household_daily_wh), shapes[row.operation]))
     return SynthesizedDay(per_activity=per_activity)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from loadcomp import builtin_catalog
 from loadcomp._sourceio import csv_text
-from loadcomp.catalog import ACTIVITY_ALIASES, CSV_HEADER, ApplianceSpec, Catalog, OperationClass
+from loadcomp.catalog import ACTIVITY_ALIASES, CSV_HEADER, ApplianceSpec, Catalog, OperationClass, Season
 from loadcomp.profile import Granularity, LoadProfile
 
 # Reference household Wh/day for the builtin catalog (30-day months), as
@@ -88,6 +88,17 @@ def paper_catalog() -> Catalog:
 
 def spec_named(catalog: Catalog, activity: str) -> ApplianceSpec:
     return next(spec for spec in catalog if spec.activity == activity)
+
+
+def device_daily_energy(spec: ApplianceSpec, season: Season) -> float:
+    """Reference energy of one unit, in Wh/day: ``seasonal_table`` must give these bits in ``per_unit_daily_wh``."""
+    blended_watts = spec.run_watts * spec.run_fraction + spec.idle_watts * spec.idle_fraction
+    return blended_watts * spec.tou(season)
+
+
+def household_device_energy(spec: ApplianceSpec, season: Season) -> float:
+    """Reference energy of all units, in Wh/day: ``seasonal_table`` must give these bits in ``household_daily_wh``."""
+    return spec.units(season) * device_daily_energy(spec, season)
 
 
 def serialize_catalog(catalog: Catalog, fmt: str = "csv") -> str:

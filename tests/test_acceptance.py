@@ -14,7 +14,7 @@ from datetime import datetime
 
 import pytest
 
-from loadcomp import Season, builtin_catalog, composition_shares
+from loadcomp import Season, builtin_catalog, composition_shares, seasonal_table
 from loadcomp.catalog import (
     ApplianceSpec,
     Catalog,
@@ -24,10 +24,9 @@ from loadcomp.catalog import (
     validate_spec,
 )
 from loadcomp.cli import main, render_value
-from loadcomp.composition import household_device_energy
 from loadcomp.profile import monthly_growth, normalize, peak_average_ratio
 from loadcomp.reconcile import composition_from_attribution, disaggregate
-from loadcomp.synth import synth_household_day
+from loadcomp.synth import default_occupancy, synth_household_day
 from conftest import SUMMER_WH_DAY, WINTER_WH_DAY, hourly_day, monthly_profile
 
 
@@ -118,8 +117,8 @@ def test_seasonal_table_reproduction(capsys):
 @criterion("composition percentages within 1 percentage point of reported values")
 def test_composition_percentages():
     catalog = builtin_catalog()
-    winter = composition_shares(catalog, Season.WINTER)
-    summer = composition_shares(catalog, Season.SUMMER)
+    winter = composition_shares(seasonal_table(catalog, Season.WINTER))
+    summer = composition_shares(seasonal_table(catalog, Season.SUMMER))
     assert summer["Air conditioning"] == pytest.approx(62, abs=1.0)
     assert winter["Heating (oil-filled)"] + winter["Water heating"] == pytest.approx(50, abs=1.0)
     assert winter["Lighting"] == pytest.approx(6, abs=1.0)
@@ -174,8 +173,9 @@ def test_conservation_suite():
         catalog = random_catalog(rng, ensure_active=True)
         season = rng.choice(list(Season))
 
+        table = seasonal_table(catalog, season)
         measured = random_measured_day(rng)
-        attribution = disaggregate(measured, catalog, season)
+        attribution = disaggregate(measured, table, default_occupancy())
         for index, power in enumerate(measured.powers):
             total = sum(series[index] for series in attribution.by_activity.values())
             if power == 0.0:
@@ -183,10 +183,10 @@ def test_conservation_suite():
             else:
                 assert math.isclose(total, power, rel_tol=1e-9)
 
-        synthesized = synth_household_day(catalog, season).household_total
+        synthesized = synth_household_day(table, default_occupancy()).household_total
         fixed_point = hourly_day([wh / 1000.0 for wh in synthesized])
-        round_trip = composition_from_attribution(disaggregate(fixed_point, catalog, season))
-        bottom_up = composition_shares(catalog, season)
+        round_trip = composition_from_attribution(disaggregate(fixed_point, table, default_occupancy()))
+        bottom_up = composition_shares(table)
         for activity, share in round_trip.items():
             assert abs(share - bottom_up[activity]) <= 0.01
 
@@ -203,8 +203,8 @@ def test_oracle_equivalence():
 
     def check(catalog: Catalog) -> None:
         for season in Season:
-            for spec in catalog:
-                got = household_device_energy(spec, season)
+            for spec, row in zip(catalog, seasonal_table(catalog, season).rows, strict=True):
+                got = row.household_daily_wh
                 assert math.isclose(got, oracle(spec, season), rel_tol=1e-9, abs_tol=1e-12)
 
     check(builtin_catalog())

@@ -1,5 +1,6 @@
 """Catalog parsing, validation, and the builtin archetype."""
 
+import json
 import re
 
 import pytest
@@ -209,6 +210,28 @@ class TestParseCatalog:
         """A header cell can hold a line break; quoted, it cannot start a second line of the message."""
         with pytest.raises(CatalogError, match=message):
             parse_catalog(header + "\n")
+
+    def test_duplicate_column_rejected(self):
+        """With ``activity`` twice, the last cell would name the row: 'Radio', not 'TV'."""
+        with pytest.raises(CatalogError, match="^duplicate column\\(s\\): 'activity'$"):
+            parse_catalog("activity," + CSV_HEADER + "\n" + "TV," + row(activity="Radio") + "\n")
+
+    def test_padded_header_names_read_as_the_plain_ones(self):
+        padded = CSV_HEADER.replace(",", ", ") + "\n" + row() + "\n"
+        assert parse_catalog(padded).specs == parse_catalog(csv_of(row())).specs
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_missing_operation_names_its_row_once(self, fmt):
+        """An empty CSV cell, or a JSON object without the key."""
+        if fmt == "csv":
+            source = csv_of(row(op=""))
+        else:
+            rows = json.loads(serialize_catalog(builtin_catalog(), fmt))
+            del rows[0]["operation"]
+            source = json.dumps(rows)
+        with pytest.raises(CatalogError) as info:
+            parse_catalog(source, fmt)
+        assert str(info.value) == "row 1: missing field 'operation'"
 
     def test_unknown_operation_names_row(self):
         with pytest.raises(CatalogError, match="row 1: unknown operation"):

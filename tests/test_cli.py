@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadcomp import Season, builtin_catalog, composition_shares
+from loadcomp import Season, builtin_catalog, cli, composition_shares, seasonal_table
+from loadcomp.catalog import ApplianceSpec
 from loadcomp.cli import main, render_value
-from loadcomp.synth import synth_household_day
+from loadcomp.synth import default_occupancy, synth_household_day
 from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, csv_table, serialize_catalog
 
 
@@ -46,7 +47,7 @@ def write_monthly_csv(path, month_to_kw=MONTHLY_AVG_KW, year=2016):
 
 
 def synth_day_kw(season=Season.SUMMER):
-    total = synth_household_day(builtin_catalog(), season).household_total
+    total = synth_household_day(seasonal_table(builtin_catalog(), season), default_occupancy()).household_total
     return [wh / 1000.0 for wh in total]
 
 
@@ -211,6 +212,42 @@ class TestProfileStats:
         assert json.loads(out)["granularity"] == "monthly-peak"
 
 
+class TestOneEnergyPass:
+    """Each command evaluates each activity's daily energy once per season, in one seasonal table."""
+
+    @pytest.mark.parametrize(
+        "argv, seasons",
+        [
+            (["reconcile", "--builtin-paper", "--format", "csv"], 1),
+            (["reconcile", "--builtin-paper"], 1),
+            (["composition", "--builtin-paper", "--season", "both"], 2),
+            (["synth", "--builtin-paper", "--season", "winter"], 1),
+        ],
+        ids=["reconcile-csv", "reconcile-json", "composition-both", "synth"],
+    )
+    def test_each_activity_energy_is_computed_once_per_season(self, capsys, tmp_path, monkeypatch, argv, seasons):
+        if argv[0] == "reconcile":
+            argv = [*argv, "--profile", str(write_day_csv(tmp_path / "day.csv", synth_day_kw()))]
+        activities = [spec.activity for spec in builtin_catalog()]  # built, and its rules checked, before counting
+        tables, tou_reads = [], []
+        original_table, original_tou = cli.seasonal_table, ApplianceSpec.tou
+
+        def counting_table(*args, **kwargs):
+            tables.append(args[1])
+            return original_table(*args, **kwargs)
+
+        def counting_tou(spec, season):
+            tou_reads.append(spec.activity)
+            return original_tou(spec, season)
+
+        monkeypatch.setattr(cli, "seasonal_table", counting_table)
+        monkeypatch.setattr(ApplianceSpec, "tou", counting_tou)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(tables) == seasons
+        assert Counter(tou_reads) == dict.fromkeys(activities, seasons)
+
+
 class TestReconcile:
     def test_fixed_point_scale_factor_is_one(self, capsys, tmp_path):
         path = write_day_csv(tmp_path / "measured.csv", synth_day_kw())
@@ -220,7 +257,7 @@ class TestReconcile:
         assert payload["season"] == "summer"  # inferred from June timestamps
         assert payload["scale_factor"] == pytest.approx(1.0, rel=1e-9)
         assert "scale_factor=" in err
-        expected = composition_shares(builtin_catalog(), Season.SUMMER)
+        expected = composition_shares(seasonal_table(builtin_catalog(), Season.SUMMER))
         for activity, share in payload["attributed_shares_pct"].items():
             assert share == pytest.approx(expected[activity], abs=0.01)
 

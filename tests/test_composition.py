@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from loadcomp import Season, composition_shares, seasonal_table
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
 from loadcomp.cli import pie_data, render_value, table_csv
-from loadcomp.composition import CompositionError, device_daily_energy, household_device_energy
+from loadcomp.composition import CompositionError, DeviceEnergy
 from conftest import (
     SUMMER_DAILY_WH,
     SUMMER_MONTHLY_KWH,
@@ -20,6 +20,8 @@ from conftest import (
     WINTER_MONTHLY_KWH,
     WINTER_WH_DAY,
     catalogs,
+    device_daily_energy,
+    household_device_energy,
     spec_named,
 )
 
@@ -33,6 +35,16 @@ def oracle_household_wh(spec: ApplianceSpec, season: Season) -> float:
         tou, units = spec.tou_summer, spec.units_summer
     blended = spec.run_watts * spec.run_fraction + spec.idle_watts * spec.idle_fraction
     return units * blended * tou
+
+
+def row_of(spec: ApplianceSpec, season: Season) -> DeviceEnergy:
+    """The seasonal table row of a one-entry catalog."""
+    (row,) = seasonal_table(Catalog(specs=(spec,)), season).rows
+    return row
+
+
+def shares_of(catalog: Catalog, season: Season) -> dict[str, float]:
+    return composition_shares(seasonal_table(catalog, season))
 
 
 def single_activity_catalog(**overrides) -> Catalog:
@@ -56,28 +68,28 @@ class TestDeviceEnergy:
     def test_ac_summer_per_unit(self, paper_catalog):
         spec = spec_named(paper_catalog, "Air conditioning")
         # (1800*0.6 + 100*0.4) * 10 hours
-        assert device_daily_energy(spec, Season.SUMMER) == pytest.approx(11200, rel=1e-9)
+        assert row_of(spec, Season.SUMMER).per_unit_daily_wh == pytest.approx(11200, rel=1e-9)
 
     def test_water_heating_winter_per_unit(self, paper_catalog):
         spec = spec_named(paper_catalog, "Water heating")
         # hand arithmetic: (1500*0.3 + 30*0.7) * 14 = 471 * 14
-        assert device_daily_energy(spec, Season.WINTER) == pytest.approx(6594, rel=1e-9)
+        assert row_of(spec, Season.WINTER).per_unit_daily_wh == pytest.approx(6594, rel=1e-9)
 
     def test_zero_tou_gives_zero(self, paper_catalog):
         spec = paper_catalog.specs[0]._replace(tou_winter=0.0)
-        assert device_daily_energy(spec, Season.WINTER) == 0.0
+        assert row_of(spec, Season.WINTER).per_unit_daily_wh == 0.0
 
     def test_ac_summer_household(self, paper_catalog):
         spec = spec_named(paper_catalog, "Air conditioning")
-        assert household_device_energy(spec, Season.SUMMER) == pytest.approx(56000, rel=1e-9)
+        assert row_of(spec, Season.SUMMER).household_daily_wh == pytest.approx(56000, rel=1e-9)
 
     def test_heating_winter_household(self, paper_catalog):
         spec = spec_named(paper_catalog, "Heating (oil-filled)")
-        assert household_device_energy(spec, Season.WINTER) == pytest.approx(12000, rel=1e-9)
+        assert row_of(spec, Season.WINTER).household_daily_wh == pytest.approx(12000, rel=1e-9)
 
     def test_zero_units_gives_zero(self, paper_catalog):
         spec = spec_named(paper_catalog, "Air conditioning")._replace(units_summer=0)
-        assert household_device_energy(spec, Season.SUMMER) == 0.0
+        assert row_of(spec, Season.SUMMER).household_daily_wh == 0.0
 
 
 class TestReferenceTables:
@@ -126,45 +138,44 @@ class TestReferenceTables:
 
     def test_oracle_agreement_on_builtin(self, paper_catalog):
         for season in Season:
-            for spec in paper_catalog:
-                expected = oracle_household_wh(spec, season)
-                assert household_device_energy(spec, season) == pytest.approx(expected, rel=1e-9)
+            for spec, row in zip(paper_catalog, seasonal_table(paper_catalog, season).rows, strict=True):
+                assert row.household_daily_wh == pytest.approx(oracle_household_wh(spec, season), rel=1e-9)
 
 
 class TestCompositionShares:
     def test_summer_ac_share(self, paper_catalog):
-        shares = composition_shares(paper_catalog, Season.SUMMER)
+        shares = shares_of(paper_catalog, Season.SUMMER)
         assert float(render_value(shares["Air conditioning"], 1)) == 61.9
 
     def test_winter_heating_block_share(self, paper_catalog):
-        shares = composition_shares(paper_catalog, Season.WINTER)
+        shares = shares_of(paper_catalog, Season.WINTER)
         combined = shares["Heating (oil-filled)"] + shares["Water heating"]
         assert combined == pytest.approx(50.3, abs=0.05)
 
     def test_shares_sum_to_100(self, paper_catalog):
         for season in Season:
-            shares = composition_shares(paper_catalog, season)
+            shares = shares_of(paper_catalog, season)
             assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
 
     def test_single_activity_gets_everything(self):
-        shares = composition_shares(single_activity_catalog(), Season.WINTER)
+        shares = shares_of(single_activity_catalog(), Season.WINTER)
         assert shares == {"Space heater": 100.0}
 
     def test_all_zero_catalog_rejected(self):
         catalog = single_activity_catalog(tou_winter=0.0, tou_summer=0.0)
         with pytest.raises(CompositionError, match="empty composition basis"):
-            composition_shares(catalog, Season.WINTER)
+            shares_of(catalog, Season.WINTER)
 
 
 class TestSeasonPairReport:
     """The paper's winter and summer composition shares side by side."""
 
     def test_lighting_shares_both_seasons(self, paper_catalog):
-        assert composition_shares(paper_catalog, Season.WINTER)["Lighting"] == pytest.approx(5.8, abs=0.05)
-        assert composition_shares(paper_catalog, Season.SUMMER)["Lighting"] == pytest.approx(4.1, abs=0.05)
+        assert shares_of(paper_catalog, Season.WINTER)["Lighting"] == pytest.approx(5.8, abs=0.05)
+        assert shares_of(paper_catalog, Season.SUMMER)["Lighting"] == pytest.approx(4.1, abs=0.05)
 
     def test_winter_ac_share(self, paper_catalog):
-        shares = composition_shares(paper_catalog, Season.WINTER)
+        shares = shares_of(paper_catalog, Season.WINTER)
         assert shares["Air conditioning"] == pytest.approx(10.6, abs=0.05)
 
 
@@ -172,7 +183,7 @@ class TestProperties:
     @given(catalog=catalogs(), season=st.sampled_from(list(Season)))
     def test_shares_conserve_100(self, catalog, season):
         assume(sum(household_device_energy(s, season) for s in catalog) > 0)
-        shares = composition_shares(catalog, season)
+        shares = shares_of(catalog, season)
         assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
         assert all(share >= 0 for share in shares.values())
 
@@ -189,8 +200,8 @@ class TestProperties:
                 for s in catalog
             )
         )
-        base = composition_shares(catalog, season)
-        after = composition_shares(scaled, season)
+        base = shares_of(catalog, season)
+        after = shares_of(scaled, season)
         for activity in base:
             assert after[activity] == pytest.approx(base[activity], abs=1e-9)
 
@@ -199,20 +210,31 @@ class TestProperties:
         for spec, row in zip(catalog, seasonal_table(catalog, season).rows, strict=True):
             assert repr(row.household_daily_wh) == repr(household_device_energy(spec, season))
             assert repr(row.per_unit_daily_wh) == repr(device_daily_energy(spec, season))
+            assert (row.activity, row.units, row.operation) == (spec.activity, spec.units(season), spec.operation)
+
+    @given(catalog=catalogs(), season=st.sampled_from(list(Season)))
+    def test_shares_have_the_bits_of_the_reference_energies(self, catalog, season):
+        energies = [household_device_energy(spec, season) for spec in catalog]
+        total = sum(energies)
+        assume(total > 0)
+        expected = {spec.activity: 100.0 * energy / total for spec, energy in zip(catalog, energies)}
+        shares = shares_of(catalog, season)
+        assert list(shares) == list(expected)
+        assert list(map(repr, shares.values())) == list(map(repr, expected.values()))
 
     @given(spec=catalogs(min_size=1, max_size=1).map(lambda c: c.specs[0]))
     def test_energy_linear_in_tou(self, spec):
         doubled = spec._replace(tou_winter=spec.tou_winter / 2 * 2, tou_summer=spec.tou_summer)
         half = spec._replace(tou_winter=spec.tou_winter / 2)
-        assert device_daily_energy(half, Season.WINTER) * 2 == pytest.approx(
-            device_daily_energy(doubled, Season.WINTER), rel=1e-12, abs=1e-12
+        assert row_of(half, Season.WINTER).per_unit_daily_wh * 2 == pytest.approx(
+            row_of(doubled, Season.WINTER).per_unit_daily_wh, rel=1e-12, abs=1e-12
         )
 
     @given(spec=catalogs(min_size=1, max_size=1).map(lambda c: c.specs[0]), units=st.integers(0, 50))
     def test_household_energy_linear_in_units(self, spec, units):
         rebased = spec._replace(units_winter=units)
-        assert household_device_energy(rebased, Season.WINTER) == pytest.approx(
-            units * device_daily_energy(spec, Season.WINTER), rel=1e-12, abs=1e-12
+        assert row_of(rebased, Season.WINTER).household_daily_wh == pytest.approx(
+            units * row_of(spec, Season.WINTER).per_unit_daily_wh, rel=1e-12, abs=1e-12
         )
 
     @settings(max_examples=60)
@@ -229,8 +251,8 @@ class TestProperties:
         bumped = target._replace(tou_summer=min(24.0, target.tou_summer + bump))
         specs = list(catalog.specs)
         specs[index] = bumped
-        before = composition_shares(catalog, season)
-        after = composition_shares(Catalog(specs=tuple(specs)), season)
+        before = shares_of(catalog, season)
+        after = shares_of(Catalog(specs=tuple(specs)), season)
         assert after[target.activity] >= before[target.activity] - 1e-9
         for activity in before:
             if activity != target.activity:
@@ -284,14 +306,14 @@ class TestRendering:
 
     def test_table_csv_shape(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
-        shares = composition_shares(paper_catalog, Season.SUMMER)
+        shares = composition_shares(table)
         lines = table_csv([(table, shares)]).splitlines()
         assert lines[0] == "activity,season,per_unit_wh_day,household_wh_day,share_pct"
         assert len(lines) == 16
         assert "Air conditioning,summer,11200,56000,61.9" in lines
 
     def test_pie_data_integer_option(self, paper_catalog):
-        shares = composition_shares(paper_catalog, Season.SUMMER)
+        shares = shares_of(paper_catalog, Season.SUMMER)
         exact = pie_data(shares)
         rounded = pie_data(shares, integer_percent=True)
         assert exact["label"][1] == "Air conditioning"

@@ -12,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from loadcomp import Season, builtin_catalog, cli
-from loadcomp.catalog import ApplianceSpec, Catalog
+from loadcomp import Season, builtin_catalog, cli, seasonal_table
+from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
 from loadcomp.composition import DeviceEnergy, SeasonalConsumptionTable
 from loadcomp.profile import Granularity, LoadProfile
 from loadcomp.reconcile import HourlyAttribution, ReconciliationResult, disaggregate
-from loadcomp.synth import OccupancyCurve, SynthesizedDay
+from loadcomp.synth import OccupancyCurve, SynthesizedDay, default_occupancy
 from conftest import DAY_CURVE_KW, hourly_day
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,7 +69,8 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_statistics():
 
 def _records():
     spec = builtin_catalog().specs[0]
-    row = DeviceEnergy(activity="TV", units=1, per_unit_daily_wh=120.0, household_daily_wh=120.0)
+    row = DeviceEnergy(activity="TV", units=1, per_unit_daily_wh=120.0, household_daily_wh=120.0,
+                       operation=OperationClass.MANUAL)
     table = SeasonalConsumptionTable(season=Season.WINTER, rows=(row,), days_per_month=30)
     profile = LoadProfile((datetime(2016, 1, 1),), (1.0,), Granularity.HOURLY, label="day")
     return (
@@ -150,9 +151,38 @@ def test_the_builtin_catalog_is_built_once_per_process():
 
 def test_disaggregate_result_has_what_the_benchmark_counts():
     counts = {name: count for _, _, name, count in _benchmark_child().TRACED}
-    attribution = disaggregate(hourly_day(DAY_CURVE_KW), builtin_catalog(), Season.SUMMER)
+    attribution = disaggregate(hourly_day(DAY_CURVE_KW), seasonal_table(builtin_catalog(), Season.SUMMER),
+                               default_occupancy())
     assert counts["reconcile.disaggregate"](attribution) == 15 * 24
     assert counts["catalog.builtin_catalog"](builtin_catalog()) == 15
+
+
+def test_only_the_seasonal_table_evaluates_the_energy_rule():
+    """``composition.seasonal_table`` turns catalog entries into energies; every later layer reads its rows.
+
+    So outside ``catalog.py``, which checks these fields, no other function reads a wattage or a fraction of a
+    spec, or calls its ``tou`` or ``units``: a second copy of the rule could drift from the first.
+    """
+    fields = {"run_watts", "idle_watts", "run_fraction", "idle_fraction"}
+
+    def owned(node, owner):
+        """Each node below ``node`` with the name of the innermost function or class around it."""
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner
+            yield child, inner
+            yield from owned(child, inner)
+
+    readers = set()
+    for path in SOURCES:
+        if path.name == "catalog.py":
+            continue
+        for node, owner in owned(ast.parse(path.read_text(encoding="utf-8")), "<module>"):
+            called = node.func if isinstance(node, ast.Call) else None
+            if isinstance(called, ast.Attribute) and called.attr in ("tou", "units"):
+                readers.add(f"{path.stem}.{owner}: .{called.attr}(")
+            elif isinstance(node, ast.Attribute) and node.attr in fields:
+                readers.add(f"{path.stem}.{owner}: .{node.attr}")
+    assert {reader.partition(":")[0] for reader in readers} == {"composition.seasonal_table"}, sorted(readers)
 
 
 def test_the_cli_encodes_json_only_in_its_payload_writer():

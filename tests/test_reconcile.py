@@ -17,7 +17,7 @@ from loadcomp.reconcile import (
     disaggregate,
     scale_to_measured,
 )
-from loadcomp.synth import OccupancyCurve, synth_household_day
+from loadcomp.synth import OccupancyCurve, default_occupancy, synth_household_day
 from conftest import DAY_CURVE_KW, catalogs, hourly_day, monthly_profile, profile_of
 
 JUNE1 = datetime(2016, 6, 1)
@@ -27,9 +27,14 @@ power_days = st.lists(
 )
 
 
+def attribute(measured, catalog, season, occupancy=default_occupancy()):
+    """``measured`` split by the synthesized day of ``catalog``'s table for ``season``."""
+    return disaggregate(measured, seasonal_table(catalog, season), occupancy)
+
+
 def synth_as_measured(catalog, season, day=JUNE1):
     """The synthesized household total, replayed as a measured day in kW."""
-    total = synth_household_day(catalog, season).household_total
+    total = synth_household_day(seasonal_table(catalog, season), default_occupancy()).household_total
     return hourly_day([wh / 1000.0 for wh in total], day=day)
 
 
@@ -82,13 +87,14 @@ class TestScaleToMeasured:
     def test_scaling_preserves_shares_and_argmax(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
         result = scale_to_measured(table, day_of_monthly_energy(1234.5))
-        base = composition_shares(paper_catalog, Season.SUMMER)
+        base = composition_shares(table)
         adjusted_total = result.adjusted_table.daily_total_wh
         for row in result.adjusted_table.rows:
             share = 100.0 * row.household_daily_wh / adjusted_total
             assert share == pytest.approx(base[row.activity], abs=1e-9)
         top = max(result.adjusted_table.rows, key=lambda r: r.household_daily_wh)
         assert top.activity == "Air conditioning"
+        assert [row.operation for row in result.adjusted_table.rows] == [row.operation for row in table.rows]
 
     def test_gap_warning_threshold(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.WINTER, 30)
@@ -128,19 +134,19 @@ class TestDisaggregate:
     def test_single_activity_takes_every_hour(self):
         catalog = one_manual_device()
         measured = hourly_day([1.0] * 24)
-        attribution = disaggregate(measured, catalog, Season.SUMMER)
+        attribution = attribute(measured, catalog, Season.SUMMER)
         assert attribution.by_activity["Toaster"] == (pytest.approx(1.0),) * 24
 
     def test_all_zero_day_attributes_nothing(self, paper_catalog):
         measured = hourly_day([0.0] * 24)
-        attribution = disaggregate(measured, paper_catalog, Season.SUMMER)
+        attribution = attribute(measured, paper_catalog, Season.SUMMER)
         for series in attribution.by_activity.values():
             assert series == (0.0,) * 24
 
     def test_fixed_point_reproduces_synthesized_series(self, paper_catalog):
-        day = synth_household_day(paper_catalog, Season.SUMMER)
+        day = synth_household_day(seasonal_table(paper_catalog, Season.SUMMER), default_occupancy())
         measured = synth_as_measured(paper_catalog, Season.SUMMER)
-        attribution = disaggregate(measured, paper_catalog, Season.SUMMER)
+        attribution = attribute(measured, paper_catalog, Season.SUMMER)
         for activity, series in day.per_activity.items():
             for got_kw, want_wh in zip(attribution.by_activity[activity], series):
                 assert got_kw == pytest.approx(want_wh / 1000.0, rel=1e-9, abs=1e-15)
@@ -151,16 +157,16 @@ class TestDisaggregate:
         occupancy = OccupancyCurve.from_values(values)
         measured = hourly_day([1.0] * 24)
         with pytest.raises(ReconcileError, match="unattributable load at hour 0"):
-            disaggregate(measured, one_manual_device(), Season.SUMMER, occupancy)
+            attribute(measured, one_manual_device(), Season.SUMMER, occupancy)
 
     def test_monthly_profile_rejected(self, paper_catalog):
         with pytest.raises(ReconcileError, match="granularity mismatch"):
-            disaggregate(monthly_profile(), paper_catalog, Season.WINTER)
+            attribute(monthly_profile(), paper_catalog, Season.WINTER)
 
     def test_multi_day_profile_rejected(self, paper_catalog):
         measured = hourly_day([1.0] * 30)  # spills into the next day
         with pytest.raises(ReconcileError, match="granularity mismatch"):
-            disaggregate(measured, paper_catalog, Season.SUMMER)
+            attribute(measured, paper_catalog, Season.SUMMER)
 
     @pytest.mark.parametrize(
         "hours",
@@ -176,12 +182,12 @@ class TestDisaggregate:
         samples = tuple((JUNE1 + timedelta(hours=h), 1.0) for h in hours)
         measured = profile_of(samples, Granularity.HOURLY)
         with pytest.raises(ReconcileError, match="granularity mismatch: need one sample for each hour 0-23"):
-            disaggregate(measured, paper_catalog, Season.SUMMER)
+            attribute(measured, paper_catalog, Season.SUMMER)
 
     def test_an_hour_of_zero_power_attributes_positive_zero(self, paper_catalog):
         powers = [1.0] * 24
         powers[3], powers[7] = 0.0, -0.0
-        attribution = disaggregate(hourly_day(powers), paper_catalog, Season.SUMMER)
+        attribution = attribute(hourly_day(powers), paper_catalog, Season.SUMMER)
         for series in attribution.by_activity.values():
             assert [math.copysign(1.0, series[hour]) for hour in (3, 7)] == [1.0, 1.0]
             assert series[3] == series[7] == 0.0
@@ -190,10 +196,10 @@ class TestDisaggregate:
     @given(catalog=catalogs(min_size=1, max_size=5), powers=power_days)
     def test_per_hour_conservation(self, catalog, powers):
         season = Season.SUMMER
-        day = synth_household_day(catalog, season)
+        day = synth_household_day(seasonal_table(catalog, season), default_occupancy())
         assume(all(t > 0 for t in day.household_total) or max(powers) == 0)
         measured = hourly_day(powers)
-        attribution = disaggregate(measured, catalog, season)
+        attribution = attribute(measured, catalog, season)
         for index, power in enumerate(measured.powers):
             total = sum(series[index] for series in attribution.by_activity.values())
             assert total == pytest.approx(power, rel=1e-9, abs=1e-12)
@@ -202,8 +208,8 @@ class TestDisaggregate:
     @given(powers=power_days, k=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
     def test_scale_invariance(self, powers, k):
         catalog = Catalog(specs=builtin_specs())
-        base = disaggregate(hourly_day(powers), catalog, Season.SUMMER)
-        scaled = disaggregate(hourly_day([p * k for p in powers]), catalog, Season.SUMMER)
+        base = attribute(hourly_day(powers), catalog, Season.SUMMER)
+        scaled = attribute(hourly_day([p * k for p in powers]), catalog, Season.SUMMER)
         for activity in base.by_activity:
             for f_base, f_scaled in zip(base.by_activity[activity], scaled.by_activity[activity]):
                 assert f_scaled == pytest.approx(f_base * k, rel=1e-9, abs=1e-12)
@@ -212,15 +218,15 @@ class TestDisaggregate:
 class TestCompositionFromAttribution:
     def test_round_trip_matches_bottom_up_shares(self, paper_catalog):
         measured = synth_as_measured(paper_catalog, Season.SUMMER)
-        attribution = disaggregate(measured, paper_catalog, Season.SUMMER)
+        attribution = attribute(measured, paper_catalog, Season.SUMMER)
         shares = composition_from_attribution(attribution)
-        expected = composition_shares(paper_catalog, Season.SUMMER)
+        expected = composition_shares(seasonal_table(paper_catalog, Season.SUMMER))
         for activity, share in shares.items():
             assert share == pytest.approx(expected[activity], abs=0.01)
 
     def test_single_activity_is_100_percent(self):
         catalog = one_manual_device()
-        attribution = disaggregate(hourly_day([0.5] * 24), catalog, Season.SUMMER)
+        attribution = attribute(hourly_day([0.5] * 24), catalog, Season.SUMMER)
         shares = composition_from_attribution(attribution)
         assert shares["Toaster"] == pytest.approx(100.0)
 
@@ -228,14 +234,14 @@ class TestCompositionFromAttribution:
     @given(catalog=catalogs(min_size=1, max_size=5), powers=power_days)
     def test_shares_sum_to_100(self, catalog, powers):
         season = Season.WINTER
-        day = synth_household_day(catalog, season)
+        day = synth_household_day(seasonal_table(catalog, season), default_occupancy())
         assume(all(t > 0 for t in day.household_total))
         assume(max(powers) > 0)
-        attribution = disaggregate(hourly_day(powers), catalog, season)
+        attribution = attribute(hourly_day(powers), catalog, season)
         shares = composition_from_attribution(attribution)
         assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
 
     def test_zero_total_rejected(self, paper_catalog):
-        attribution = disaggregate(hourly_day([0.0] * 24), paper_catalog, Season.SUMMER)
+        attribution = attribute(hourly_day([0.0] * 24), paper_catalog, Season.SUMMER)
         with pytest.raises(ReconcileError, match="zero total attributed"):
             composition_from_attribution(attribution)

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from loadcomp import Season, synth
+from loadcomp import Season, seasonal_table, synth
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
-from loadcomp.composition import household_device_energy
 from loadcomp.synth import (
     OccupancyCurve,
     OccupancyError,
@@ -15,13 +14,18 @@ from loadcomp.synth import (
     shape_for,
     synth_household_day,
 )
-from conftest import SUMMER_DAILY_WH, appliance_specs, catalogs
+from conftest import SUMMER_DAILY_WH, appliance_specs, catalogs, household_device_energy
 
 UNIFORM = OccupancyCurve(weights=(1.0 / 24.0,) * 24)
 
 occupancy_values = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=24, max_size=24
 ).filter(lambda vs: sum(vs) > 0)
+
+
+def default_day(catalog: Catalog, season: Season):
+    """The synthesized day of ``catalog`` in ``season`` under the built-in occupancy curve."""
+    return synth_household_day(seasonal_table(catalog, season), default_occupancy())
 
 
 def auto_device(watts=100.0, tou=24.0, units=1, name="Fridge") -> ApplianceSpec:
@@ -126,7 +130,7 @@ INT_DEVICE = auto_device(watts=100, tou=24, units=2)._replace(run_fraction=1, id
 class TestSynthHouseholdDay:
     def test_per_activity_energy_conserved(self, paper_catalog):
         for season in Season:
-            day = synth_household_day(paper_catalog, season)
+            day = default_day(paper_catalog, season)
             for spec in paper_catalog:
                 expected = household_device_energy(spec, season)
                 assert sum(day.per_activity[spec.activity]) == pytest.approx(
@@ -134,26 +138,26 @@ class TestSynthHouseholdDay:
                 )
 
     def test_summer_total_matches_table(self, paper_catalog):
-        day = synth_household_day(paper_catalog, Season.SUMMER)
+        day = default_day(paper_catalog, Season.SUMMER)
         assert day.daily_total_wh == pytest.approx(SUMMER_DAILY_WH, abs=1e-6)
 
     def test_single_auto_device_spreads_uniformly(self):
         catalog = Catalog(specs=(auto_device(watts=100.0, tou=24.0),))  # 2400 Wh/day
-        day = synth_household_day(catalog, Season.SUMMER)
+        day = default_day(catalog, Season.SUMMER)
         assert day.per_activity["Fridge"] == (pytest.approx(100.0),) * 24
 
     def test_zero_tou_catalog_is_all_zero(self):
         catalog = Catalog(specs=(auto_device(tou=0.0),))
-        day = synth_household_day(catalog, Season.WINTER)
+        day = default_day(catalog, Season.WINTER)
         assert day.household_total == (0.0,) * 24
 
     def test_default_curve_total_peaks_at_15_and_dips_at_6(self, paper_catalog):
-        total = synth_household_day(paper_catalog, Season.SUMMER).household_total
+        total = default_day(paper_catalog, Season.SUMMER).household_total
         assert total.index(max(total)) == 15
         assert total.index(min(total)) == 6
 
     def test_activities_keep_catalog_order(self, paper_catalog):
-        day = synth_household_day(paper_catalog, Season.WINTER)
+        day = default_day(paper_catalog, Season.WINTER)
         assert list(day.per_activity) == [spec.activity for spec in paper_catalog]
 
     def test_one_shape_per_operation_class(self, paper_catalog, monkeypatch):
@@ -164,17 +168,18 @@ class TestSynthHouseholdDay:
             return shape_for(operation, occupancy)
 
         monkeypatch.setattr(synth, "shape_for", counting_shape_for)
-        synth_household_day(paper_catalog, Season.WINTER)
+        default_day(paper_catalog, Season.WINTER)
         assert sorted(op.value for op in operations) == sorted(op.value for op in OperationClass)
 
     @given(catalogs(), st.sampled_from(Season))
     @example(Catalog(specs=(INT_DEVICE,)), Season.WINTER)
     def test_columns_have_the_bits_of_the_per_hour_sums(self, catalog, season):
-        day = synth_household_day(catalog, season)
+        day = default_day(catalog, season)
         shapes = {operation: shape_for(operation, default_occupancy()) for operation in OperationClass}
         for spec in catalog:
             energy = household_device_energy(spec, season)
-            assert day.per_activity[spec.activity] == tuple(energy * w for w in shapes[spec.operation])
+            expected = tuple(energy * w for w in shapes[spec.operation])
+            assert list(map(repr, day.per_activity[spec.activity])) == list(map(repr, expected))
         expected = tuple(sum(series[hour] for series in day.per_activity.values()) for hour in range(24))
         assert day.household_total == expected
         assert list(map(repr, day.household_total)) == list(map(repr, expected))  # -0.0 and 0.0 differ here
