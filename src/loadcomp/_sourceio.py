@@ -8,9 +8,15 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 
-def read_text(source: Path | str) -> str:
-    """The content of ``source``: a file read as UTF-8, or a ``str`` taken as content."""
-    return source.read_text(encoding="utf-8") if isinstance(source, Path) else source
+def read_text(path: Path | str, what: str, error: type[Exception]) -> str:
+    """The content of the file at ``path`` read as UTF-8; a file that cannot be read or decoded raises ``error``.
+
+    ``what`` names the input in the message: ``cannot read <what> file <path>: <reason>``.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def csv_text(rows: Mapping[str, Sequence]) -> str:

@@ -191,26 +191,25 @@ class Catalog(_Frozen):
         return len(self.specs)
 
 
-def parse_catalog(source, fmt: str = "csv") -> Catalog:
-    """Parse and validate a catalog from CSV or JSON content.
+def parse_catalog(text: str, fmt: str = "csv") -> Catalog:
+    """Parse and validate a catalog from CSV or JSON text.
 
-    ``source`` is the content as text, or a Path to read it from. Rows are
-    kept in file order. Raises :class:`CatalogError` naming the row and
-    field on the first malformed or invalid entry; :class:`Catalog` checks
+    Rows are kept in file order. Raises :class:`CatalogError` naming the row
+    and field on the first malformed or invalid entry; :class:`Catalog` checks
     each row as it is converted, so rows are reported in file order.
     """
-    rows = _ROW_READERS[fmt](read_text(source))
+    rows = _ROW_READERS[fmt](text)
     # Data rows are numbered from 1, as Catalog numbers its entries; a CSV header is not counted.
     return Catalog(specs=(_spec_from_mapping(raw, rownum) for rownum, raw in enumerate(rows, start=1)))
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    """Read a catalog file; its suffix, ``.csv`` or ``.json``, decides the format."""
+    """Read a ``.csv`` or ``.json`` catalog file, by its suffix; an unreadable file is a CatalogError."""
     path = Path(path)
     fmt = path.suffix.lower().lstrip(".")
     if fmt not in _ROW_READERS:
         raise CatalogError(f"cannot infer catalog format from suffix of {path.name!r}")
-    return parse_catalog(path, fmt=fmt)
+    return parse_catalog(read_text(path, "catalog", CatalogError), fmt=fmt)
 
 
 def _rows_from_csv(text: str) -> list[dict]:
@@ -249,6 +248,9 @@ _ROW_READERS = {"csv": _rows_from_csv, "json": _rows_from_json}
 
 
 def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:
+    if None in raw:  # csv.DictReader files the cells past the header under None
+        raise CatalogError(f"row {rownum}: more cells than the header's {len(CSV_HEADER)} columns")
+
     def field(name: str):
         value = raw.get(name)
         if value is None or (isinstance(value, str) and not value.strip()):

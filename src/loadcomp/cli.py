@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__, reconcile
 from ._sourceio import csv_text
@@ -25,7 +25,6 @@ from .catalog import Catalog, CatalogError, Season, builtin_catalog, load_catalo
 from .composition import CompositionError, SeasonalConsumptionTable, composition_shares, seasonal_table
 from .profile import (
     Granularity,
-    LoadProfile,
     ProfileError,
     daily_extrema,
     load_profile,
@@ -121,15 +120,11 @@ def main(argv: list[str] | None = None) -> int:
     args.argv_text = shlex.join(argv if argv is not None else sys.argv[1:])
     try:
         payload, status = args.handler(args)
+        _emit(args, payload)
     except _INPUT_ERRORS as exc:
         print(f"loadcomp: error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"loadcomp: I/O error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _emit(args, payload)
-    except OSError as exc:
+    except OSError as exc:  # writing the payload; each loader reports its own file as an input error
         print(f"loadcomp: I/O error: {exc}", file=sys.stderr)
         return 2
     return status
@@ -195,29 +190,12 @@ def _items(values, indent: str) -> Iterator[str]:
     return map(_text, values, repeat(indent))
 
 
-def _read(load, path: Path, what: str, error: type[Exception], **options):
-    """``load(path, **options)``, reporting an unreadable or undecodable file as an input error."""
-    try:
-        return load(path, **options)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {what} file {path}: {exc}") from exc
-
-
 def _get_catalog(args) -> Catalog:
-    if args.builtin_paper:
-        return builtin_catalog()
-    return _read(load_catalog, args.catalog, "catalog", CatalogError)
-
-
-def _get_profile(args) -> LoadProfile:
-    granularity = Granularity(args.granularity) if getattr(args, "granularity", None) else None
-    return _read(load_profile, args.profile, "profile", ProfileError, granularity=granularity)
+    return builtin_catalog() if args.builtin_paper else load_catalog(args.catalog)
 
 
 def _get_occupancy(args):
-    if args.occupancy is None:
-        return default_occupancy()
-    return _read(load_occupancy, args.occupancy, "occupancy", OccupancyError)
+    return default_occupancy() if args.occupancy is None else load_occupancy(args.occupancy)
 
 
 def _seasons(choice: str) -> list[Season]:
@@ -279,6 +257,16 @@ def pie_data(shares: dict[str, float], integer_percent: bool = False) -> Rows:
     return Rows(label=[*shares], percent=percents)
 
 
+def hourly_csv(hours: Sequence[int], series: dict[str, Sequence[float]], unit: str) -> str:
+    """Long-form CSV ``hour,activity,<unit>``: one row per hour and activity, activities in ``series`` order."""
+    names = list(series)
+    return csv_text({
+        "hour": [hour for hour in hours for _ in names],
+        "activity": names * len(hours),
+        unit: list(chain.from_iterable(zip(*series.values()))),
+    })
+
+
 def cmd_composition(args) -> tuple[str, int]:
     catalog = _get_catalog(args)
     tables = [seasonal_table(catalog, season, args.days_per_month) for season in _seasons(args.season)]
@@ -294,7 +282,7 @@ def cmd_composition(args) -> tuple[str, int]:
 
 
 def cmd_profile_stats(args) -> tuple[str, int]:
-    profile = _get_profile(args)
+    profile = load_profile(args.profile, Granularity(args.granularity) if args.granularity else None)
     normalized = Rows(timestamp=list(map(datetime.isoformat, profile.timestamps)), fraction=normalize(profile))
 
     if args.format == "csv":
@@ -342,10 +330,8 @@ def cmd_profile_stats(args) -> tuple[str, int]:
 
 def cmd_reconcile(args) -> tuple[str, int]:
     catalog = _get_catalog(args)
-    measured = _get_profile(args)
+    measured = load_profile(args.profile)
     occupancy = _get_occupancy(args)
-    if measured.peak_kw <= 0:
-        raise ProfileError("zero peak")
     season = Season(args.season) if args.season else Season.for_month(measured.timestamps[0].month)
 
     table = seasonal_table(catalog, season, args.days_per_month)
@@ -355,12 +341,7 @@ def cmd_reconcile(args) -> tuple[str, int]:
     hours = [ts.hour for ts in measured.timestamps]
 
     if args.format == "csv":
-        names = list(attribution.by_activity)
-        text = csv_text({
-            "hour": [hour for hour in hours for _ in names],
-            "activity": names * len(hours),
-            "kw": list(chain.from_iterable(zip(*attribution.by_activity.values()))),
-        })
+        text = hourly_csv(hours, attribution.by_activity, "kw")
     else:
         activities, _, per_unit, household, _ = zip(*result.adjusted_table.rows)
         payload = {
@@ -377,10 +358,7 @@ def cmd_reconcile(args) -> tuple[str, int]:
         text = _json_payload(payload)
 
     # the diagnostics follow the payload, so that a payload error is the only line on stderr
-    print(
-        f"scale_factor={result.scale_factor:.6f} relative_gap={result.relative_gap:.6f}",
-        file=sys.stderr,
-    )
+    print(f"scale_factor={result.scale_factor!r} relative_gap={result.relative_gap!r}", file=sys.stderr)
     if result.gap_warning:
         print(
             "loadcomp: warning: bottom-up total differs from measured energy "
@@ -398,12 +376,7 @@ def cmd_synth(args) -> tuple[str, int]:
     day = synth_household_day(seasonal_table(catalog, season), occupancy)
 
     if args.format == "csv":
-        names = list(day.per_activity)
-        return csv_text({
-            "hour": [hour for hour in range(24) for _ in names],
-            "activity": names * 24,
-            "wh": list(chain.from_iterable(zip(*day.per_activity.values()))),
-        }), 0
+        return hourly_csv(range(24), day.per_activity, "wh"), 0
 
     payload = {
         "season": season.value,

@@ -90,7 +90,7 @@ class LoadProfile(_Frozen):
         return math.fsum(powers) / len(powers)
 
 
-def parse_profile(source, granularity: Granularity | None = None, label: str = "") -> LoadProfile:
+def parse_profile(text: str, granularity: Granularity | None = None, label: str = "") -> LoadProfile:
     """Parse a power series from CSV with header ``timestamp,power_kw``.
 
     Timestamps are ISO-8601; :class:`LoadProfile` checks the samples. When
@@ -98,7 +98,6 @@ def parse_profile(source, granularity: Granularity | None = None, label: str = "
     midnight on the first of distinct months are monthly averages, anything
     else is hourly (monthly-peak must be declared explicitly).
     """
-    text = read_text(source)
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
@@ -143,8 +142,9 @@ def _infer_granularity(timestamps: tuple[datetime, ...]) -> Granularity:
 
 
 def load_profile(path, granularity: Granularity | None = None) -> LoadProfile:
+    """Read a profile CSV file, labelled with its stem; an unreadable file is a ProfileError."""
     path = Path(path)
-    return parse_profile(path, granularity=granularity, label=path.stem)
+    return parse_profile(read_text(path, "profile", ProfileError), granularity=granularity, label=path.stem)
 
 
 def normalize(profile: LoadProfile) -> tuple[float, ...]:

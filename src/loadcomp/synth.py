@@ -68,9 +68,9 @@ def default_occupancy() -> OccupancyCurve:
     return OccupancyCurve.from_values(DEFAULT_OCCUPANCY_RAW)
 
 
-def load_occupancy(source) -> OccupancyCurve:
-    """Load an occupancy curve: 24 comma-separated non-negative numbers."""
-    text = read_text(source)
+def load_occupancy(path) -> OccupancyCurve:
+    """Read an occupancy file of 24 comma-separated non-negative numbers; an unreadable file is an OccupancyError."""
+    text = read_text(path, "occupancy", OccupancyError)
     parts = [part.strip() for part in text.replace("\n", ",").split(",")]
     parts = [part for part in parts if part]
     try:

@@ -12,6 +12,7 @@ from loadcomp.catalog import (
     Catalog,
     CatalogError,
     OperationClass,
+    load_catalog,
     parse_catalog,
     validate_spec,
 )
@@ -254,6 +255,30 @@ class TestParseCatalog:
     def test_invalid_json_rejected(self):
         with pytest.raises(CatalogError, match="invalid JSON"):
             parse_catalog("{nope", fmt="json")
+
+    @pytest.mark.parametrize("line", ["TV,1,1,1,1,100,0,Manual,1,0,999", "TV,1,1,1,1,100,0,Manual,1,0,,"])
+    def test_a_row_with_more_cells_than_the_header_is_rejected(self, line):
+        """``csv.DictReader`` files the extra cells under the key ``None``; the row must not read as valid."""
+        with pytest.raises(CatalogError, match="^row 1: more cells than the header's 10 columns$"):
+            parse_catalog(csv_of(line))
+
+    def test_extra_cells_are_reported_in_file_order(self):
+        with pytest.raises(CatalogError, match="^row 1 .*tou_summer: ToU exceeds 24 h/day"):
+            parse_catalog(csv_of(row(tou_s=25), "TV,1,1,1,1,100,0,Manual,1,0,999"))
+
+
+class TestLoadCatalog:
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe" + CSV_HEADER.encode()], ids=["missing", "undecodable"])
+    def test_an_unreadable_file_is_a_catalog_error(self, tmp_path, content):
+        path = tmp_path / "catalog.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(CatalogError, match=f"^cannot read catalog file {re.escape(str(path))}: "):
+            load_catalog(path)
+
+    def test_the_suffix_is_checked_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(CatalogError, match="^cannot infer catalog format from suffix of 'missing.txt'$"):
+            load_catalog(tmp_path / "missing.txt")
 
 
 class TestCatalogStructure:

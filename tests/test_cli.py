@@ -268,10 +268,20 @@ class TestReconcile:
         assert code == 0
         assert json.loads(out)["scale_factor"] == pytest.approx(1.1, rel=1e-9)
 
-    def test_zero_measured_day_exits_1_zero_peak(self, capsys, tmp_path):
+    def test_zero_measured_day_exits_1_zero_measured_energy(self, capsys, tmp_path):
+        """``scale_to_measured`` decides that an all-zero day cannot be reconciled; the CLI keeps no rule of its own."""
         path = write_day_csv(tmp_path / "zero.csv", [0.0] * 24)
-        code, _, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path))
-        assert code == 1 and "zero peak" in err
+        code, out, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path))
+        assert (code, out, err) == (1, "", "loadcomp: error: zero measured energy\n")
+
+    def test_the_stderr_summary_writes_tiny_values_as_the_payload_does(self, capsys, tmp_path):
+        path = write_day_csv(tmp_path / "tiny.csv", [1e-300] * 24, day="2016-01-15")
+        code, out, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path))
+        payload = json.loads(out)
+        assert code == 0
+        scale_factor, relative_gap = payload["scale_factor"], payload["relative_gap"]
+        assert err.splitlines()[0] == f"scale_factor={scale_factor!r} relative_gap={relative_gap!r}"
+        assert err.startswith("scale_factor=3.798369866265729e-301 ")
 
     def test_a_payload_error_is_the_only_line_on_stderr(self, capsys, tmp_path):
         path = write_day_csv(tmp_path / "subnormal.csv", [5e-324] * 24)  # the relative gap overflows

@@ -199,6 +199,26 @@ def test_the_cli_encodes_json_only_in_its_payload_writer():
     assert not encoders
 
 
+def test_only_the_source_reader_reads_a_file():
+    """``_sourceio.read_text`` reads every input file and turns a failed read or decode into the loader's own error.
+
+    So nothing else in ``src/`` calls ``.read_text(``, ``.read_bytes(`` or ``open(``, and ``cli.py``, which calls
+    the loaders directly, has no ``UnicodeDecodeError`` of its own to catch.
+    """
+    readers = set()
+    for path in SOURCES:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = statement.name if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for call in ast.walk(statement):
+                called = call.func if isinstance(call, ast.Call) else None
+                if ((isinstance(called, ast.Attribute) and called.attr in ("read_text", "read_bytes", "open"))
+                        or (isinstance(called, ast.Name) and called.id == "open")):
+                    readers.add(f"{path.stem}.{owner}: {ast.unparse(called)}(")
+    assert {reader.partition(":")[0] for reader in readers} == {"_sourceio.read_text"}, sorted(readers)
+    cli = ast.parse((ROOT / "src" / "loadcomp" / "cli.py").read_text(encoding="utf-8"))
+    assert "UnicodeDecodeError" not in {node.id for node in ast.walk(cli) if isinstance(node, ast.Name)}
+
+
 def test_every_definition_in_the_library_has_a_caller_outside_the_tests():
     """A function, class or module constant that only the tests use is a test helper: it belongs in the tests.
 

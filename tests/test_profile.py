@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import statistics
 from datetime import datetime, timedelta, timezone
 
@@ -15,6 +16,7 @@ from loadcomp.profile import (
     LoadProfile,
     ProfileError,
     daily_extrema,
+    load_profile,
     monthly_growth,
     normalize,
     parse_profile,
@@ -139,6 +141,16 @@ class TestParseProfile:
         source = "timestamp,power_kw\n2016-06-01T00:00,-5\nyesterday,5\n"
         with pytest.raises(ProfileError, match="row 3: invalid timestamp"):
             parse_profile(source)
+
+
+class TestLoadProfile:
+    @pytest.mark.parametrize("content", [None, b"\xff\xfetimestamp,power_kw\n"], ids=["missing", "undecodable"])
+    def test_an_unreadable_file_is_a_profile_error(self, tmp_path, content):
+        path = tmp_path / "day.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ProfileError, match=f"^cannot read profile file {re.escape(str(path))}: "):
+            load_profile(path)
 
 
 def row_by_row(text):

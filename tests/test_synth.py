@@ -1,5 +1,7 @@
 """Hourly shape rules and daily energy conservation of the synthesized day."""
 
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -55,28 +57,34 @@ class TestDefaultOccupancy:
         assert occ.weights.index(max(occ.weights)) == 15
 
 
+def occupancy_file(tmp_path, text):
+    path = tmp_path / "occupancy.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestLoadOccupancy:
-    def test_comma_separated_values_normalized(self):
-        occ = load_occupancy(",".join(["2"] * 24))
+    def test_comma_separated_values_normalized(self, tmp_path):
+        occ = load_occupancy(occupancy_file(tmp_path, ",".join(["2"] * 24)))
         assert occ.weights == (pytest.approx(1 / 24),) * 24
 
-    def test_trailing_newline_tolerated(self):
-        occ = load_occupancy(",".join(["1"] * 24) + "\n")
+    def test_trailing_newline_tolerated(self, tmp_path):
+        occ = load_occupancy(occupancy_file(tmp_path, ",".join(["1"] * 24) + "\n"))
         assert sum(occ.weights) == pytest.approx(1.0, abs=1e-12)
 
-    def test_23_values_rejected(self):
+    def test_23_values_rejected(self, tmp_path):
         with pytest.raises(OccupancyError, match="expected 24 occupancy values, got 23"):
-            load_occupancy(",".join(["1"] * 23))
+            load_occupancy(occupancy_file(tmp_path, ",".join(["1"] * 23)))
 
-    def test_negative_value_rejected(self):
+    def test_negative_value_rejected(self, tmp_path):
         values = ["1"] * 23 + ["-1"]
         with pytest.raises(OccupancyError, match="non-negative"):
-            load_occupancy(",".join(values))
+            load_occupancy(occupancy_file(tmp_path, ",".join(values)))
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_value_rejected(self, value):
+    def test_non_finite_value_rejected(self, tmp_path, value):
         with pytest.raises(OccupancyError, match="non-negative"):
-            load_occupancy(",".join(["1"] * 23 + [value]))
+            load_occupancy(occupancy_file(tmp_path, ",".join(["1"] * 23 + [value])))
 
     def test_nan_weight_rejected_on_construction(self):
         with pytest.raises(OccupancyError, match="non-negative"):
@@ -88,13 +96,21 @@ class TestLoadOccupancy:
         weights[0] = 5.0  # the weights would no longer sum to 1
         assert curve.weights == (1.0 / 24.0,) * 24
 
-    def test_all_zero_rejected(self):
+    def test_all_zero_rejected(self, tmp_path):
         with pytest.raises(OccupancyError, match="not all be zero"):
-            load_occupancy(",".join(["0"] * 24))
+            load_occupancy(occupancy_file(tmp_path, ",".join(["0"] * 24)))
 
-    def test_non_numeric_rejected(self):
+    def test_non_numeric_rejected(self, tmp_path):
         with pytest.raises(OccupancyError, match="invalid occupancy value"):
-            load_occupancy(",".join(["1"] * 23 + ["busy"]))
+            load_occupancy(occupancy_file(tmp_path, ",".join(["1"] * 23 + ["busy"])))
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe" + b",1" * 24], ids=["missing", "undecodable"])
+    def test_an_unreadable_file_is_an_occupancy_error(self, tmp_path, content):
+        path = tmp_path / "occupancy.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(OccupancyError, match=f"^cannot read occupancy file {re.escape(str(path))}: "):
+            load_occupancy(path)
 
 
 class TestShapeFor:
