@@ -214,9 +214,13 @@ def load_catalog(path: str | Path) -> Catalog:
 
 def _rows_from_csv(text: str) -> list[dict]:
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    try:
+        fieldnames = reader.fieldnames
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit(), say
+        raise CatalogError(f"header: {exc}") from None
+    if fieldnames is None:
         return []
-    have = [name.strip() for name in reader.fieldnames]
+    have = [name.strip() for name in fieldnames]
     missing = [name for name in CSV_HEADER if name not in have]
     extra = [name for name in have if name not in CSV_HEADER]
     repeated = [name for name in CSV_HEADER if have.count(name) > 1]
@@ -227,7 +231,12 @@ def _rows_from_csv(text: str) -> list[dict]:
     if repeated:
         raise CatalogError(f"duplicate column(s): {', '.join(map(repr, repeated))}")
     reader.fieldnames = have  # rows keyed by the stripped names that were checked
-    return list(reader)
+    rows: list[dict] = []  # DictReader skips blank lines, so rows are numbered as parse_catalog numbers them
+    try:
+        rows.extend(reader)
+    except csv.Error as exc:
+        raise CatalogError(f"row {len(rows) + 1}: {exc}") from None
+    return rows
 
 
 def _rows_from_json(text: str) -> list[dict]:

@@ -13,7 +13,7 @@ import functools
 import math
 import shlex
 import sys
-from datetime import datetime, timezone
+from datetime import date, datetime, time, timezone
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -52,6 +52,7 @@ class Rows(dict):
 _INPUT_ERRORS = (CatalogError, CompositionError, ProfileError, ReconcileError, OccupancyError, PayloadError)
 _CELL = {str: _quote, int: int.__repr__, float: float.__repr__,  # scalars written as json.dumps writes them
          bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
+_FIELD = {str: '"%s"', int: "%d", float: "%r"}  # _CELL's texts as template fields; "%s" quoted only for plain text
 
 
 @functools.cache  # one shared parser per process: parse_args leaves it unchanged, so callers must too
@@ -147,7 +148,7 @@ def _emit(args, payload: str) -> None:
 def _json_payload(obj: dict) -> str:
     """``json.dumps(obj, indent=2) + "\\n"`` with each :class:`Rows` written as its list, refusing NaN and infinities.
 
-    The indenting encoder is pure Python. Here the rows of a ``Rows`` share one ``%``-template, and a list
+    The indenting encoder is pure Python. Here each row of a ``Rows`` fills one flat ``%``-template, and a list
     of cells of one type is converted in one pass.
     """
     try:
@@ -157,14 +158,17 @@ def _json_payload(obj: dict) -> str:
 
 
 def _text(value, indent: str) -> str:
-    """``value`` as json.dumps writes it, ``indent`` starting each later line."""
+    """``value`` as json.dumps writes it, ``indent`` starting each later line.
+
+    Each text is built by one f-string, which copies a long item once; a chain of ``+`` would copy it at each step.
+    """
     inner = indent + "  "
     if type(value) is dict:  # one key at a time
-        items = (inner + _key(key) + ": " + _text(item, inner) for key, item in value.items())
-        return "{" + ",".join(items) + indent + "}" if value else "{}"
+        items = (f"{inner}{_key(key)}: {_text(item, inner)}" for key, item in value.items())
+        return f"{{{','.join(items)}{indent}}}" if value else "{}"
     if type(value) in (list, tuple, Rows):  # one item on each line
         items = list(_items(value, inner))
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
     if type(value) is float and not -math.inf < value < math.inf:
         raise ValueError(value)
     return _CELL[type(value)](value)
@@ -175,19 +179,51 @@ def _key(key) -> str:
     return _quote(key) if type(key) is str else _quote(_text(key, ""))
 
 
+def _kind(values) -> type | None:
+    """The one type of all of ``values``, or None; a float column must be finite."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ValueError(values)
+    return kind
+
+
 def _items(values, indent: str) -> Iterator[str]:
     """The texts, made as they are read, of a list's items or a ``Rows``' rows, ``indent`` starting each later line."""
     if type(values) is Rows:
-        inner = indent + "  "
-        template = "{" + ",".join(inner + _key(key).replace("%", "%%") + ": %s" for key in values) + indent + "}"
-        return map(template.__mod__, zip(*(_items(column, inner) for column in values.values())))
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind in _CELL:
-        if kind is float and not all(map(math.isfinite, values)):
-            raise ValueError(values)
-        return map(_CELL[kind], values)
-    return map(_text, values, repeat(indent))
+        template, columns = _row_template(values, indent)
+        return map(template.__mod__, zip(*columns))
+    kind = _kind(values)
+    return map(_CELL[kind], values) if kind in _CELL else map(_text, values, repeat(indent))
+
+
+def _row_template(rows: Rows, indent: str) -> tuple[str, list]:
+    """One ``%``-template for every row of ``rows``, ``indent`` starting its last line, and the columns that fill it.
+
+    A nested ``Rows`` is merged in, so that a row is one ``%``. A float, int or str column fills its field as is
+    (:data:`_FIELD`); a str column only when ``_quote`` would add nothing but the quotes. Any other column fills
+    ``%s`` with the texts of its cells.
+    """
+    inner = indent + "  "
+    fields, columns = [], []
+    for key, column in rows.items():
+        if type(column) is Rows:
+            field, nested = _row_template(column, inner)
+            columns += nested
+        else:
+            kind = _kind(column)
+            if kind in _FIELD and (kind is not str or _quotes_only("".join(column))):
+                field = _FIELD[kind]
+            else:
+                field, column = "%s", _items(column, inner)
+            columns.append(column)
+        fields.append(inner + _key(key).replace("%", "%%") + ": " + field)
+    return "{" + ",".join(fields) + indent + "}", columns
+
+
+def _quotes_only(text: str) -> bool:
+    """True if ``_quote(text)`` is ``text`` in quotes: it is printable ASCII without ``"`` or ``\\``."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 def _get_catalog(args) -> Catalog:
@@ -267,6 +303,22 @@ def hourly_csv(hours: Sequence[int], series: dict[str, Sequence[float]], unit: s
     })
 
 
+def _iso_texts(timestamps: Sequence[datetime]) -> list[str]:
+    """``datetime.isoformat`` of each timestamp, joined from one text per date and one per time of day.
+
+    ``timestamps`` are all naive or all aware, as in a ``LoadProfile``. An aware time of day is keyed with its
+    sample's UTC offset: its tzinfo may give another offset on another date, and a ``zoneinfo`` time gives none.
+    """
+    days = list(map(datetime.toordinal, timestamps))
+    times = list(map(datetime.time, timestamps))
+    if timestamps and timestamps[0].utcoffset() is not None:
+        times = list(zip(times, map(datetime.utcoffset, timestamps)))
+    day_text = {day: date.fromordinal(day).isoformat() + "T" for day in set(days)}
+    time_text = {key: key.isoformat() if type(key) is time else key[0].replace(tzinfo=timezone(key[1])).isoformat()
+                 for key in set(times)}
+    return [day_text[day] + time_text[key] for day, key in zip(days, times)]
+
+
 def cmd_composition(args) -> tuple[str, int]:
     catalog = _get_catalog(args)
     tables = [seasonal_table(catalog, season, args.days_per_month) for season in _seasons(args.season)]
@@ -283,7 +335,7 @@ def cmd_composition(args) -> tuple[str, int]:
 
 def cmd_profile_stats(args) -> tuple[str, int]:
     profile = load_profile(args.profile, Granularity(args.granularity) if args.granularity else None)
-    normalized = Rows(timestamp=list(map(datetime.isoformat, profile.timestamps)), fraction=normalize(profile))
+    normalized = Rows(timestamp=_iso_texts(profile.timestamps), fraction=normalize(profile))
 
     if args.format == "csv":
         return csv_text(normalized), 0

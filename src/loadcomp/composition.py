@@ -11,9 +11,19 @@ Shares are each activity's percentage of the household daily total.
 
 from __future__ import annotations
 
+import sys
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from .catalog import Catalog, OperationClass, Season
+
+if sys.version_info >= (3, 12):  # from 3.12, sum() compensates the rounding of floats and can change a last digit
+    def ordered_sum(values):
+        """``sum(values)`` as Python 3.11 computes it: added left to right, from 0."""
+        return reduce(add, values, 0)
+else:
+    ordered_sum = sum
 
 
 class CompositionError(ValueError):
@@ -39,7 +49,7 @@ class SeasonalConsumptionTable(NamedTuple):
 
     @property
     def daily_total_wh(self) -> float:
-        return sum(row.household_daily_wh for row in self.rows)
+        return ordered_sum(row.household_daily_wh for row in self.rows)
 
     @property
     def monthly_total_kwh(self) -> float:

@@ -99,14 +99,18 @@ def parse_profile(text: str, granularity: Granularity | None = None, label: str 
     else is hourly (monthly-peak must be declared explicitly).
     """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    header, rows = None, []  # blank lines are not numbered
+    try:
+        header = next(reader, None)
+        rows.extend(filter(None, reader))
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit(), say: name its row
+        raise ProfileError(f"row {1 if header is None else len(rows) + 2}: {exc}") from None
     if header is None:
         raise ProfileError("empty profile: no samples")
     have = tuple(name.strip() for name in header)
     if have != PROFILE_CSV_HEADER:
         raise ProfileError(f"expected header {','.join(PROFILE_CSV_HEADER)!r}, got {','.join(have)!r}")
 
-    rows = list(filter(None, reader))  # blank lines are not numbered
     if not rows:
         raise ProfileError("empty profile: no samples")
     try:  # one pass per column; extra cells are ignored
@@ -182,15 +186,20 @@ def monthly_growth(profile: LoadProfile) -> list[tuple[datetime, datetime, float
 
 
 def seasonal_split(profile: LoadProfile) -> dict[Season, LoadProfile]:
-    """Partition samples by season; together the two halves cover the input."""
+    """Partition samples by season; together the two halves cover the input.
+
+    A subsequence of checked samples keeps every rule of :class:`LoadProfile`, so a half is not checked again.
+    """
     months = bytes(map(attrgetter("month"), profile.timestamps))  # one byte per sample
     winter = [month in WINTER_MONTHS for month in range(256)]  # a bytes.translate table: month -> 1 in winter
     masks = {Season.WINTER: months.translate(bytes(winter)), Season.SUMMER: months.translate(bytes(map(not_, winter)))}
-    return {
-        season: LoadProfile(tuple(compress(profile.timestamps, mask)), tuple(compress(profile.powers, mask)),
-                            profile.granularity, profile.label)
-        for season, mask in masks.items()
-    }
+    split = {}
+    for season, mask in masks.items():
+        part = split[season] = object.__new__(LoadProfile)
+        vars(part).update(timestamps=tuple(compress(profile.timestamps, mask)),
+                          powers=tuple(compress(profile.powers, mask)), granularity=profile.granularity,
+                          label=profile.label)
+    return split
 
 
 def daily_extrema(profile: LoadProfile) -> dict[str, int]:

@@ -12,7 +12,7 @@ import math
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .composition import DeviceEnergy, SeasonalConsumptionTable
+from .composition import DeviceEnergy, SeasonalConsumptionTable, ordered_sum
 from .profile import Granularity, LoadProfile
 from .synth import OccupancyCurve, synth_household_day
 
@@ -71,16 +71,18 @@ def scale_to_measured(table: SeasonalConsumptionTable, measured: LoadProfile) ->
     bottom_up = table.monthly_total_kwh
     if bottom_up <= 0:
         raise ReconcileError("zero bottom-up total")
-    measured_energy_kwh = sum(measured.powers) * table.days_per_month
+    measured_energy_kwh = ordered_sum(measured.powers) * table.days_per_month
     if measured_energy_kwh <= 0:
         raise ReconcileError("zero measured energy")
     k = measured_energy_kwh / bottom_up
+    gap = abs(1.0 - bottom_up / measured_energy_kwh)
+    if not all(map(math.isfinite, (k, gap, measured_energy_kwh, bottom_up))):  # a ratio of extreme inputs overflows
+        raise ReconcileError("a result is not a finite number; an input value is out of range")
     rows = tuple(
         DeviceEnergy(name, units, per_unit * k, total * k, operation)
         for name, units, per_unit, total, operation in table.rows
     )
     adjusted = SeasonalConsumptionTable(season=table.season, rows=rows, days_per_month=table.days_per_month)
-    gap = abs(1.0 - bottom_up / measured_energy_kwh)
     return ReconciliationResult(
         scale_factor=k,
         measured_energy_kwh=measured_energy_kwh,
@@ -123,8 +125,8 @@ def disaggregate(
 def composition_from_attribution(attribution: HourlyAttribution) -> dict[str, float]:
     """Shares of total attributed energy per activity over the measured day."""
     # hourly samples: kW over one hour = kWh
-    energies = {activity: sum(series) for activity, series in attribution.by_activity.items()}
-    total = sum(energies.values())
+    energies = {activity: ordered_sum(series) for activity, series in attribution.by_activity.items()}
+    total = ordered_sum(energies.values())
     if total <= 0:
         raise ReconcileError("zero total attributed energy")
     return {activity: 100.0 * energy / total for activity, energy in energies.items()}

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from ._sourceio import read_text
 from .catalog import OperationClass, _Frozen
-from .composition import SeasonalConsumptionTable
+from .composition import SeasonalConsumptionTable, ordered_sum
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -44,7 +44,7 @@ class OccupancyCurve(_Frozen):
             raise OccupancyError(f"expected 24 occupancy values, got {len(weights)}")
         if not all(w >= 0 for w in weights):  # false for nan too; an inf breaks the sum rule
             raise OccupancyError("occupancy values must be finite and non-negative")
-        total = sum(weights)
+        total = ordered_sum(weights)
         if total == 0:
             raise OccupancyError("occupancy values must not all be zero")
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -58,7 +58,7 @@ class OccupancyCurve(_Frozen):
         largest = max(values, default=0.0)
         if largest > 0:  # scaled first, so that large finite values cannot overflow the sum
             values = tuple(v / largest for v in values)
-        total = sum(values)
+        total = ordered_sum(values)
         # A non-positive total cannot be normalized; the weight rule then names the fault.
         return cls(weights=values if total <= 0 else tuple(v / total for v in values))
 
@@ -89,7 +89,7 @@ def shape_for(operation: OperationClass, occupancy: OccupancyCurve) -> tuple[flo
         return occupancy.weights
     # SEMI_AUTO: midpoint of uniform and occupancy, renormalized
     mixed = tuple((uniform + w) / 2.0 for w in occupancy.weights)
-    total = sum(mixed)
+    total = ordered_sum(mixed)
     return tuple(w / total for w in mixed)
 
 
@@ -100,11 +100,11 @@ class SynthesizedDay(NamedTuple):
 
     @property
     def household_total(self) -> tuple[float, ...]:
-        return tuple(map(sum, zip(*self.per_activity.values())))
+        return tuple(map(ordered_sum, zip(*self.per_activity.values())))
 
     @property
     def daily_total_wh(self) -> float:
-        return sum(map(sum, self.per_activity.values()))
+        return ordered_sum(map(ordered_sum, self.per_activity.values()))
 
 
 def synth_household_day(table: SeasonalConsumptionTable, occupancy: OccupancyCurve) -> SynthesizedDay:

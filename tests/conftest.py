@@ -7,6 +7,8 @@ import io
 import json
 import string
 from datetime import datetime, timedelta
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import strategies as st
@@ -99,6 +101,11 @@ def device_daily_energy(spec: ApplianceSpec, season: Season) -> float:
 def household_device_energy(spec: ApplianceSpec, season: Season) -> float:
     """Reference energy of all units, in Wh/day: ``seasonal_table`` must give these bits in ``household_daily_wh``."""
     return spec.units(season) * device_daily_energy(spec, season)
+
+
+def left_to_right_sum(values) -> float:
+    """The sum that the library computes on every Python: added left to right, from 0, as ``sum`` before 3.12."""
+    return reduce(add, values, 0)
 
 
 def serialize_catalog(catalog: Catalog, fmt: str = "csv") -> str:

@@ -9,6 +9,7 @@ import re
 import shlex
 import tempfile
 from collections import Counter
+from datetime import datetime, timedelta, timezone, tzinfo
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,27 @@ class TestComposition:
         assert "I/O error" in err
 
 
+# fixed offsets within a day either way, with seconds and microseconds
+OFFSETS = st.timedeltas(min_value=timedelta(hours=-24) + timedelta.resolution,
+                        max_value=timedelta(hours=24) - timedelta.resolution)
+
+
+@st.composite
+def iso_cells(draw):
+    """Timestamp cells of one valid profile: all naive or all with an offset, in the forms ``isoformat`` writes."""
+    naive = draw(st.lists(st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)),
+                          min_size=1, max_size=30))
+    aware = draw(st.booleans())
+    parsed = {}  # the first cell of each instant, in the order of the instants
+    for ts in naive:
+        if aware:
+            ts = ts.replace(tzinfo=timezone(draw(OFFSETS)))
+        cell = ts.isoformat(sep=draw(st.sampled_from("T ")),
+                            timespec=draw(st.sampled_from(["auto", "minutes", "seconds", "microseconds"])))
+        parsed.setdefault(datetime.fromisoformat(cell), cell)
+    return [parsed[ts] for ts in sorted(parsed)]
+
+
 class TestProfileStats:
     def test_annual_fixture_reports_feb_to_jun_growth(self, capsys, tmp_path):
         path = write_monthly_csv(tmp_path / "annual.csv")
@@ -210,6 +232,29 @@ class TestProfileStats:
         )
         assert code == 0
         assert json.loads(out)["granularity"] == "monthly-peak"
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=iso_cells(), fmt=st.sampled_from(["json", "csv"]))
+    def test_normalized_timestamps_are_the_isoformat_of_each_cell(self, cells, fmt):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "profile.csv"
+            path.write_text("timestamp,power_kw\n" + "".join(f"{cell},1.0\n" for cell in cells))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["profile-stats", "--profile", str(path), "--format", fmt]) == 0
+        text = out.getvalue()
+        rows = json.loads(text)["normalized"] if fmt == "json" else csv.DictReader(io.StringIO(text))
+        assert [row["timestamp"] for row in rows] == [datetime.fromisoformat(cell).isoformat() for cell in cells]
+
+    def test_each_aware_time_of_day_is_written_with_its_own_offset(self):
+        """A tzinfo can give one time of day two offsets on two dates, and none without a date, as zoneinfo does."""
+
+        class TwoOffsets(tzinfo):
+            def utcoffset(self, dt):
+                return None if dt is None else timedelta(hours=1 if dt.day < 29 else 2)
+
+        stamps = [datetime(2020, 3, day, 1, 30, tzinfo=TwoOffsets()) for day in (28, 29)]
+        assert cli._iso_texts(stamps) == ["2020-03-28T01:30:00+01:00", "2020-03-29T01:30:00+02:00"]
 
 
 class TestOneEnergyPass:
@@ -286,6 +331,15 @@ class TestReconcile:
     def test_a_payload_error_is_the_only_line_on_stderr(self, capsys, tmp_path):
         path = write_day_csv(tmp_path / "subnormal.csv", [5e-324] * 24)  # the relative gap overflows
         code, out, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path))
+        assert (code, out) == (1, "")
+        assert err == "loadcomp: error: a result is not a finite number; an input value is out of range\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_non_finite_relative_gap_is_one_error_in_both_formats(self, capsys, tmp_path, fmt):
+        catalog = tmp_path / "big.csv"
+        catalog.write_text(CATALOG_HEADER + "Big,24,24,1000000,1000000,1e7,0,Auto,1,0\n")
+        path = write_day_csv(tmp_path / "tiny.csv", [2.2250738585072014e-308] * 24)
+        code, out, err = run(capsys, "reconcile", "--catalog", str(catalog), "--profile", str(path), "--format", fmt)
         assert (code, out) == (1, "")
         assert err == "loadcomp: error: a result is not a finite number; an input value is out of range\n"
 
@@ -413,6 +467,7 @@ CATALOG_HEADER = (
 JSON_TV_ROW = {"activity": "TV", "tou_winter": 5, "tou_summer": 5, "units_winter": 1, "units_summer": 1,
                "run_watts": 120, "idle_watts": 13, "operation": "Manual", "run_fraction": 1, "idle_fraction": 0}
 UNDECODABLE = b"\xff\xfe" + "timestamp,power_kw\n".encode("utf-16-le")
+OVERSIZED = "x" * (csv.field_size_limit() + 1)  # a cell that csv.reader refuses
 QUARTER_HOUR_DAY = "timestamp,power_kw\n" + "".join(
     f"2016-06-01T{m // 60:02d}:{m % 60:02d},{1 + m % 7}\n" for m in range(0, 24 * 60, 15)
 )
@@ -457,6 +512,18 @@ class TestInputDefects:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "content, rownum",
+        [(f"{OVERSIZED},1\n", 1), ("timestamp,power_kw\n2016-06-01T00:00,1\n\n" + f"{OVERSIZED},1\n", 3)],
+        ids=["header", "sample"],
+    )
+    def test_a_profile_cell_over_the_csv_field_limit_names_its_row(self, capsys, tmp_path, content, rownum):
+        path = tmp_path / "profile.csv"
+        path.write_text(content)
+        code, out, err = run(capsys, "profile-stats", "--profile", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"loadcomp: error: row {rownum}: field larger than field limit") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "content, rule",
         [
             (CATALOG_HEADER + "TV,nan,5,1,1,120,13,Manual,1,0\n", "tou_winter: must be a finite number"),
@@ -464,8 +531,10 @@ class TestInputDefects:
             (CATALOG_HEADER + "TV,5,5,nan,1,120,13,Manual,1,0\n", "'units_winter' must be a whole number"),
             (CATALOG_HEADER + "TV,5,5,1,inf,120,13,Manual,1,0\n", "'units_summer' must be a whole number"),
             (UNDECODABLE, "cannot read catalog file"),
+            (CATALOG_HEADER + "TV,5,5,1,1,120,13,Manual,1,0\n\n" + OVERSIZED + ",5,5,1,1,120,13,Manual,1,0\n",
+             "row 2: field larger than field limit"),
         ],
-        ids=["nan-tou", "inf-watts", "nan-units", "inf-units", "undecodable"],
+        ids=["nan-tou", "inf-watts", "nan-units", "inf-units", "undecodable", "oversized-cell"],
     )
     def test_validate_gives_a_verdict(self, capsys, tmp_path, content, rule):
         path = tmp_path / "catalog.csv"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from loadcomp import Season, composition_shares, seasonal_table
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
 from loadcomp.cli import pie_data, render_value, table_csv
-from loadcomp.composition import CompositionError, DeviceEnergy
+from loadcomp.composition import CompositionError, DeviceEnergy, ordered_sum
 from conftest import (
     SUMMER_DAILY_WH,
     SUMMER_MONTHLY_KWH,
@@ -22,6 +22,7 @@ from conftest import (
     catalogs,
     device_daily_energy,
     household_device_energy,
+    left_to_right_sum,
     spec_named,
 )
 
@@ -182,7 +183,7 @@ class TestSeasonPairReport:
 class TestProperties:
     @given(catalog=catalogs(), season=st.sampled_from(list(Season)))
     def test_shares_conserve_100(self, catalog, season):
-        assume(sum(household_device_energy(s, season) for s in catalog) > 0)
+        assume(left_to_right_sum(household_device_energy(s, season) for s in catalog) > 0)
         shares = shares_of(catalog, season)
         assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
         assert all(share >= 0 for share in shares.values())
@@ -193,7 +194,7 @@ class TestProperties:
         k=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
     )
     def test_shares_invariant_under_wattage_scaling(self, catalog, season, k):
-        assume(sum(household_device_energy(s, season) for s in catalog) > 0)
+        assume(left_to_right_sum(household_device_energy(s, season) for s in catalog) > 0)
         scaled = Catalog(
             specs=tuple(
                 s._replace(run_watts=s.run_watts * k, idle_watts=s.idle_watts * k)
@@ -215,7 +216,7 @@ class TestProperties:
     @given(catalog=catalogs(), season=st.sampled_from(list(Season)))
     def test_shares_have_the_bits_of_the_reference_energies(self, catalog, season):
         energies = [household_device_energy(spec, season) for spec in catalog]
-        total = sum(energies)
+        total = left_to_right_sum(energies)
         assume(total > 0)
         expected = {spec.activity: 100.0 * energy / total for spec, energy in zip(catalog, energies)}
         shares = shares_of(catalog, season)
@@ -244,7 +245,7 @@ class TestProperties:
     )
     def test_share_monotone_in_tou(self, catalog, data):
         season = Season.SUMMER
-        assume(sum(household_device_energy(s, season) for s in catalog) > 0)
+        assume(left_to_right_sum(household_device_energy(s, season) for s in catalog) > 0)
         index = data.draw(st.integers(0, len(catalog) - 1))
         bump = data.draw(st.floats(min_value=0.1, max_value=24.0, allow_nan=False))
         target = catalog.specs[index]
@@ -319,3 +320,10 @@ class TestRendering:
         assert exact["label"][1] == "Air conditioning"
         assert exact["percent"][1] == pytest.approx(61.885, abs=1e-3)
         assert rounded["percent"][1] == 62
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+@example([0.1] * 10)  # 0.9999999999999999 left to right; sum() gives 1.0 from Python 3.12
+def test_ordered_sum_adds_left_to_right_on_every_python(values):
+    """The payload bytes are the same on every supported Python because every float total is made this way."""
+    assert repr(ordered_sum(values)) == repr(left_to_right_sum(values))

@@ -15,6 +15,8 @@ from loadcomp.cli import PayloadError, Rows, _json_payload
 # keys and strings that JSON must escape: quotes, backslashes, control characters,
 # non-ASCII and astral text, and "%", which a row template must not read as a placeholder
 texts = st.text(alphabet='az%"\\/\x00\x01\t\n\x1f\x7fü€ 🧊', max_size=6)
+# printable ASCII, which a row template writes in quotes as it is, now and then with a '"' or '\' that it cannot
+ascii_texts = st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6)
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0, 5e-324, 1e300])
 scalars = st.none() | st.booleans() | st.integers() | finite_floats | texts
 values = st.recursive(
@@ -23,7 +25,7 @@ values = st.recursive(
     max_leaves=4,
 )
 # cells of one type per key, as payload rows have, or of any kind, which the writer must tell apart
-cell_kinds = [texts, st.integers(), finite_floats, st.booleans(), scalars, values]
+cell_kinds = [texts, ascii_texts, st.integers(), finite_floats, st.booleans(), scalars, values]
 
 
 @st.composite
@@ -82,11 +84,14 @@ def test_a_non_finite_float_key_is_refused(bad):
 
 @st.composite
 def rows_and_lists(draw, size=None, depth=0):
-    """A ``Rows`` and the list of dicts it stands for; a column holds cells of one kind, or is a ``Rows`` itself."""
+    """A ``Rows`` and the list of dicts it stands for; a column holds cells of one kind, or is a ``Rows`` itself.
+
+    A ``Rows`` nests two deep at most; the columns of all its levels fill one row template.
+    """
     size = draw(st.integers(0, 4)) if size is None else size
     columns, plain = {}, {}
     for key in draw(st.lists(texts, min_size=1, max_size=3, unique=True)):
-        if depth < 1 and draw(st.booleans()):
+        if depth < 2 and draw(st.booleans()):
             columns[key], plain[key] = draw(rows_and_lists(size, depth + 1))
         else:
             cells = draw(st.lists(draw(st.sampled_from(cell_kinds)), min_size=size, max_size=size))
@@ -120,6 +125,13 @@ def payloads_with_rows(draw):
     {"attribution": Rows(hour=[0, 1], kw=Rows({'A, "b"': [1.5, 0.0], "ü%s": [2.0, 3.0]}))},
     {"attribution": [{"hour": 0, "kw": {'A, "b"': 1.5, "ü%s": 2.0}}, {"hour": 1, "kw": {'A, "b"': 0.0, "ü%s": 3.0}}]},
 ))
+@example((  # a Rows in a Rows in a Rows, and str columns with and without a character to escape
+    {"r": Rows(id=["a-1", "b 2"], m=Rows(n=[1, 2], k=Rows({"q": ['x"y', "z"], "%d": ["50%", "\\"]})))},
+    {"r": [{"id": "a-1", "m": {"n": 1, "k": {"q": 'x"y', "%d": "50%"}}},
+           {"id": "b 2", "m": {"n": 2, "k": {"q": "z", "%d": "\\"}}}]},
+))
+@example(({"r": Rows(s=["plain", "ü"], t=["~ ", "\x7f"])},
+          {"r": [{"s": "plain", "t": "~ "}, {"s": "ü", "t": "\x7f"}]}))
 def test_rows_are_written_as_the_lists_of_dicts_they_stand_for(pair):
     with_rows, plain = pair
     assert _json_payload(with_rows) == json.dumps(plain, indent=2) + "\n"

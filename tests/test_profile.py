@@ -154,11 +154,20 @@ class TestLoadProfile:
 
 
 def row_by_row(text):
-    """The samples of a profile CSV as the row-by-row parser before the column passes read them, or its error."""
-    rows = csv.reader(io.StringIO(text))
-    next(rows)  # the header, checked as before
+    """The samples of a profile CSV as the row-by-row parser before the column passes read them, or its error.
+
+    A file that ``csv`` cannot read to its end is refused first, naming the row where reading stopped, as an
+    undecodable file is refused before any cell is checked.
+    """
+    reader = csv.reader(io.StringIO(text))
+    next(reader)  # the header, checked as before
+    rows = []
+    try:
+        rows.extend(filter(None, reader))
+    except csv.Error as exc:
+        return f"row {len(rows) + 2}: {exc}"
     samples = []
-    for rownum, row in enumerate(filter(None, rows), start=2):
+    for rownum, row in enumerate(rows, start=2):
         raw_ts, raw_power, *_ = *map(str.strip, row), ""
         try:
             ts = datetime.fromisoformat(raw_ts)
@@ -202,6 +211,7 @@ class TestParseEquivalence:
     @given(mutated_profile_csv())
     @example("timestamp,power_kw\n2016-06-01T00:00,much\nyesterday,5\n")  # the bad power comes first
     @example("timestamp,power_kw\n2016-06-01T00:00\n\nyesterday,5\n")  # a short row, then a bad timestamp
+    @example("timestamp,power_kw\n,1.0\n\r,2.0\n")  # a bad timestamp, then a row csv cannot read
     def test_columns_match_the_row_by_row_parse(self, text):
         expected = row_by_row(text)
         if isinstance(expected, list):  # parsed: the sample rules decide, as they did then
@@ -328,6 +338,21 @@ class TestSeasonalSplit:
         split = seasonal_split(profile)
         merged = sorted(pair for part in split.values() for pair in zip(part.timestamps, part.powers))
         assert merged == sorted(samples)
+
+    @given(
+        powers=st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=30),
+        start_month=st.integers(1, 12),
+        granularity=st.sampled_from(list(Granularity)),
+    )
+    def test_each_half_is_the_checked_profile_of_its_samples(self, powers, start_month, granularity):
+        """The halves are not checked again; each must still be what the constructor builds from its columns."""
+        start = datetime(2016, start_month, 1)
+        profile = profile_of([(start + timedelta(days=31 * i), p) for i, p in enumerate(powers)], granularity, "x")
+        for part in seasonal_split(profile).values():
+            checked = LoadProfile(part.timestamps, part.powers, granularity, "x")
+            assert type(part) is LoadProfile and vars(part) == vars(checked)
+            with pytest.raises(AttributeError):
+                part.label = "y"
 
 
 class TestDailyExtrema:

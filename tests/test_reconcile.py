@@ -18,7 +18,7 @@ from loadcomp.reconcile import (
     scale_to_measured,
 )
 from loadcomp.synth import OccupancyCurve, default_occupancy, synth_household_day
-from conftest import DAY_CURVE_KW, catalogs, hourly_day, monthly_profile, profile_of
+from conftest import DAY_CURVE_KW, catalogs, hourly_day, left_to_right_sum, monthly_profile, profile_of
 
 JUNE1 = datetime(2016, 6, 1)
 
@@ -116,11 +116,18 @@ class TestScaleToMeasured:
         with pytest.raises(ReconcileError, match="zero bottom-up"):
             scale_to_measured(table, day_of_monthly_energy(100.0))
 
+    def test_a_ratio_that_overflows_is_rejected(self):
+        """The smallest normal kW against 24 h of 10⁶ units at 10⁷ W: the relative gap is infinite."""
+        spec = one_manual_device().specs[0]._replace(tou_winter=24.0, units_winter=10**6, run_watts=1e7)
+        table = seasonal_table(Catalog(specs=(spec,)), Season.WINTER, 30)
+        with pytest.raises(ReconcileError, match="not a finite number"):
+            scale_to_measured(table, hourly_day([2.2250738585072014e-308] * 24))
+
     def test_a_month_is_the_measured_day_times_the_table_days(self, paper_catalog):
         day = hourly_day(DAY_CURVE_KW)
         short = scale_to_measured(seasonal_table(paper_catalog, Season.SUMMER, 28), day)
         long = scale_to_measured(seasonal_table(paper_catalog, Season.SUMMER, 31), day)
-        assert short.measured_energy_kwh == sum(DAY_CURVE_KW) * 28  # kW over one hour is kWh
+        assert short.measured_energy_kwh == left_to_right_sum(DAY_CURVE_KW) * 28  # kW over one hour is kWh
         assert short.measured_energy_kwh / long.measured_energy_kwh == pytest.approx(28 / 31, rel=1e-15)
 
     @pytest.mark.parametrize("measured", [monthly_profile(), hourly_day([1.0] * 30)], ids=["monthly", "30-hours"])

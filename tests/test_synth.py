@@ -16,7 +16,7 @@ from loadcomp.synth import (
     shape_for,
     synth_household_day,
 )
-from conftest import SUMMER_DAILY_WH, appliance_specs, catalogs, household_device_energy
+from conftest import SUMMER_DAILY_WH, appliance_specs, catalogs, household_device_energy, left_to_right_sum
 
 UNIFORM = OccupancyCurve(weights=(1.0 / 24.0,) * 24)
 
@@ -196,6 +196,6 @@ class TestSynthHouseholdDay:
             energy = household_device_energy(spec, season)
             expected = tuple(energy * w for w in shapes[spec.operation])
             assert list(map(repr, day.per_activity[spec.activity])) == list(map(repr, expected))
-        expected = tuple(sum(series[hour] for series in day.per_activity.values()) for hour in range(24))
+        expected = tuple(left_to_right_sum(series[hour] for series in day.per_activity.values()) for hour in range(24))
         assert day.household_total == expected
         assert list(map(repr, day.household_total)) == list(map(repr, expected))  # -0.0 and 0.0 differ here
