@@ -72,6 +72,8 @@ def _cases() -> dict[str, list[str]]:
         "--granularity", "monthly-peak", formats=("json",))
     add("profile-stats-monthly36-hourly", "profile-stats", "--profile", "monthly36.csv",
         "--granularity", "hourly", formats=("json",))
+    # 72 hours across the February-March season change: 0.001 kW readings that repeat, with 0.0 and -0.0
+    add("profile-stats-season-change72", "profile-stats", "--profile", "season_change72.csv")
 
     # activity names that JSON must escape: quotes, backslash, control and non-ASCII characters
     escaping = ("--catalog", "escaping.json")
