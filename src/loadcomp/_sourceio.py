@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import filterfalse
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -19,12 +20,28 @@ def read_text(path: Path | str, what: str, error: type[Exception]) -> str:
         raise error(f"cannot read {what} file {path}: {exc}") from exc
 
 
+def float_texts(column: Sequence[float]) -> Sequence:
+    """``column`` itself, or its cells' ``repr`` texts made once per distinct value; ``%s`` writes either as ``repr``.
+
+    ``column`` holds only ``float`` cells (``1``, ``1.0`` and ``True`` are one dict key). The texts are made only
+    for a column longer than one day of hours whose cells are at most half distinct, as a metered series' are.
+    """
+    if len(column) <= 24 or 2 * len(memo := dict.fromkeys(column)) > len(column):  # short or mostly distinct
+        return column
+    memo = dict(zip(memo, map(float.__repr__, memo)))
+    texts = list(map(memo.__getitem__, column))
+    if 0.0 in memo:  # 0.0 and -0.0 are one key with two texts
+        for index in filterfalse(column.__getitem__, range(len(column))):
+            texts[index] = repr(column[index])
+    return texts
+
+
 def csv_text(rows: Mapping[str, Sequence]) -> str:
     """The header ``rows.keys()`` and then the rows, as ``csv.writer`` writes them with ``\\n`` line endings.
 
     ``rows`` maps each key to its column: row ``i`` holds each column's cell ``i``. Cells are written
-    with ``str``, so floats keep their shortest round-trip form. Rows fill one ``%``-template; a row
-    with a text cell that needs quoting goes through ``csv.writer`` instead.
+    with ``str``, so floats keep their shortest round-trip form (a float column's via ``float_texts``). Rows fill
+    one ``%``-template; a row with a text cell that needs quoting goes through ``csv.writer`` instead.
     """
 
     def written(row) -> str:
@@ -34,9 +51,11 @@ def csv_text(rows: Mapping[str, Sequence]) -> str:
 
     quoted = (",", '"', "\r", "\n")  # a cell that holds one of these may need quotes: csv.writer decides
     columns = list(rows.values())
-    lines = list(map((",".join(["%s"] * len(columns)) + "\n").__mod__, zip(*columns)))
-    for column in columns:
-        text = "".join(map(str, column)) if str in set(map(type, column)) else ""
+    kinds = [set(map(type, column)) for column in columns]
+    texts = [float_texts(column) if kind == {float} else column for column, kind in zip(columns, kinds)]
+    lines = list(map((",".join(["%s"] * len(columns)) + "\n").__mod__, zip(*texts)))
+    for column, kind in zip(columns, kinds):  # the cells as given: a float column's texts never need quotes
+        text = "".join(map(str, column)) if str in kind else ""
         if any(mark in text for mark in quoted) or (len(columns) == 1 and "" in column):  # "" alone is quoted
             for index, cell in enumerate(column):
                 if not cell or any(mark in str(cell) for mark in quoted):

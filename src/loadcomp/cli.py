@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__, reconcile
-from ._sourceio import csv_text
+from ._sourceio import csv_text, float_texts
 from .catalog import Catalog, CatalogError, Season, builtin_catalog, load_catalog
 from .composition import CompositionError, SeasonalConsumptionTable, composition_shares, seasonal_table
 from .profile import (
@@ -50,9 +50,9 @@ class Rows(dict):
 
 
 _INPUT_ERRORS = (CatalogError, CompositionError, ProfileError, ReconcileError, OccupancyError, PayloadError)
-_CELL = {str: _quote, int: int.__repr__, float: float.__repr__,  # scalars written as json.dumps writes them
+_CELL = {str: _quote, int: int.__repr__, float: str,  # scalars written as json.dumps writes them: str is a float's repr
          bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
-_FIELD = {str: '"%s"', int: "%d", float: "%r"}  # _CELL's texts as template fields; "%s" quoted only for plain text
+_FIELD = {str: '"%s"', int: "%d", float: "%s"}  # _CELL's texts as template fields; '"%s"' only for plain text
 
 
 @functools.cache  # one shared parser per process: parse_args leaves it unchanged, so callers must too
@@ -118,10 +118,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own message; remap usage errors to 1
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
-    args.argv_text = shlex.join(argv if argv is not None else sys.argv[1:])
     try:
         payload, status = args.handler(args)
-        _emit(args, payload)
+        _emit(args, payload, sys.argv[1:] if argv is None else argv)
     except _INPUT_ERRORS as exc:
         print(f"loadcomp: error: {exc}", file=sys.stderr)
         return 1
@@ -131,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     return status
 
 
-def _emit(args, payload: str) -> None:
+def _emit(args, payload: str, argv: list[str]) -> None:
     if args.out is None:
         sys.stdout.write(payload)
         return
@@ -139,7 +138,7 @@ def _emit(args, payload: str) -> None:
     sidecar = {
         "tool": "loadcomp",
         "version": __version__,
-        "command": args.argv_text,
+        "command": shlex.join(argv),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     Path(str(args.out) + ".meta.json").write_text(_json_payload(sidecar), encoding="utf-8")
@@ -194,15 +193,16 @@ def _items(values, indent: str) -> Iterator[str]:
         template, columns = _row_template(values, indent)
         return map(template.__mod__, zip(*columns))
     kind = _kind(values)
-    return map(_CELL[kind], values) if kind in _CELL else map(_text, values, repeat(indent))
+    cells = float_texts(values) if kind is float else values
+    return map(_CELL[kind], cells) if kind in _CELL else map(_text, values, repeat(indent))
 
 
 def _row_template(rows: Rows, indent: str) -> tuple[str, list]:
     """One ``%``-template for every row of ``rows``, ``indent`` starting its last line, and the columns that fill it.
 
     A nested ``Rows`` is merged in, so that a row is one ``%``. A float, int or str column fills its field as is
-    (:data:`_FIELD`); a str column only when ``_quote`` would add nothing but the quotes. Any other column fills
-    ``%s`` with the texts of its cells.
+    (:data:`_FIELD`; a float column with ``float_texts``); a str column only when ``_quote`` would add nothing but
+    the quotes. Any other column fills ``%s`` with the texts of its cells.
     """
     inner = indent + "  "
     fields, columns = [], []
@@ -213,7 +213,7 @@ def _row_template(rows: Rows, indent: str) -> tuple[str, list]:
         else:
             kind = _kind(column)
             if kind in _FIELD and (kind is not str or _quotes_only("".join(column))):
-                field = _FIELD[kind]
+                field, column = _FIELD[kind], float_texts(column) if kind is float else column
             else:
                 field, column = "%s", _items(column, inner)
             columns.append(column)
@@ -362,7 +362,7 @@ def cmd_profile_stats(args) -> tuple[str, int]:
     except ProfileError:  # hourly data
         growth = None
     else:
-        month = {ts: ts.strftime("%Y-%m") for ts in profile.timestamps}
+        month = {ts: ts.isoformat()[:7] for ts in profile.timestamps}  # strftime's %Y writes year 999 as 999
         froms, tos, pcts = zip(*pairs) if pairs else ((), (), ())
         growth = Rows({"from": [*map(month.__getitem__, froms)], "to": [*map(month.__getitem__, tos)], "pct": pcts})
 

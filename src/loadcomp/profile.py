@@ -69,7 +69,8 @@ class LoadProfile(_Frozen):
                 raise ProfileError(f"row {rownum}: timestamps must be strictly increasing")
             if months is not None:
                 if (ts.year, ts.month) in months:
-                    raise ProfileError(f"row {rownum}: {granularity.value} profile has two samples in {ts:%Y-%m}")
+                    raise ProfileError(f"row {rownum}: {granularity.value} profile has two samples in "
+                                       f"{ts.isoformat()[:7]}")  # strftime's %Y writes year 999 as 999
                 months.add((ts.year, ts.month))
             previous, previous_naive = ts, naive
         vars(self).update(timestamps=timestamps, powers=powers, granularity=granularity, label=label)

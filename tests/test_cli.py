@@ -152,6 +152,19 @@ class TestComposition:
         sidecar = json.loads((tmp_path / "report.json.meta.json").read_text())
         assert shlex.split(sidecar["command"]) == argv
 
+    def test_sidecar_command_is_that_of_sys_argv_when_main_has_no_argv(self, capsys, tmp_path, monkeypatch):
+        argv = ["composition", "--builtin-paper", "--out", str(tmp_path / "a b.json")]
+        monkeypatch.setattr("sys.argv", ["loadcomp", *argv])
+        assert main() == 0
+        assert json.loads((tmp_path / "a b.json.meta.json").read_text())["command"] == shlex.join(argv)
+
+    def test_no_command_text_is_built_without_out(self, capsys, monkeypatch):
+        def refuse(argv):
+            raise AssertionError("the command text is built for a sidecar only")
+
+        monkeypatch.setattr(shlex, "join", refuse)
+        assert run(capsys, "composition", "--builtin-paper")[0] == 0
+
     def test_payload_bytes_are_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "composition", "--builtin-paper", "--out", str(a))
@@ -198,6 +211,14 @@ class TestProfileStats:
         assert growth[("2016-02", "2016-06")] == 130.0
         assert payload["seasonal_split"]["winter"]["samples"] == 5
         assert payload["seasonal_split"]["summer"]["samples"] == 7
+
+    @pytest.mark.parametrize("year", [999, 2016])
+    def test_growth_months_are_labelled_yyyy_mm(self, capsys, tmp_path, year):
+        path = write_monthly_csv(tmp_path / "annual.csv", {1: 1.0, 2: 2.0}, year=f"{year:04d}")
+        code, out, _ = run(capsys, "profile-stats", "--profile", str(path))
+        assert code == 0
+        growth = json.loads(out)["monthly_growth_pct"]
+        assert growth == [{"from": f"{year:04d}-01", "to": f"{year:04d}-02", "pct": 100.0}]
 
     def test_day_fixture_reports_extrema(self, capsys, tmp_path):
         path = write_day_csv(tmp_path / "day.csv", DAY_CURVE_KW)

@@ -168,3 +168,33 @@ def test_csv_text_writes_the_bytes_of_csv_writer(rows):
     writer.writerow(rows)
     writer.writerows(zip(*rows.values()))
     assert csv_text(rows) == buf.getvalue()
+
+
+@st.composite
+def repeated_columns(draw):
+    """Columns longer than one day of hours, drawn from a few values as a metered series repeats them.
+
+    The pool holds both zero signs, the smallest subnormal, a huge value and one ordinary float, and in some
+    columns ``1`` and ``True``, which hash equal to ``1.0`` but are written otherwise.
+    """
+    size = draw(st.integers(25, 60))
+    columns = {}
+    for key in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)):
+        pool = [0.0, -0.0, 5e-324, 1e300, 1.0, draw(finite_floats)] + ([1, True] if draw(st.booleans()) else [])
+        columns[key] = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    return columns
+
+
+@settings(max_examples=60)
+@given(repeated_columns())
+@example({"a": [0.0, -0.0] * 13})  # one dict key, two texts
+@example({"a": [-0.0] + [0.0] * 24 + [-0.0], "b": [1.0] * 13 + [1] * 6 + [True] * 7})
+def test_repeated_floats_are_written_as_the_encoders_write_each_cell(columns):
+    rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+    payload = {"rows": Rows(columns), "lists": dict(columns)}
+    assert _json_payload(payload) == json.dumps({"rows": rows, "lists": columns}, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*columns.values()))
+    assert csv_text(Rows(columns)) == buf.getvalue()

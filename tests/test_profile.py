@@ -63,6 +63,11 @@ class TestParseProfile:
         with pytest.raises(ProfileError, match=f"^row 3: {granularity.value} profile has two samples in 2016-06$"):
             parse_profile(day_csv([850] * 24), granularity=granularity)
 
+    def test_a_month_before_year_1000_is_named_yyyy_mm(self):
+        text = "timestamp,power_kw\n0999-01-01T00:00,1.0\n0999-01-15T00:00,2.0\n"
+        with pytest.raises(ProfileError, match="^row 3: monthly-peak profile has two samples in 0999-01$"):
+            parse_profile(text, granularity=Granularity.MONTHLY_PEAK)
+
     def test_explicit_granularity_wins(self):
         profile = parse_profile(monthly_csv(range(100, 112)), granularity=Granularity.MONTHLY_PEAK)
         assert profile.granularity is Granularity.MONTHLY_PEAK
