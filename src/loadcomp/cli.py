@@ -25,6 +25,7 @@ from .catalog import Catalog, CatalogError, Season, builtin_catalog, load_catalo
 from .composition import CompositionError, SeasonalConsumptionTable, composition_shares, seasonal_table
 from .profile import (
     Granularity,
+    LoadProfile,
     ProfileError,
     daily_extrema,
     load_profile,
@@ -303,13 +304,13 @@ def hourly_csv(hours: Sequence[int], series: dict[str, Sequence[float]], unit: s
     })
 
 
-def _iso_texts(timestamps: Sequence[datetime]) -> list[str]:
-    """``datetime.isoformat`` of each timestamp, joined from one text per date and one per time of day.
+def _iso_texts(profile: LoadProfile) -> list[str]:
+    """``datetime.isoformat`` of each timestamp of ``profile``, joined from one text per date and one per time of day.
 
-    ``timestamps`` are all naive or all aware, as in a ``LoadProfile``. An aware time of day is keyed with its
-    sample's UTC offset: its tzinfo may give another offset on another date, and a ``zoneinfo`` time gives none.
+    The timestamps are all naive or all aware. An aware time of day is keyed with its sample's UTC offset: its
+    tzinfo may give another offset on another date, and a ``zoneinfo`` time gives none.
     """
-    days = list(map(datetime.toordinal, timestamps))
+    timestamps, days = profile.timestamps, profile.days
     times = list(map(datetime.time, timestamps))
     if timestamps and timestamps[0].utcoffset() is not None:
         times = list(zip(times, map(datetime.utcoffset, timestamps)))
@@ -335,7 +336,7 @@ def cmd_composition(args) -> tuple[str, int]:
 
 def cmd_profile_stats(args) -> tuple[str, int]:
     profile = load_profile(args.profile, Granularity(args.granularity) if args.granularity else None)
-    normalized = Rows(timestamp=_iso_texts(profile.timestamps), fraction=normalize(profile))
+    normalized = Rows(timestamp=_iso_texts(profile), fraction=normalize(profile))
 
     if args.format == "csv":
         return csv_text(normalized), 0
@@ -384,16 +385,15 @@ def cmd_reconcile(args) -> tuple[str, int]:
     catalog = _get_catalog(args)
     measured = load_profile(args.profile)
     occupancy = _get_occupancy(args)
-    season = Season(args.season) if args.season else Season.for_month(measured.timestamps[0].month)
+    season = Season(args.season) if args.season else Season.for_month(measured.months[0])
 
     table = seasonal_table(catalog, season, args.days_per_month)
     attribution = disaggregate(measured, table, occupancy)
     result = scale_to_measured(table, measured)
     shares = composition_from_attribution(attribution)
-    hours = [ts.hour for ts in measured.timestamps]
 
     if args.format == "csv":
-        text = hourly_csv(hours, attribution.by_activity, "kw")
+        text = hourly_csv(measured.hours, attribution.by_activity, "kw")
     else:
         activities, _, per_unit, household, _ = zip(*result.adjusted_table.rows)
         payload = {
@@ -405,7 +405,7 @@ def cmd_reconcile(args) -> tuple[str, int]:
             "bottom_up_kwh_month": result.bottom_up_energy_kwh,
             "adjusted_rows": Rows(activity=activities, per_unit_wh_day=per_unit, household_wh_day=household),
             "attributed_shares_pct": shares,
-            "attribution": Rows(hour=hours, kw=Rows(attribution.by_activity)),
+            "attribution": Rows(hour=measured.hours, kw=Rows(attribution.by_activity)),
         }
         text = _json_payload(payload)
 

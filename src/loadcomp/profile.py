@@ -90,6 +90,20 @@ class LoadProfile(_Frozen):
             raise ProfileError("empty profile: no samples")
         return math.fsum(powers) / len(powers)
 
+    @cached_property  # the calendar columns: the package's one reading of dates, hours and months
+    def days(self) -> tuple[int, ...]:
+        """Each sample's date as its ordinal; each column is made on first read, each stamp in its own offset."""
+        ordinals = list(map(datetime.toordinal, self.timestamps))
+        return tuple(map({}.setdefault, ordinals, ordinals))  # one int object per date: a year keeps 365, not 8,760
+
+    @cached_property
+    def hours(self) -> tuple[int, ...]:  # 0-23
+        return tuple(map(attrgetter("hour"), self.timestamps))
+
+    @cached_property
+    def months(self) -> bytes:  # one byte, 1-12, per sample
+        return bytes(map(attrgetter("month"), self.timestamps))
+
 
 def parse_profile(text: str, granularity: Granularity | None = None, label: str = "") -> LoadProfile:
     """Parse a power series from CSV with header ``timestamp,power_kw``.
@@ -191,7 +205,7 @@ def seasonal_split(profile: LoadProfile) -> dict[Season, LoadProfile]:
 
     A subsequence of checked samples keeps every rule of :class:`LoadProfile`, so a half is not checked again.
     """
-    months = bytes(map(attrgetter("month"), profile.timestamps))  # one byte per sample
+    months = profile.months
     winter = [month in WINTER_MONTHS for month in range(256)]  # a bytes.translate table: month -> 1 in winter
     masks = {Season.WINTER: months.translate(bytes(winter)), Season.SUMMER: months.translate(bytes(map(not_, winter)))}
     split = {}
@@ -210,11 +224,11 @@ def daily_extrema(profile: LoadProfile) -> dict[str, int]:
     """
     if profile.granularity is not Granularity.HOURLY:
         raise ProfileError("hourly granularity required")
-    dates = set(map(datetime.date, profile.timestamps))
-    if len(dates) != 1:
-        raise ProfileError(f"single-day profile required (spans {len(dates)} days)")
+    days = set(profile.days)
+    if len(days) != 1:
+        raise ProfileError(f"single-day profile required (spans {len(days)} days)")
 
     indexes = range(len(profile))
     peak = max(indexes, key=profile.powers.__getitem__)  # max and min keep the first of equal values
     trough = min(indexes, key=profile.powers.__getitem__)
-    return {"peak_hour": profile.timestamps[peak].hour, "trough_hour": profile.timestamps[trough].hour}
+    return {"peak_hour": profile.hours[peak], "trough_hour": profile.hours[trough]}

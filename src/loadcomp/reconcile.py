@@ -54,11 +54,11 @@ def _check_one_hourly_day(measured: LoadProfile) -> None:
     """Raise :class:`ReconcileError` unless ``measured`` holds one sample for each hour 0-23 of one date."""
     if measured.granularity is not Granularity.HOURLY:
         raise ReconcileError(f"granularity mismatch: need hourly, got {measured.granularity.value}")
-    dates = {ts.date() for ts in measured.timestamps}
-    if len(dates) != 1 or [ts.hour for ts in measured.timestamps] != list(range(24)):
+    days = set(measured.days)
+    if len(days) != 1 or measured.hours != tuple(range(24)):
         raise ReconcileError(
             "granularity mismatch: need one sample for each hour 0-23 of one date, "
-            f"got {len(measured)} samples on {len(dates)} date(s)"
+            f"got {len(measured)} samples on {len(days)} date(s)"
         )
 
 

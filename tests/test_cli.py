@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from loadcomp import Season, builtin_catalog, cli, composition_shares, seasonal_table
 from loadcomp.catalog import ApplianceSpec
 from loadcomp.cli import main, render_value
+from loadcomp.profile import Granularity, LoadProfile
 from loadcomp.synth import default_occupancy, synth_household_day
 from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, csv_table, serialize_catalog
 
@@ -273,7 +274,41 @@ class TestProfileStats:
                 return None if dt is None else timedelta(hours=1 if dt.day < 29 else 2)
 
         stamps = [datetime(2020, 3, day, 1, 30, tzinfo=TwoOffsets()) for day in (28, 29)]
-        assert cli._iso_texts(stamps) == ["2020-03-28T01:30:00+01:00", "2020-03-29T01:30:00+02:00"]
+        profile = LoadProfile(stamps, (1.0, 1.0), Granularity.HOURLY)
+        assert cli._iso_texts(profile) == ["2020-03-28T01:30:00+01:00", "2020-03-29T01:30:00+02:00"]
+
+
+class TestLocalCalendar:
+    """An aware day is read in its own offset: 2016-10-01 hours 0-23 at +09:00, in UTC 30 September hours 15-14.
+
+    October is winter and September summer, so reading the stamps in UTC would change the season, the hours and
+    the date count of every command below.
+    """
+
+    @pytest.fixture
+    def tokyo_day(self, tmp_path):
+        path = tmp_path / "tokyo.csv"
+        path.write_text("timestamp,power_kw\n" + "".join(f"2016-10-01T{h:02d}:00+09:00,{h + 1}.0\n" for h in range(24)))
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reconcile_takes_the_local_date_and_its_season(self, capsys, tokyo_day, fmt):
+        code, out, _ = run(capsys, "reconcile", "--builtin-paper", "--profile", tokyo_day, "--format", fmt)
+        assert code == 0
+        assert out == run(capsys, "reconcile", "--builtin-paper", "--profile", tokyo_day, "--format", fmt,
+                          "--season", "winter")[1]
+        if fmt == "json":
+            assert json.loads(out)["season"] == "winter"
+        else:
+            assert [*dict.fromkeys(row["hour"] for row in csv.DictReader(io.StringIO(out)))] == [*map(str, range(24))]
+
+    def test_profile_stats_takes_the_local_hours_and_season(self, capsys, tokyo_day):
+        code, out, _ = run(capsys, "profile-stats", "--profile", tokyo_day)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["daily_extrema"] == {"peak_hour": 23, "trough_hour": 0}
+        assert payload["seasonal_split"]["winter"]["samples"] == 24
+        assert payload["seasonal_split"]["summer"]["samples"] == 0
 
 
 class TestOneEnergyPass:

@@ -219,6 +219,27 @@ def test_only_the_source_reader_reads_a_file():
     assert "UnicodeDecodeError" not in {node.id for node in ast.walk(cli) if isinstance(node, ast.Name)}
 
 
+def test_only_the_profile_takes_a_timestamp_apart():
+    """``LoadProfile``'s calendar columns (``days``, ``hours`` and ``months``) read each sample's date, hour and month.
+
+    So outside ``profile.py`` nothing reads an attribute named ``toordinal``, ``date``, ``year``, ``month``, ``day``
+    or ``hour``, by a dot or by ``attrgetter``/``getattr``: a second reading could take another offset than the
+    columns do.
+    """
+    fields = {"toordinal", "date", "year", "month", "day", "hour"}
+    readers = []
+    for path in SOURCES:
+        if path.name == "profile.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in fields:
+                readers.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif (isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] in ("attrgetter", "getattr")
+                  and any(isinstance(arg, ast.Constant) and arg.value in fields for arg in node.args)):
+                readers.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not readers, readers
+
+
 def test_every_definition_in_the_library_has_a_caller_outside_the_tests():
     """A function, class or module constant that only the tests use is a test helper: it belongs in the tests.
 

@@ -360,6 +360,32 @@ class TestSeasonalSplit:
                 part.label = "y"
 
 
+@st.composite
+def calendar_stamps(draw):
+    """Strictly increasing stamps: all naive, or each at its own fixed offset of either sign, some with minutes."""
+    instants = draw(st.lists(st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31)),
+                             min_size=1, max_size=30, unique=True))
+    instants.sort()
+    if draw(st.booleans()):
+        return instants
+    offsets = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(lambda minutes: timezone(timedelta(minutes=minutes)))
+    return [instant.replace(tzinfo=timezone.utc).astimezone(draw(offsets)) for instant in instants]
+
+
+class TestCalendarColumns:
+    @settings(max_examples=60)
+    @given(stamps=calendar_stamps())
+    @example(stamps=[datetime(2016, 10, 1, hour, tzinfo=timezone(timedelta(hours=9))) for hour in (0, 8, 9, 23)])
+    @example(stamps=[datetime(2016, 9, 30, 23, 30, tzinfo=timezone(-timedelta(hours=3, minutes=30)))])
+    def test_each_column_is_the_calendar_of_each_stamp_in_its_own_offset(self, stamps):
+        profile = LoadProfile(stamps, [1.0] * len(stamps), Granularity.HOURLY)
+        assert profile.days == tuple(ts.toordinal() for ts in stamps)
+        assert profile.hours == tuple(ts.hour for ts in stamps)
+        assert type(profile.months) is bytes and list(profile.months) == [ts.month for ts in stamps]
+        assert profile.days is profile.days and profile.hours is profile.hours and profile.months is profile.months
+        assert len(set(map(id, profile.days))) == len(set(profile.days))  # one int object per date
+
+
 class TestDailyExtrema:
     def test_reference_day_peaks_at_15_and_troughs_at_6(self, day_profile):
         assert daily_extrema(day_profile) == {"peak_hour": 15, "trough_hour": 6}
