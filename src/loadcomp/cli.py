@@ -34,7 +34,7 @@ from .profile import (
     peak_average_ratio,
     seasonal_split,
 )
-from .reconcile import ReconcileError, composition_from_attribution, disaggregate, scale_to_measured
+from .reconcile import ReconcileError, composition_from_attribution, disaggregate, scale_to_measured, seasonal_model
 from .synth import OccupancyError, default_occupancy, load_occupancy, synth_household_day
 
 
@@ -387,9 +387,9 @@ def cmd_reconcile(args) -> tuple[str, int]:
     occupancy = _get_occupancy(args)
     season = Season(args.season) if args.season else Season.for_month(measured.months[0])
 
-    table = seasonal_table(catalog, season, args.days_per_month)
-    attribution = disaggregate(measured, table, occupancy)
-    result = scale_to_measured(table, measured)
+    model = seasonal_model(catalog, season, args.days_per_month, occupancy)
+    attribution = disaggregate(measured, model)
+    result = scale_to_measured(model.table, measured)
     shares = composition_from_attribution(attribution)
 
     if args.format == "csv":

@@ -9,10 +9,13 @@ hourly energies, conserving the measured power at every hour.
 from __future__ import annotations
 
 import math
+import struct
+import weakref
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .composition import DeviceEnergy, SeasonalConsumptionTable, ordered_sum
+from .catalog import Catalog, Season
+from .composition import DeviceEnergy, SeasonalConsumptionTable, ordered_sum, seasonal_table
 from .profile import Granularity, LoadProfile
 from .synth import OccupancyCurve, synth_household_day
 
@@ -92,10 +95,37 @@ def scale_to_measured(table: SeasonalConsumptionTable, measured: LoadProfile) ->
     )
 
 
-def disaggregate(
-    measured: LoadProfile, table: SeasonalConsumptionTable, occupancy: OccupancyCurve
-) -> HourlyAttribution:
-    """Attribute each measured hour to activities by the ratios of ``table``'s synthesized day.
+class SeasonalModel(NamedTuple):
+    """A seasonal table, its synthesized household total per hour, and each activity's weights ``hourly / total``."""
+
+    table: SeasonalConsumptionTable
+    totals: tuple[float, ...]
+    weights: tuple[tuple[str, tuple[float, ...]], ...]
+
+
+# Each catalog's models, by season, month length and occupancy bits; a model lives as long as its catalog.
+_MODELS: weakref.WeakKeyDictionary[Catalog, dict] = weakref.WeakKeyDictionary()
+
+
+def seasonal_model(catalog: Catalog, season: Season, days_per_month: int, occupancy: OccupancyCurve) -> SeasonalModel:
+    """The model of ``catalog``'s table for ``season``: built on the first call, returned to each later equal call."""
+    models = _MODELS.setdefault(catalog, {})
+    key = (season, days_per_month, struct.pack("24d", *occupancy.weights))  # bits: 0.0 == -0.0, not so its attribution
+    model = models.get(key)
+    if model is None:
+        table = seasonal_table(catalog, season, days_per_month)
+        day = synth_household_day(table, occupancy)
+        totals = day.household_total
+        # a weight stays in normal float range even when the energies are tiny; a total <= 0 divides as inf
+        divisors = [total if total > 0 else math.inf for total in totals]
+        weights = tuple((activity, tuple(map(truediv, hourly, divisors)))
+                        for activity, hourly in day.per_activity.items())
+        model = models[key] = SeasonalModel(table, totals, weights)
+    return model
+
+
+def disaggregate(measured: LoadProfile, model: SeasonalModel) -> HourlyAttribution:
+    """Attribute each measured hour to activities by the weights of ``model``'s synthesized day.
 
     ``measured`` must hold one sample for each hour 0-23 of one date. Hours
     with zero measured power get zero attribution everywhere; positive
@@ -103,22 +133,15 @@ def disaggregate(
     is unattributable and raises :class:`ReconcileError`.
     """
     _check_one_hourly_day(measured)
-    day = synth_household_day(table, occupancy)
-    # an hour of zero measured power (-0.0 too) attributes 0.0 * (energy / inf) = 0.0 everywhere
+    # an hour of zero measured power (-0.0 too) attributes 0.0 * weight, a zero, to every activity
     powers = [power or 0.0 for power in measured.powers]
-    totals = [total if power else math.inf for power, total in zip(powers, day.household_total)]
-    for hour, total in enumerate(totals):
-        if total <= 0:
+    for hour, (power, total) in enumerate(zip(powers, model.totals)):
+        if power and total <= 0:
             raise ReconcileError(
                 f"unattributable load at hour {hour}: measured power is positive "
                 "but the synthesized household total is zero"
             )
-    # divide first: the weight ratio stays in normal float range even when the
-    # synthesized energies are tiny
-    series = {
-        activity: tuple(map(mul, powers, map(truediv, hourly, totals)))
-        for activity, hourly in day.per_activity.items()
-    }
+    series = {activity: tuple(map(mul, powers, weights)) for activity, weights in model.weights}
     return HourlyAttribution(by_activity=series, measured=measured)
 
 

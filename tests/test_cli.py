@@ -8,16 +8,18 @@ import json
 import re
 import shlex
 import tempfile
+import weakref
 from collections import Counter
 from datetime import datetime, timedelta, timezone, tzinfo
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loadcomp import Season, builtin_catalog, cli, composition_shares, seasonal_table
-from loadcomp.catalog import ApplianceSpec
+from loadcomp import Season, builtin_catalog, cli, composition_shares, reconcile, seasonal_table
+from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass, load_catalog
 from loadcomp.cli import main, render_value
 from loadcomp.profile import Granularity, LoadProfile
 from loadcomp.synth import default_occupancy, synth_household_day
@@ -312,7 +314,10 @@ class TestLocalCalendar:
 
 
 class TestOneEnergyPass:
-    """Each command evaluates each activity's daily energy once per season, in one seasonal table."""
+    """Each command evaluates each activity's daily energy once per season, in one seasonal table.
+
+    ``reconcile`` runs against an empty model memo, so that its first call builds the season's model.
+    """
 
     @pytest.mark.parametrize(
         "argv, seasons",
@@ -340,11 +345,96 @@ class TestOneEnergyPass:
             return original_tou(spec, season)
 
         monkeypatch.setattr(cli, "seasonal_table", counting_table)
+        monkeypatch.setattr(reconcile, "seasonal_table", counting_table)
+        monkeypatch.setattr(reconcile, "_MODELS", weakref.WeakKeyDictionary())
         monkeypatch.setattr(ApplianceSpec, "tou", counting_tou)
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(tables) == seasons
         assert Counter(tou_reads) == dict.fromkeys(activities, seasons)
+        if argv[0] == "reconcile":  # a second call on the same catalog and season reuses the model
+            tables.clear()
+            tou_reads.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert (tables, tou_reads) == ([], [])
+
+
+# Two spellings of one curve, a curve with no presence at 05:00, and that curve with -0 there: 0 == -0,
+# but a -0 weight attributes -0.0.
+_OCCUPANCY_FILES = {
+    "rising.txt": ",".join(str(hour + 1) for hour in range(24)),
+    "rising-again.txt": ",".join(f"{hour + 1}.0" for hour in range(24)),
+    "gap.txt": ",".join("0" if hour == 5 else "1" for hour in range(24)),
+    "gap-negative-zero.txt": ",".join("-0" if hour == 5 else "1" for hour in range(24)),
+}
+_MANUAL = Catalog(specs=[ApplianceSpec(name, 2.0, 3.0, 1, 2, watts, 0.0, OperationClass.MANUAL, 1.0, 0.0)
+                         for name, watts in (("Lighting", 60.0), ("TV", 120.0))])
+_GAP_CALL = ("manual.csv", "2016-06-01", (1.0,) * 24, None, 30, "gap.txt", "json")
+
+reconcile_calls = st.tuples(
+    st.sampled_from(["builtin", "manual.csv"]),
+    st.sampled_from(["2016-01-15", "2016-06-01"]),  # winter and summer, when the season is inferred
+    st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.5]), min_size=24, max_size=24).map(tuple),
+    st.sampled_from([None, "winter", "summer"]),
+    st.sampled_from([0, 1, 30, 31]),  # 0 is out of range
+    st.sampled_from([None, *_OCCUPANCY_FILES]),
+    st.sampled_from(["csv", "json"]),
+)
+
+
+class TestModelMemo:
+    """``reconcile`` reuses each catalog's seasonal model; a call that does gives the bytes of one that does not."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(calls=st.lists(reconcile_calls, min_size=1, max_size=12))
+    @example(calls=[_GAP_CALL, _GAP_CALL])  # unattributable at hour 5, on a miss and then on a hit
+    @example(calls=[_GAP_CALL[:2] + ((1.0,) * 5 + (0.0,) + (1.0,) * 18,) + _GAP_CALL[3:5] + (name, "csv")
+                    for name in ("gap.txt", "gap-negative-zero.txt", "gap.txt")])  # 0.0, then -0.0, at hour 5
+    def test_a_reused_model_gives_the_output_of_a_new_one(self, calls):
+        with tempfile.TemporaryDirectory() as directory:
+            folder = Path(directory)
+            for name, text in _OCCUPANCY_FILES.items():
+                (folder / name).write_text(text + "\n")
+            (folder / "manual.csv").write_text(serialize_catalog(_MANUAL))
+            catalogs = {}  # each file read once, as a long-running caller keeps its catalog, so that its models hit
+
+            def load_once(path):
+                return catalogs[path] if path in catalogs else catalogs.setdefault(path, load_catalog(path))
+
+            with mock.patch.object(cli, "load_catalog", load_once):
+                for catalog, day, powers, season, days_per_month, occupancy, fmt in calls:
+                    profile = write_day_csv(folder / "day.csv", powers, day)
+                    argv = ["reconcile", "--profile", str(profile), "--days-per-month", str(days_per_month),
+                            "--format", fmt]
+                    argv += ["--builtin-paper"] if catalog == "builtin" else ["--catalog", str(folder / catalog)]
+                    argv += ["--season", season] if season else []
+                    argv += ["--occupancy", str(folder / occupancy)] if occupancy else []
+                    with mock.patch.object(reconcile, "_MODELS", weakref.WeakKeyDictionary()):
+                        fresh = self.call(argv)
+                    assert self.call(argv) == fresh, argv
+
+    @staticmethod
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    def test_a_changed_attribution_reaches_no_later_call(self, capsys, tmp_path, monkeypatch):
+        argv = ["reconcile", "--builtin-paper", "--profile", str(write_day_csv(tmp_path / "day.csv", DAY_CURVE_KW))]
+        expected = run(capsys, *argv)
+        original = cli.composition_from_attribution
+
+        def changing(attribution):
+            shares = original(attribution)
+            for activity in attribution.by_activity:
+                attribution.by_activity[activity] = (0.0,) * 24
+            return shares
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "composition_from_attribution", changing)
+            assert run(capsys, *argv) != expected
+        assert run(capsys, *argv) == expected
 
 
 class TestReconcile:

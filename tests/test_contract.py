@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from loadcomp import Season, builtin_catalog, cli, seasonal_table
+from loadcomp import Season, builtin_catalog, cli
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
 from loadcomp.composition import DeviceEnergy, SeasonalConsumptionTable
 from loadcomp.profile import Granularity, LoadProfile
-from loadcomp.reconcile import HourlyAttribution, ReconciliationResult, disaggregate
+from loadcomp.reconcile import HourlyAttribution, ReconciliationResult, disaggregate, seasonal_model
 from loadcomp.synth import OccupancyCurve, SynthesizedDay, default_occupancy
 from conftest import DAY_CURVE_KW, hourly_day
 
@@ -151,8 +151,8 @@ def test_the_builtin_catalog_is_built_once_per_process():
 
 def test_disaggregate_result_has_what_the_benchmark_counts():
     counts = {name: count for _, _, name, count in _benchmark_child().TRACED}
-    attribution = disaggregate(hourly_day(DAY_CURVE_KW), seasonal_table(builtin_catalog(), Season.SUMMER),
-                               default_occupancy())
+    attribution = disaggregate(hourly_day(DAY_CURVE_KW), seasonal_model(builtin_catalog(), Season.SUMMER, 30,
+                                                                        default_occupancy()))
     assert counts["reconcile.disaggregate"](attribution) == 15 * 24
     assert counts["catalog.builtin_catalog"](builtin_catalog()) == 15
 

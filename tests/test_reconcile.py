@@ -1,13 +1,15 @@
 """Scaling to measured energy and hour-by-hour attribution."""
 
+import gc
 import math
+import weakref
 from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loadcomp import Season, composition_shares, seasonal_table
+from loadcomp import Season, builtin_catalog, composition_shares, reconcile, seasonal_table
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
 from loadcomp.profile import Granularity
 from loadcomp.reconcile import (
@@ -16,8 +18,9 @@ from loadcomp.reconcile import (
     composition_from_attribution,
     disaggregate,
     scale_to_measured,
+    seasonal_model,
 )
-from loadcomp.synth import OccupancyCurve, default_occupancy, synth_household_day
+from loadcomp.synth import DEFAULT_OCCUPANCY_RAW, OccupancyCurve, default_occupancy, synth_household_day
 from conftest import DAY_CURVE_KW, catalogs, hourly_day, left_to_right_sum, monthly_profile, profile_of
 
 JUNE1 = datetime(2016, 6, 1)
@@ -29,7 +32,7 @@ power_days = st.lists(
 
 def attribute(measured, catalog, season, occupancy=default_occupancy()):
     """``measured`` split by the synthesized day of ``catalog``'s table for ``season``."""
-    return disaggregate(measured, seasonal_table(catalog, season), occupancy)
+    return disaggregate(measured, seasonal_model(catalog, season, 30, occupancy))
 
 
 def synth_as_measured(catalog, season, day=JUNE1):
@@ -220,6 +223,46 @@ class TestDisaggregate:
         for activity in base.by_activity:
             for f_base, f_scaled in zip(base.by_activity[activity], scaled.by_activity[activity]):
                 assert f_scaled == pytest.approx(f_base * k, rel=1e-9, abs=1e-12)
+
+
+class TestSeasonalModel:
+    def test_a_model_lives_as_long_as_its_catalog(self):
+        gc.collect()
+        entries = len(reconcile._MODELS)
+        catalog = one_manual_device()
+        seasonal_model(catalog, Season.SUMMER, 30, default_occupancy())
+        assert len(reconcile._MODELS) == entries + 1
+        gone = weakref.ref(catalog)
+        del catalog
+        gc.collect()
+        assert gone() is None
+        assert len(reconcile._MODELS) == entries
+
+    def test_the_builtin_catalog_keeps_one_model_per_season(self):
+        catalog = builtin_catalog()
+        model = seasonal_model(catalog, Season.WINTER, 30, default_occupancy())
+        assert seasonal_model(catalog, Season.WINTER, 30, default_occupancy()) is model
+        assert seasonal_model(catalog, Season.WINTER, 30, OccupancyCurve.from_values(DEFAULT_OCCUPANCY_RAW)) is model
+        assert seasonal_model(catalog, Season.SUMMER, 30, default_occupancy()) is not model
+        assert seasonal_model(catalog, Season.WINTER, 31, default_occupancy()) is not model
+
+    def test_a_negative_zero_weight_gets_its_own_model(self):
+        """``0.0 == -0.0``, but a -0.0 weight attributes -0.0, so the two curves cannot share a model."""
+        catalog = builtin_catalog()
+        zero = OccupancyCurve.from_values([0.0] + [1.0] * 23)
+        negative_zero = OccupancyCurve.from_values([-0.0] + [1.0] * 23)
+        assert zero.weights == negative_zero.weights
+        model = seasonal_model(catalog, Season.SUMMER, 30, zero)
+        assert seasonal_model(catalog, Season.SUMMER, 30, negative_zero) is not model
+        attribution = disaggregate(hourly_day([1.0] * 24), seasonal_model(catalog, Season.SUMMER, 30, negative_zero))
+        assert math.copysign(1.0, attribution.by_activity["Lighting"][0]) == -1.0
+
+    def test_the_model_holds_only_tuples(self):
+        model = seasonal_model(builtin_catalog(), Season.SUMMER, 30, default_occupancy())
+        assert type(model.totals) is tuple and len(model.totals) == 24
+        assert type(model.weights) is tuple
+        assert all(type(pair) is tuple and type(pair[1]) is tuple for pair in model.weights)
+        assert type(model.table.rows) is tuple
 
 
 class TestCompositionFromAttribution:
