@@ -14,8 +14,9 @@ def read_text(path: Path | str, what: str, error: type[Exception]) -> str:
 
     ``what`` names the input in the message: ``cannot read <what> file <path>: <reason>``.
     """
-    try:
-        return Path(path).read_text(encoding="utf-8")
+    try:  # a str is read as a Path, whose OSError text names the path in its normal form
+        with open(path if isinstance(path, Path) else Path(path), encoding="utf-8") as file:
+            return file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from exc
 

@@ -109,19 +109,21 @@ def build_parser() -> argparse.ArgumentParser:
     # validate always writes its verdict as JSON
     add_command("validate", cmd_validate, "parse and validate a catalog", "--out")
 
+    parser.commands = sub.choices  # each subcommand's parser by its name, for main
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
     except SystemExit as exc:  # argparse prints its own message; remap usage errors to 1
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
         payload, status = args.handler(args)
-        _emit(args, payload, sys.argv[1:] if argv is None else argv)
+        _emit(args, payload, argv)
     except _INPUT_ERRORS as exc:
         print(f"loadcomp: error: {exc}", file=sys.stderr)
         return 1
@@ -129,6 +131,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"loadcomp: I/O error: {exc}", file=sys.stderr)
         return 2
     return status
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``; a subcommand's parser parses its flags itself, as the subparsers action would.
+
+    Leftover arguments, and ``--=...``, which the top-level parser finds ambiguous, go to the whole parse to report.
+    """
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None and not any(arg.startswith("--=") for arg in argv):
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _emit(args, payload: str, argv: list[str]) -> None:
@@ -183,7 +199,8 @@ def _kind(values) -> type | None:
     """The one type of all of ``values``, or None; a float column must be finite."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float and not all(map(math.isfinite, values)):
+    # a finite sum has finite terms; a sum of finite terms can overflow, so only then is each term checked
+    if kind is float and not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise ValueError(values)
     return kind
 
@@ -206,20 +223,30 @@ def _row_template(rows: Rows, indent: str) -> tuple[str, list]:
     the quotes. Any other column fills ``%s`` with the texts of its cells.
     """
     inner = indent + "  "
+    leaves = [column for column in rows.values() if type(column) is not Rows]
+    kind = _kind([*chain.from_iterable(leaves)]) if all(leaves) else None  # one pass when all cells have one type
+    kinds = iter([kind] * len(leaves) if kind else [*map(_kind, leaves)])
     fields, columns = [], []
-    for key, column in rows.items():
+    for column in rows.values():
         if type(column) is Rows:
             field, nested = _row_template(column, inner)
             columns += nested
         else:
-            kind = _kind(column)
+            kind = next(kinds)
             if kind in _FIELD and (kind is not str or _quotes_only("".join(column))):
                 field, column = _FIELD[kind], float_texts(column) if kind is float else column
             else:
                 field, column = "%s", _items(column, inner)
             columns.append(column)
-        fields.append(inner + _key(key).replace("%", "%%") + ": " + field)
-    return "{" + ",".join(fields) + indent + "}", columns
+        fields.append(field)
+    return _template(tuple(map(_key, rows)), tuple(fields), indent), columns
+
+
+@functools.lru_cache(maxsize=64)  # a payload has a few shapes of rows, each made again on every call
+def _template(keys: tuple[str, ...], fields: tuple[str, ...], indent: str) -> str:
+    """The ``%``-template of a row whose written ``keys`` fill ``fields``, ``indent`` starting its last line."""
+    fields = (f"{indent}  {key.replace('%', '%%')}: {field}" for key, field in zip(keys, fields))
+    return "{" + ",".join(fields) + indent + "}"
 
 
 def _quotes_only(text: str) -> bool:
@@ -233,12 +260,6 @@ def _get_catalog(args) -> Catalog:
 
 def _get_occupancy(args):
     return default_occupancy() if args.occupancy is None else load_occupancy(args.occupancy)
-
-
-def _seasons(choice: str) -> list[Season]:
-    if choice == "both":
-        return [Season.WINTER, Season.SUMMER]
-    return [Season(choice)]
 
 
 def render_value(value: float, decimals: int = 1) -> str:
@@ -322,7 +343,8 @@ def _iso_texts(profile: LoadProfile) -> list[str]:
 
 def cmd_composition(args) -> tuple[str, int]:
     catalog = _get_catalog(args)
-    tables = [seasonal_table(catalog, season, args.days_per_month) for season in _seasons(args.season)]
+    seasons = Season if args.season == "both" else [Season(args.season)]  # the enum lists winter, then summer
+    tables = [seasonal_table(catalog, season, args.days_per_month) for season in seasons]
     pairs = [(table, composition_shares(table)) for table in tables]
     if args.format == "csv":
         return table_csv(pairs), 0

@@ -130,7 +130,7 @@ def parse_profile(text: str, granularity: Granularity | None = None, label: str 
         raise ProfileError("empty profile: no samples")
     try:  # one pass per column; extra cells are ignored
         timestamps = tuple(map(datetime.fromisoformat, map(str.strip, map(itemgetter(0), rows))))
-        powers = tuple(map(float, map(str.strip, map(itemgetter(1), rows))))
+        powers = tuple(map(float, map(itemgetter(1), rows)))  # float strips all whitespace but \x1c-\x1f itself
     except (ValueError, IndexError):  # a bad cell, or a row without a power: name the first such row
         for rownum, row in enumerate(rows, start=2):  # header is line 1
             raw_ts, raw_power, *_ = *map(str.strip, row), ""  # a missing power reads as ""
@@ -142,7 +142,7 @@ def parse_profile(text: str, granularity: Granularity | None = None, label: str 
                 float(raw_power)
             except ValueError:
                 raise ProfileError(f"row {rownum}: invalid power {raw_power!r}") from None
-        raise  # not reached: the walk meets the cell that failed
+        powers = tuple(map(float, map(str.strip, map(itemgetter(1), rows))))  # each cell is good once stripped
 
     if granularity is None:
         granularity = _infer_granularity(timestamps)
@@ -162,7 +162,7 @@ def _infer_granularity(timestamps: tuple[datetime, ...]) -> Granularity:
 
 def load_profile(path, granularity: Granularity | None = None) -> LoadProfile:
     """Read a profile CSV file, labelled with its stem; an unreadable file is a ProfileError."""
-    path = Path(path)
+    path = path if isinstance(path, Path) else Path(path)
     return parse_profile(read_text(path, "profile", ProfileError), granularity=granularity, label=path.stem)
 
 

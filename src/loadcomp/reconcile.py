@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 import weakref
+from itertools import compress, repeat
 from operator import mul, truediv
 from typing import NamedTuple
 
@@ -81,10 +82,9 @@ def scale_to_measured(table: SeasonalConsumptionTable, measured: LoadProfile) ->
     gap = abs(1.0 - bottom_up / measured_energy_kwh)
     if not all(map(math.isfinite, (k, gap, measured_energy_kwh, bottom_up))):  # a ratio of extreme inputs overflows
         raise ReconcileError("a result is not a finite number; an input value is out of range")
-    rows = tuple(
-        DeviceEnergy(name, units, per_unit * k, total * k, operation)
-        for name, units, per_unit, total, operation in table.rows
-    )
+    names, units, per_unit, totals, operations = zip(*table.rows)
+    scaled = zip(names, units, map(mul, per_unit, repeat(k)), map(mul, totals, repeat(k)), operations)
+    rows = tuple(map(DeviceEnergy._make, scaled))
     adjusted = SeasonalConsumptionTable(season=table.season, rows=rows, days_per_month=table.days_per_month)
     return ReconciliationResult(
         scale_factor=k,
@@ -101,18 +101,19 @@ class SeasonalModel(NamedTuple):
     table: SeasonalConsumptionTable
     totals: tuple[float, ...]
     weights: tuple[tuple[str, tuple[float, ...]], ...]
+    empty_hours: tuple[int, ...]  # the hours whose total is <= 0, in order
 
 
-# Each catalog's models, by season, month length and occupancy bits; a model lives as long as its catalog.
+# Each catalog's latest model and its occupancy bits per (season, month length); it lives as long as its catalog.
 _MODELS: weakref.WeakKeyDictionary[Catalog, dict] = weakref.WeakKeyDictionary()
 
 
 def seasonal_model(catalog: Catalog, season: Season, days_per_month: int, occupancy: OccupancyCurve) -> SeasonalModel:
     """The model of ``catalog``'s table for ``season``: built on the first call, returned to each later equal call."""
     models = _MODELS.setdefault(catalog, {})
-    key = (season, days_per_month, struct.pack("24d", *occupancy.weights))  # bits: 0.0 == -0.0, not so its attribution
-    model = models.get(key)
-    if model is None:
+    bits = struct.pack("24d", *occupancy.weights)  # bits: 0.0 == -0.0, but not so their attributions
+    held, model = models.get((season, days_per_month), (None, None))
+    if held != bits:
         table = seasonal_table(catalog, season, days_per_month)
         day = synth_household_day(table, occupancy)
         totals = day.household_total
@@ -120,7 +121,8 @@ def seasonal_model(catalog: Catalog, season: Season, days_per_month: int, occupa
         divisors = [total if total > 0 else math.inf for total in totals]
         weights = tuple((activity, tuple(map(truediv, hourly, divisors)))
                         for activity, hourly in day.per_activity.items())
-        model = models[key] = SeasonalModel(table, totals, weights)
+        model = SeasonalModel(table, totals, weights, tuple(compress(range(24), map((0.0).__ge__, totals))))
+        models[season, days_per_month] = bits, model
     return model
 
 
@@ -134,9 +136,9 @@ def disaggregate(measured: LoadProfile, model: SeasonalModel) -> HourlyAttributi
     """
     _check_one_hourly_day(measured)
     # an hour of zero measured power (-0.0 too) attributes 0.0 * weight, a zero, to every activity
-    powers = [power or 0.0 for power in measured.powers]
-    for hour, (power, total) in enumerate(zip(powers, model.totals)):
-        if power and total <= 0:
+    powers = [*map(abs, measured.powers)]  # a power is >= 0, so abs only turns -0.0 into 0.0
+    for hour in model.empty_hours:
+        if powers[hour]:
             raise ReconcileError(
                 f"unattributable load at hour {hour}: measured power is positive "
                 "but the synthesized household total is zero"

@@ -7,6 +7,7 @@ import io
 import json
 import re
 import shlex
+import shutil
 import tempfile
 import weakref
 from collections import Counter
@@ -753,6 +754,62 @@ class TestExitContract:
         assert main([command, "--help"]) == 0
         listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
         assert listed == flags | {"--help"}
+
+
+_INPUTS = Path(__file__).parent / "golden" / "inputs"
+_FILES = ["winter_day.csv", "monthly36.csv", "catalog.csv", "occupancy.csv"]
+# every flag of any subcommand, so that each subcommand also meets the flags of the others, and the
+# abbreviations argparse expands, one of them ambiguous ("--o": --out or --occupancy)
+_FLAGS = ["--format", "--out", "--days-per-month", "--occupancy", "--catalog", "--builtin-paper", "--season",
+          "--integer-shares", "--profile", "--granularity", "--prof", "--for", "--b", "--o", "--se", "--ver",
+          "--version", "-h", "--help", "--no-such-flag", "-x", "--", "-"]
+# valid and invalid values, and files in the folder that each call runs in ("." cannot be written)
+_VALUES = ["csv", "json", "xml", "winter", "summer", "both", "30", "0", "-1", "x", "", "hourly", "monthly-peak",
+           *_FILES, "missing.csv", "."]
+_TOKENS = st.one_of(st.sampled_from(_FLAGS), st.sampled_from(_VALUES),
+                    st.builds("{}={}".format, st.sampled_from(_FLAGS), st.sampled_from(_VALUES)))
+_ARGVS = st.builds(lambda head, tokens: [head, *tokens],
+                   st.sampled_from(["composition", "profile-stats", "reconcile", "synth", "validate",
+                                    "bogus", "--version", "-h", "--", ""]),
+                   st.lists(_TOKENS, max_size=7))
+
+
+class TestSubcommandParse:
+    """``main`` parses a subcommand's flags with that subcommand's parser, as the whole parse would."""
+
+    @staticmethod
+    def outcome(call, *args):
+        """What ``call(*args)`` returns or exits with, and prints, run in a new folder that holds ``_FILES``."""
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
+            for name in _FILES:
+                shutil.copy(_INPUTS / name, name)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    result = call(*args)
+                except SystemExit as exc:
+                    result = ("exit", exc.code)
+        return result, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ARGVS)
+    @example(["validate", "--catalog", "catalog.csv", "--format", "csv"])  # a golden usage error
+    @example(["reconcile", "--builtin-paper", "--profile", "winter_day.csv", "--version"])
+    @example(["reconcile", "--builtin-paper", "--prof", "winter_day.csv", "--ver"])
+    @example(["reconcile", "--builtin-paper", "--profile", "winter_day.csv", "--=csv"])  # ambiguous to the top level
+    @example(["synth", "--builtin-paper", "--season=winter", "--", "summer"])
+    @example(["synth", "--builtin-paper", "--season"])  # a missing value
+    @example(["synth", "--builtin-paper", "--season", "winter", "--season", "summer"])  # a repeated flag
+    @example(["reconcile", "--profile", "winter_day.csv", "--builtin-paper", "-h"])
+    @example(["validate", "--catalog", "catalog.csv", "--out", "catalog.csv"])  # each call writes its own folder
+    @example([])
+    def test_the_subcommand_parse_is_the_whole_parse(self, argv):
+        parser = cli.build_parser()
+        with mock.patch.dict("os.environ", {"COLUMNS": "80"}):
+            assert self.outcome(cli._parse, parser, argv) == self.outcome(parser.parse_args, argv)
+            whole = self.outcome(main, argv)
+            with mock.patch.object(cli, "_parse", lambda parser, argv: parser.parse_args(argv)):
+                assert self.outcome(main, argv) == whole
 
 
 # ---------------------------------------------------------------------------

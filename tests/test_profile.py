@@ -134,6 +134,14 @@ class TestParseProfile:
         assert profile.timestamps == (datetime(2016, 6, 1, 0), datetime(2016, 6, 1, 1))
         assert profile.powers == (5.0, 6.0)
 
+    # ASCII and Unicode whitespace; float strips all that str.strip does but the separators \x1c-\x1f
+    @pytest.mark.parametrize("space", [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"])
+    def test_whitespace_around_a_power_is_stripped(self, space):
+        profile = parse_profile(f"timestamp,power_kw\n2016-06-01T00:00,{space}5.5{space}\n2016-06-01T01:00,{space}6\n")
+        assert profile.powers == (5.5, 6.0)
+        with pytest.raises(ProfileError, match=r"^row 3: invalid power '5\.5x'$"):
+            parse_profile(f"timestamp,power_kw\n2016-06-01T00:00,{space}5{space}\n2016-06-01T01:00,{space}5.5x{space}\n")
+
     def test_a_list_changed_after_construction_leaves_the_profile_unchanged(self):
         timestamps, powers = [datetime(2016, 6, 1)], [5.0]
         profile = LoadProfile(timestamps, powers, Granularity.HOURLY)

@@ -257,6 +257,23 @@ class TestSeasonalModel:
         attribution = disaggregate(hourly_day([1.0] * 24), seasonal_model(catalog, Season.SUMMER, 30, negative_zero))
         assert math.copysign(1.0, attribution.by_activity["Lighting"][0]) == -1.0
 
+    def test_a_catalog_keeps_one_model_per_season_and_month_length(self):
+        """A caller that varies the curve replaces the model; 1,000 curves leave one model per (season, month length)."""
+        catalog = Catalog(builtin_catalog().specs)  # a catalog of its own, so that no other test's models count
+        for index in range(1000):
+            curve = OccupancyCurve.from_values([1.0 + index] + [1.0] * 23)
+            seasonal_model(catalog, (Season.WINTER, Season.SUMMER)[index % 2], 28 + index // 2 % 4, curve)
+        assert len(reconcile._MODELS[catalog]) == 2 * 4
+        model = seasonal_model(catalog, Season.SUMMER, 30, default_occupancy())
+        assert len(reconcile._MODELS[catalog]) == 2 * 4
+        assert seasonal_model(catalog, Season.SUMMER, 30, OccupancyCurve.from_values(DEFAULT_OCCUPANCY_RAW)) is model
+
+    def test_the_model_records_its_hours_of_no_total(self):
+        catalog = one_manual_device()
+        model = seasonal_model(catalog, Season.SUMMER, 30, OccupancyCurve.from_values([0.0] * 5 + [1.0] * 19))
+        assert model.empty_hours == tuple(hour for hour, total in enumerate(model.totals) if total <= 0)
+        assert model.empty_hours == (0, 1, 2, 3, 4)
+
     def test_the_model_holds_only_tuples(self):
         model = seasonal_model(builtin_catalog(), Season.SUMMER, 30, default_occupancy())
         assert type(model.totals) is tuple and len(model.totals) == 24
