@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_command(name: str, handler, help: str, *flags: str, catalog: bool = True) -> argparse.ArgumentParser:
         """Add a subcommand with the shared ``flags`` its handler reads."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, command=name)  # the name, as the whole parse sets it
         for flag in flags:
             p.add_argument(flag, **shared[flag])
         if catalog:
@@ -142,7 +142,6 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     if command is not None and not any(arg.startswith("--=") for arg in argv):
         args, rest = command.parse_known_args(argv[1:])
         if not rest:
-            args.command = argv[0]
             return args
     return parser.parse_args(argv)
 
@@ -224,7 +223,8 @@ def _row_template(rows: Rows, indent: str) -> tuple[str, list]:
     """
     inner = indent + "  "
     leaves = [column for column in rows.values() if type(column) is not Rows]
-    kind = _kind([*chain.from_iterable(leaves)]) if all(leaves) else None  # one pass when all cells have one type
+    first = {*map(type, next(zip(*leaves), ()))}  # one pass over all cells when the first row's cells have one type
+    kind = _kind([*chain.from_iterable(leaves)]) if len(first) == 1 else None
     kinds = iter([kind] * len(leaves) if kind else [*map(_kind, leaves)])
     fields, columns = [], []
     for column in rows.values():

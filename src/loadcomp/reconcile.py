@@ -109,7 +109,7 @@ _MODELS: weakref.WeakKeyDictionary[Catalog, dict] = weakref.WeakKeyDictionary()
 
 
 def seasonal_model(catalog: Catalog, season: Season, days_per_month: int, occupancy: OccupancyCurve) -> SeasonalModel:
-    """The model of ``catalog``'s table for ``season``: built on the first call, returned to each later equal call."""
+    """The model of ``catalog``'s table for ``season``, built once and kept until a call with other weights."""
     models = _MODELS.setdefault(catalog, {})
     bits = struct.pack("24d", *occupancy.weights)  # bits: 0.0 == -0.0, but not so their attributions
     held, model = models.get((season, days_per_month), (None, None))

@@ -132,6 +132,8 @@ def payloads_with_rows(draw):
 ))
 @example(({"r": Rows(s=["plain", "ü"], t=["~ ", "\x7f"])},
           {"r": [{"s": "plain", "t": "~ "}, {"s": "ü", "t": "\x7f"}]}))
+@example(({"r": Rows(a=[1, 2], b=[3, 2.5])},  # the first row's cells share a type, a later row's do not
+          {"r": [{"a": 1, "b": 3}, {"a": 2, "b": 2.5}]}))
 def test_rows_are_written_as_the_lists_of_dicts_they_stand_for(pair):
     with_rows, plain = pair
     assert _json_payload(with_rows) == json.dumps(plain, indent=2) + "\n"
