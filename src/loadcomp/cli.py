@@ -34,7 +34,7 @@ from .profile import (
     peak_average_ratio,
     seasonal_split,
 )
-from .reconcile import ReconcileError, composition_from_attribution, disaggregate, scale_to_measured, seasonal_model
+from .reconcile import ReconcileError, composition_from_attribution, disaggregate, scale_to_measured
 from .synth import OccupancyError, default_occupancy, load_occupancy, synth_household_day
 
 
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        payload, status = args.handler(args)
+        payload, status, *diagnostics = args.handler(args)  # a handler may add a text for stderr
         _emit(args, payload, argv)
     except _INPUT_ERRORS as exc:
         print(f"loadcomp: error: {exc}", file=sys.stderr)
@@ -130,6 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # writing the payload; each loader reports its own file as an input error
         print(f"loadcomp: I/O error: {exc}", file=sys.stderr)
         return 2
+    sys.stderr.writelines(diagnostics)  # after the payload is written, so that an error is the one line on stderr
     return status
 
 
@@ -403,15 +404,13 @@ def cmd_profile_stats(args) -> tuple[str, int]:
     return _json_payload(payload), 0
 
 
-def cmd_reconcile(args) -> tuple[str, int]:
+def cmd_reconcile(args) -> tuple[str, int, str]:
     catalog = _get_catalog(args)
     measured = load_profile(args.profile)
     occupancy = _get_occupancy(args)
-    season = Season(args.season) if args.season else Season.for_month(measured.months[0])
-
-    model = seasonal_model(catalog, season, args.days_per_month, occupancy)
-    attribution = disaggregate(measured, model)
-    result = scale_to_measured(model.table, measured)
+    season = Season(args.season) if args.season else None
+    attribution = disaggregate(measured, catalog, occupancy, args.days_per_month, season)
+    result = scale_to_measured(attribution)
     shares = composition_from_attribution(attribution)
 
     if args.format == "csv":
@@ -419,7 +418,7 @@ def cmd_reconcile(args) -> tuple[str, int]:
     else:
         activities, _, per_unit, household, _ = zip(*result.adjusted_table.rows)
         payload = {
-            "season": season.value,
+            "season": result.adjusted_table.season.value,
             "scale_factor": result.scale_factor,
             "relative_gap": result.relative_gap,
             "gap_warning": result.gap_warning,
@@ -431,16 +430,12 @@ def cmd_reconcile(args) -> tuple[str, int]:
         }
         text = _json_payload(payload)
 
-    # the diagnostics follow the payload, so that a payload error is the only line on stderr
-    print(f"scale_factor={result.scale_factor!r} relative_gap={result.relative_gap!r}", file=sys.stderr)
+    summary = f"scale_factor={result.scale_factor!r} relative_gap={result.relative_gap!r}\n"
     if result.gap_warning:
-        print(
-            "loadcomp: warning: bottom-up total differs from measured energy "
-            f"by more than {100 * reconcile.GAP_WARNING_THRESHOLD:.0f}%; "
-            "the catalog may not represent this household",
-            file=sys.stderr,
-        )
-    return text, 0
+        summary += ("loadcomp: warning: bottom-up total differs from measured energy "
+                    f"by more than {100 * reconcile.GAP_WARNING_THRESHOLD:.0f}%; "
+                    "the catalog may not represent this household\n")
+    return text, 0, summary
 
 
 def cmd_synth(args) -> tuple[str, int]:

@@ -52,6 +52,7 @@ class HourlyAttribution(NamedTuple):
 
     by_activity: dict[str, tuple[float, ...]]
     measured: LoadProfile
+    model: SeasonalModel  # the model whose weights split ``measured``
 
 
 def _check_one_hourly_day(measured: LoadProfile) -> None:
@@ -66,12 +67,12 @@ def _check_one_hourly_day(measured: LoadProfile) -> None:
         )
 
 
-def scale_to_measured(table: SeasonalConsumptionTable, measured: LoadProfile) -> ReconciliationResult:
-    """Multiply every row so the table's monthly total equals ``table.days_per_month`` measured days.
+def scale_to_measured(attribution: HourlyAttribution) -> ReconciliationResult:
+    """Multiply every row of the model's table so its monthly total equals ``table.days_per_month`` measured days.
 
-    ``measured`` is one hourly day: a sample of kW over its one hour is that many kWh.
+    :func:`disaggregate` checked that the measured day is one hourly day: a kW sample over its hour is that many kWh.
     """
-    _check_one_hourly_day(measured)
+    table, measured = attribution.model.table, attribution.measured
     bottom_up = table.monthly_total_kwh
     if bottom_up <= 0:
         raise ReconcileError("zero bottom-up total")
@@ -126,15 +127,17 @@ def seasonal_model(catalog: Catalog, season: Season, days_per_month: int, occupa
     return model
 
 
-def disaggregate(measured: LoadProfile, model: SeasonalModel) -> HourlyAttribution:
-    """Attribute each measured hour to activities by the weights of ``model``'s synthesized day.
+def disaggregate(measured: LoadProfile, catalog: Catalog, occupancy: OccupancyCurve, days_per_month: int = 30,
+                 season: Season | None = None) -> HourlyAttribution:
+    """Attribute each measured hour to activities by the weights of ``catalog``'s model for the measured day.
 
-    ``measured`` must hold one sample for each hour 0-23 of one date. Hours
-    with zero measured power get zero attribution everywhere; positive
-    measured power at an hour where the synthesized household total is zero
+    ``measured`` must hold one sample for each hour 0-23 of one date. The model is :func:`seasonal_model`'s for
+    ``season``, by default the season of the measured date's month. Hours with zero measured power get zero
+    attribution everywhere; positive measured power at an hour where the synthesized household total is zero
     is unattributable and raises :class:`ReconcileError`.
     """
     _check_one_hourly_day(measured)
+    model = seasonal_model(catalog, season or Season.for_month(measured.months[0]), days_per_month, occupancy)
     # an hour of zero measured power (-0.0 too) attributes 0.0 * weight, a zero, to every activity
     powers = [*map(abs, measured.powers)]  # a power is >= 0, so abs only turns -0.0 into 0.0
     for hour in model.empty_hours:
@@ -144,7 +147,7 @@ def disaggregate(measured: LoadProfile, model: SeasonalModel) -> HourlyAttributi
                 "but the synthesized household total is zero"
             )
     series = {activity: tuple(map(mul, powers, weights)) for activity, weights in model.weights}
-    return HourlyAttribution(by_activity=series, measured=measured)
+    return HourlyAttribution(series, measured, model)
 
 
 def composition_from_attribution(attribution: HourlyAttribution) -> dict[str, float]:

@@ -25,7 +25,7 @@ from loadcomp.catalog import (
 )
 from loadcomp.cli import main, render_value
 from loadcomp.profile import monthly_growth, normalize, peak_average_ratio
-from loadcomp.reconcile import composition_from_attribution, disaggregate, seasonal_model
+from loadcomp.reconcile import composition_from_attribution, disaggregate
 from loadcomp.synth import default_occupancy, synth_household_day
 from conftest import SUMMER_WH_DAY, WINTER_WH_DAY, hourly_day, monthly_profile
 
@@ -173,10 +173,9 @@ def test_conservation_suite():
         catalog = random_catalog(rng, ensure_active=True)
         season = rng.choice(list(Season))
 
-        model = seasonal_model(catalog, season, 30, default_occupancy())
-        table = model.table
         measured = random_measured_day(rng)
-        attribution = disaggregate(measured, model)
+        attribution = disaggregate(measured, catalog, default_occupancy(), season=season)
+        table = attribution.model.table
         for index, power in enumerate(measured.powers):
             total = sum(series[index] for series in attribution.by_activity.values())
             if power == 0.0:
@@ -186,7 +185,8 @@ def test_conservation_suite():
 
         synthesized = synth_household_day(table, default_occupancy()).household_total
         fixed_point = hourly_day([wh / 1000.0 for wh in synthesized])
-        round_trip = composition_from_attribution(disaggregate(fixed_point, model))
+        round_trip = composition_from_attribution(
+            disaggregate(fixed_point, catalog, default_occupancy(), season=season))
         bottom_up = composition_shares(table)
         for activity, share in round_trip.items():
             assert abs(share - bottom_up[activity]) <= 0.01

@@ -360,6 +360,25 @@ class TestOneEnergyPass:
             assert (tables, tou_reads) == ([], [])
 
 
+class TestOneDayCheck:
+    """``reconcile`` checks that the measured profile is one hourly day once per call, in ``disaggregate``."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_the_measured_day_is_checked_once(self, capsys, tmp_path, monkeypatch, fmt):
+        checked = []
+        original = reconcile._check_one_hourly_day
+
+        def counting_check(measured):
+            checked.append(measured)
+            return original(measured)
+
+        monkeypatch.setattr(reconcile, "_check_one_hourly_day", counting_check)
+        path = write_day_csv(tmp_path / "day.csv", synth_day_kw())
+        code, _, _ = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path), "--format", fmt)
+        assert code == 0
+        assert len(checked) == 1
+
+
 # Two spellings of one curve, a curve with no presence at 05:00, and that curve with -0 there: 0 == -0,
 # but a -0 weight attributes -0.0.
 _OCCUPANCY_FILES = {
@@ -487,6 +506,21 @@ class TestReconcile:
         code, out, err = run(capsys, "reconcile", "--catalog", str(catalog), "--profile", str(path), "--format", fmt)
         assert (code, out) == (1, "")
         assert err == "loadcomp: error: a result is not a finite number; an input value is out of range\n"
+
+    def test_a_failed_write_is_the_only_line_on_stderr(self, capsys, tmp_path):
+        """The summary and the gap warning follow the written payload, so a run that cannot write prints neither."""
+        path = write_day_csv(tmp_path / "measured.csv", [p * 1.5 for p in synth_day_kw()])
+        code, out, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path),
+                             "--out", str(tmp_path / "no" / "such" / "dir" / "x.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("loadcomp: I/O error: ") and err.count("\n") == 1
+
+    def test_a_profile_that_is_not_one_day_is_reported_before_the_month_length(self, capsys, tmp_path):
+        """``disaggregate`` checks the day before it builds the model, which rejects a month of 0 days."""
+        path = write_monthly_csv(tmp_path / "monthly.csv")
+        code, out, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path), "--days-per-month", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("loadcomp: error: granularity mismatch: need hourly") and err.count("\n") == 1
 
     def test_large_gap_warns(self, capsys, tmp_path):
         powers = [p * 1.5 for p in synth_day_kw()]

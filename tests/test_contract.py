@@ -16,7 +16,7 @@ from loadcomp import Season, builtin_catalog, cli
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
 from loadcomp.composition import DeviceEnergy, SeasonalConsumptionTable
 from loadcomp.profile import Granularity, LoadProfile
-from loadcomp.reconcile import HourlyAttribution, ReconciliationResult, disaggregate, seasonal_model
+from loadcomp.reconcile import HourlyAttribution, ReconciliationResult, SeasonalModel, disaggregate
 from loadcomp.synth import OccupancyCurve, SynthesizedDay, default_occupancy
 from conftest import DAY_CURVE_KW, hourly_day
 
@@ -73,6 +73,7 @@ def _records():
                        operation=OperationClass.MANUAL)
     table = SeasonalConsumptionTable(season=Season.WINTER, rows=(row,), days_per_month=30)
     profile = LoadProfile((datetime(2016, 1, 1),), (1.0,), Granularity.HOURLY, label="day")
+    model = SeasonalModel(table, (120.0,) * 24, (("TV", (1.0 / 120.0,) * 24),), ())
     return (
         ApplianceSpec(**spec._asdict()),
         Catalog(specs=(spec,)),
@@ -80,7 +81,8 @@ def _records():
         table,
         ReconciliationResult(scale_factor=1.0, measured_energy_kwh=3.6, bottom_up_energy_kwh=3.6,
                              relative_gap=0.0, adjusted_table=table),
-        HourlyAttribution(by_activity={"TV": (1.0,)}, measured=profile),
+        model,
+        HourlyAttribution(by_activity={"TV": (1.0,)}, measured=profile, model=model),
         SynthesizedDay(per_activity={"TV": (5.0,) * 24}),
         OccupancyCurve(weights=(1.0 / 24.0,) * 24),
         profile,
@@ -151,8 +153,7 @@ def test_the_builtin_catalog_is_built_once_per_process():
 
 def test_disaggregate_result_has_what_the_benchmark_counts():
     counts = {name: count for _, _, name, count in _benchmark_child().TRACED}
-    attribution = disaggregate(hourly_day(DAY_CURVE_KW), seasonal_model(builtin_catalog(), Season.SUMMER, 30,
-                                                                        default_occupancy()))
+    attribution = disaggregate(hourly_day(DAY_CURVE_KW), builtin_catalog(), default_occupancy())
     assert counts["reconcile.disaggregate"](attribution) == 15 * 24
     assert counts["catalog.builtin_catalog"](builtin_catalog()) == 15
 

@@ -32,7 +32,12 @@ power_days = st.lists(
 
 def attribute(measured, catalog, season, occupancy=default_occupancy()):
     """``measured`` split by the synthesized day of ``catalog``'s table for ``season``."""
-    return disaggregate(measured, seasonal_model(catalog, season, 30, occupancy))
+    return disaggregate(measured, catalog, occupancy, season=season)
+
+
+def scale(measured, catalog, season, days_per_month=30):
+    """``catalog``'s table for ``season`` scaled to ``measured``, through its attribution."""
+    return scale_to_measured(disaggregate(measured, catalog, default_occupancy(), days_per_month, season))
 
 
 def synth_as_measured(catalog, season, day=JUNE1):
@@ -71,25 +76,24 @@ def one_manual_device(name="Toaster") -> Catalog:
 class TestScaleToMeasured:
     def test_self_match_has_unit_factor(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.WINTER, 30)
-        result = scale_to_measured(table, day_of_monthly_energy(table.monthly_total_kwh))
+        result = scale(day_of_monthly_energy(table.monthly_total_kwh), paper_catalog, Season.WINTER)
         assert result.scale_factor == pytest.approx(1.0, abs=1e-12)
         assert result.relative_gap == pytest.approx(0.0, abs=1e-12)
         assert not result.gap_warning
 
     def test_ten_percent_overshoot(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
-        result = scale_to_measured(table, day_of_monthly_energy(table.monthly_total_kwh * 1.1))
+        result = scale(day_of_monthly_energy(table.monthly_total_kwh * 1.1), paper_catalog, Season.SUMMER)
         assert result.scale_factor == pytest.approx(1.1, abs=1e-9)
         assert result.measured_energy_kwh == pytest.approx(2986.16, abs=0.01)
 
     def test_adjusted_total_matches_measured(self, paper_catalog):
-        table = seasonal_table(paper_catalog, Season.SUMMER, 30)
-        result = scale_to_measured(table, day_of_monthly_energy(3200.0))
+        result = scale(day_of_monthly_energy(3200.0), paper_catalog, Season.SUMMER)
         assert result.adjusted_table.monthly_total_kwh == pytest.approx(3200.0, rel=1e-9)
 
     def test_scaling_preserves_shares_and_argmax(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
-        result = scale_to_measured(table, day_of_monthly_energy(1234.5))
+        result = scale(day_of_monthly_energy(1234.5), paper_catalog, Season.SUMMER)
         base = composition_shares(table)
         adjusted_total = result.adjusted_table.daily_total_wh
         for row in result.adjusted_table.rows:
@@ -102,42 +106,34 @@ class TestScaleToMeasured:
     def test_gap_warning_threshold(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.WINTER, 30)
         quiet_kwh = table.monthly_total_kwh * (1 + GAP_WARNING_THRESHOLD * 0.9)
-        quiet = scale_to_measured(table, day_of_monthly_energy(quiet_kwh))
-        loud = scale_to_measured(table, day_of_monthly_energy(table.monthly_total_kwh * 2.0))
+        quiet = scale(day_of_monthly_energy(quiet_kwh), paper_catalog, Season.WINTER)
+        loud = scale(day_of_monthly_energy(table.monthly_total_kwh * 2.0), paper_catalog, Season.WINTER)
         assert not quiet.gap_warning
         assert loud.gap_warning
 
     def test_zero_measured_rejected(self, paper_catalog):
-        table = seasonal_table(paper_catalog, Season.WINTER, 30)
         with pytest.raises(ReconcileError, match="zero measured"):
-            scale_to_measured(table, hourly_day([0.0] * 24))
+            scale(hourly_day([0.0] * 24), paper_catalog, Season.WINTER)
 
     def test_zero_bottom_up_rejected(self):
+        """A day of no power is the one a model of no energy can attribute; the empty table is then the error."""
         spec = one_manual_device().specs[0]
         dead = Catalog(specs=(spec._replace(tou_winter=0.0, tou_summer=0.0),))
-        table = seasonal_table(dead, Season.WINTER, 30)
         with pytest.raises(ReconcileError, match="zero bottom-up"):
-            scale_to_measured(table, day_of_monthly_energy(100.0))
+            scale(hourly_day([0.0] * 24), dead, Season.WINTER)
 
     def test_a_ratio_that_overflows_is_rejected(self):
         """The smallest normal kW against 24 h of 10⁶ units at 10⁷ W: the relative gap is infinite."""
         spec = one_manual_device().specs[0]._replace(tou_winter=24.0, units_winter=10**6, run_watts=1e7)
-        table = seasonal_table(Catalog(specs=(spec,)), Season.WINTER, 30)
         with pytest.raises(ReconcileError, match="not a finite number"):
-            scale_to_measured(table, hourly_day([2.2250738585072014e-308] * 24))
+            scale(hourly_day([2.2250738585072014e-308] * 24), Catalog(specs=(spec,)), Season.WINTER)
 
     def test_a_month_is_the_measured_day_times_the_table_days(self, paper_catalog):
         day = hourly_day(DAY_CURVE_KW)
-        short = scale_to_measured(seasonal_table(paper_catalog, Season.SUMMER, 28), day)
-        long = scale_to_measured(seasonal_table(paper_catalog, Season.SUMMER, 31), day)
+        short = scale(day, paper_catalog, Season.SUMMER, 28)
+        long = scale(day, paper_catalog, Season.SUMMER, 31)
         assert short.measured_energy_kwh == left_to_right_sum(DAY_CURVE_KW) * 28  # kW over one hour is kWh
         assert short.measured_energy_kwh / long.measured_energy_kwh == pytest.approx(28 / 31, rel=1e-15)
-
-    @pytest.mark.parametrize("measured", [monthly_profile(), hourly_day([1.0] * 30)], ids=["monthly", "30-hours"])
-    def test_anything_but_one_hourly_day_rejected(self, paper_catalog, measured):
-        """A kW sample is a kWh only over one hour, and the table's month is made of one measured day."""
-        with pytest.raises(ReconcileError, match="granularity mismatch"):
-            scale_to_measured(seasonal_table(paper_catalog, Season.WINTER, 30), measured)
 
 
 class TestDisaggregate:
@@ -172,6 +168,24 @@ class TestDisaggregate:
     def test_monthly_profile_rejected(self, paper_catalog):
         with pytest.raises(ReconcileError, match="granularity mismatch"):
             attribute(monthly_profile(), paper_catalog, Season.WINTER)
+
+    def test_an_empty_profile_is_rejected(self, paper_catalog):
+        """The day is checked before anything reads its first sample."""
+        with pytest.raises(ReconcileError, match="granularity mismatch: need one sample for each hour"):
+            disaggregate(profile_of(()), paper_catalog, default_occupancy())
+
+    @pytest.mark.parametrize("day, season", [(datetime(2016, 1, 15), Season.WINTER), (JUNE1, Season.SUMMER)],
+                             ids=["january", "june"])
+    def test_the_season_is_that_of_the_measured_date(self, paper_catalog, day, season):
+        attribution = disaggregate(hourly_day(DAY_CURVE_KW, day=day), paper_catalog, default_occupancy(), 28)
+        assert attribution.model is seasonal_model(paper_catalog, season, 28, default_occupancy())
+        assert attribution.model.table.season is season
+
+    def test_an_explicit_season_overrides_the_measured_date(self, paper_catalog):
+        january = hourly_day(DAY_CURVE_KW, day=datetime(2016, 1, 15))
+        attribution = disaggregate(january, paper_catalog, default_occupancy(), season=Season.SUMMER)
+        assert attribution.model is seasonal_model(paper_catalog, Season.SUMMER, 30, default_occupancy())
+        assert scale_to_measured(attribution).adjusted_table.season is Season.SUMMER
 
     def test_multi_day_profile_rejected(self, paper_catalog):
         measured = hourly_day([1.0] * 30)  # spills into the next day
@@ -254,7 +268,7 @@ class TestSeasonalModel:
         assert zero.weights == negative_zero.weights
         model = seasonal_model(catalog, Season.SUMMER, 30, zero)
         assert seasonal_model(catalog, Season.SUMMER, 30, negative_zero) is not model
-        attribution = disaggregate(hourly_day([1.0] * 24), seasonal_model(catalog, Season.SUMMER, 30, negative_zero))
+        attribution = disaggregate(hourly_day([1.0] * 24), catalog, negative_zero, season=Season.SUMMER)
         assert math.copysign(1.0, attribution.by_activity["Lighting"][0]) == -1.0
 
     def test_a_catalog_keeps_one_model_per_season_and_month_length(self):
