@@ -14,7 +14,7 @@ import math
 from datetime import datetime
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import attrgetter, itemgetter, not_, truediv
+from operator import attrgetter, contains, is_, itemgetter, lt, not_, truediv
 from pathlib import Path
 
 from ._sourceio import read_text
@@ -53,9 +53,15 @@ class LoadProfile(_Frozen):
         timestamps, powers = tuple(timestamps), tuple(powers)  # a caller's list could change after the checks
         if len(timestamps) != len(powers):
             raise ProfileError(f"{len(timestamps)} timestamps but {len(powers)} powers")
+        # a valid hourly series of naive stamps passes five column tests (a nan power makes the sum nan); any other
+        # series goes through the row loop, which names its first fault
+        checked = (granularity is Granularity.HOURLY and 0 <= min(powers, default=0) and (total := sum(powers)) == total
+                   and max(powers, default=0) <= MAX_POWER_KW
+                   and all(map(is_, map(attrgetter("tzinfo"), timestamps), repeat(None)))  # so < is defined
+                   and all(map(lt, timestamps, timestamps[1:])))
         previous = previous_naive = None
         months = None if granularity is Granularity.HOURLY else set()
-        for rownum, ts, power in zip(count(2), timestamps, powers):  # header is row 1
+        for rownum, ts, power in () if checked else zip(count(2), timestamps, powers):  # header is row 1
             if not 0 <= power <= MAX_POWER_KW:  # one test for the common case; false for nan too
                 if not math.isfinite(power):
                     raise ProfileError(f"row {rownum}: power must be a finite number")
@@ -113,15 +119,33 @@ def parse_profile(text: str, granularity: Granularity | None = None, label: str 
     midnight on the first of distinct months are monthly averages, anything
     else is hourly (monthly-peak must be declared explicitly).
     """
-    reader = csv.reader(io.StringIO(text))
-    header, rows = None, []  # blank lines are not numbered
-    try:
-        header = next(reader, None)
-        rows.extend(filter(None, reader))
-    except csv.Error as exc:  # a cell longer than csv.field_size_limit(), say: name its row
-        raise ProfileError(f"row {1 if header is None else len(rows) + 2}: {exc}") from None
-    if header is None:
-        raise ProfileError("empty profile: no samples")
+    timestamps, powers = _columns(text)  # the cells die here, before the profile is built
+    if granularity is None:
+        granularity = _infer_granularity(timestamps)
+    return LoadProfile(timestamps, powers, granularity, label)
+
+
+def _columns(text: str) -> tuple[tuple[datetime, ...], tuple[float, ...]]:
+    """The timestamp and power columns of a profile CSV, each cell read as ``csv.reader`` reads it."""
+    # csv splits a text with no quote or "\r" and no line over its field limit at each "\n" and each comma
+    lines = [] if '"' in text or "\r" in text else text.split("\n")
+    rows = [*filter(None, lines[1:])]  # blank lines are not numbered
+    cells = ",".join(rows).split(",")
+    if (len(cells) == 2 * len(rows) and all(map(contains, rows, repeat(",")))  # two cells in each row
+            and max(map(len, lines)) <= csv.field_size_limit()):
+        header, firsts, seconds = lines[0].split(","), cells[0::2], cells[1::2]
+        rows = zip(firsts, seconds)  # for the row walk
+    else:
+        reader = csv.reader(io.StringIO(text))
+        header, rows = None, []
+        try:
+            header = next(reader, None)
+            rows.extend(filter(None, reader))
+        except csv.Error as exc:  # a cell longer than csv.field_size_limit(), say: name its row
+            raise ProfileError(f"row {1 if header is None else len(rows) + 2}: {exc}") from None
+        if header is None:
+            raise ProfileError("empty profile: no samples")
+        firsts, seconds = map(itemgetter(0), rows), map(itemgetter(1), rows)
     have = tuple(name.strip() for name in header)
     if have != PROFILE_CSV_HEADER:
         raise ProfileError(f"expected header {','.join(PROFILE_CSV_HEADER)!r}, got {','.join(have)!r}")
@@ -129,24 +153,22 @@ def parse_profile(text: str, granularity: Granularity | None = None, label: str 
     if not rows:
         raise ProfileError("empty profile: no samples")
     try:  # one pass per column; extra cells are ignored
-        timestamps = tuple(map(datetime.fromisoformat, map(str.strip, map(itemgetter(0), rows))))
-        powers = tuple(map(float, map(itemgetter(1), rows)))  # float strips all whitespace but \x1c-\x1f itself
+        return (tuple(map(datetime.fromisoformat, map(str.strip, firsts))),
+                tuple(map(float, seconds)))  # float strips all whitespace but \x1c-\x1f itself
     except (ValueError, IndexError):  # a bad cell, or a row without a power: name the first such row
-        for rownum, row in enumerate(rows, start=2):  # header is line 1
-            raw_ts, raw_power, *_ = *map(str.strip, row), ""  # a missing power reads as ""
-            try:
-                datetime.fromisoformat(raw_ts)
-            except ValueError:
-                raise ProfileError(f"row {rownum}: invalid timestamp {raw_ts!r}") from None
-            try:
-                float(raw_power)
-            except ValueError:
-                raise ProfileError(f"row {rownum}: invalid power {raw_power!r}") from None
-        powers = tuple(map(float, map(str.strip, map(itemgetter(1), rows))))  # each cell is good once stripped
-
-    if granularity is None:
-        granularity = _infer_granularity(timestamps)
-    return LoadProfile(timestamps, powers, granularity, label)
+        pass
+    timestamps, powers = [], []
+    for rownum, row in enumerate(rows, start=2):  # header is line 1
+        raw_ts, raw_power, *_ = *map(str.strip, row), ""  # a missing power reads as ""
+        try:
+            timestamps.append(datetime.fromisoformat(raw_ts))
+        except ValueError:
+            raise ProfileError(f"row {rownum}: invalid timestamp {raw_ts!r}") from None
+        try:
+            powers.append(float(raw_power))
+        except ValueError:
+            raise ProfileError(f"row {rownum}: invalid power {raw_power!r}") from None
+    return tuple(timestamps), tuple(powers)  # each cell is good once stripped
 
 
 def _infer_granularity(timestamps: tuple[datetime, ...]) -> Granularity:

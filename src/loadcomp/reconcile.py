@@ -70,12 +70,11 @@ def _check_one_hourly_day(measured: LoadProfile) -> None:
 def scale_to_measured(attribution: HourlyAttribution) -> ReconciliationResult:
     """Multiply every row of the model's table so its monthly total equals ``table.days_per_month`` measured days.
 
-    :func:`disaggregate` checked that the measured day is one hourly day: a kW sample over its hour is that many kWh.
+    :func:`disaggregate` checked that the measured day is one hourly day, so a kW sample over its hour is that many
+    kWh, and that the table's total is positive.
     """
     table, measured = attribution.model.table, attribution.measured
     bottom_up = table.monthly_total_kwh
-    if bottom_up <= 0:
-        raise ReconcileError("zero bottom-up total")
     measured_energy_kwh = ordered_sum(measured.powers) * table.days_per_month
     if measured_energy_kwh <= 0:
         raise ReconcileError("zero measured energy")
@@ -133,11 +132,13 @@ def disaggregate(measured: LoadProfile, catalog: Catalog, occupancy: OccupancyCu
 
     ``measured`` must hold one sample for each hour 0-23 of one date. The model is :func:`seasonal_model`'s for
     ``season``, by default the season of the measured date's month. Hours with zero measured power get zero
-    attribution everywhere; positive measured power at an hour where the synthesized household total is zero
-    is unattributable and raises :class:`ReconcileError`.
+    attribution everywhere; a model of no energy, or positive measured power at an hour where the synthesized
+    household total is zero, raises :class:`ReconcileError`.
     """
     _check_one_hourly_day(measured)
     model = seasonal_model(catalog, season or Season.for_month(measured.months[0]), days_per_month, occupancy)
+    if model.table.monthly_total_kwh <= 0:  # named before any hour: every hour of such a model is empty
+        raise ReconcileError("zero bottom-up total")
     # an hour of zero measured power (-0.0 too) attributes 0.0 * weight, a zero, to every activity
     powers = [*map(abs, measured.powers)]  # a power is >= 0, so abs only turns -0.0 into 0.0
     for hour in model.empty_hours:

@@ -564,6 +564,14 @@ class TestReconcile:
         assert code == 1
         assert "unattributable load at hour 0" in err
 
+    def test_a_catalog_of_no_energy_exits_1_naming_the_empty_model(self, capsys, tmp_path):
+        """Every hour of a model of no energy is empty; the empty table is the fault, not its first hour."""
+        catalog = tmp_path / "dead.csv"
+        catalog.write_text(CATALOG_HEADER + "Toaster,0,0,1,1,800,0,Manual,1,0\n")
+        path = write_day_csv(tmp_path / "measured.csv", [1.0] * 24)
+        code, out, err = run(capsys, "reconcile", "--catalog", str(catalog), "--profile", str(path))
+        assert (code, out, err) == (1, "", "loadcomp: error: zero bottom-up total\n")
+
     def test_explicit_season_override(self, capsys, tmp_path):
         path = write_day_csv(tmp_path / "measured.csv", synth_day_kw(Season.WINTER), day="2016-01-15")
         code, out, _ = run(

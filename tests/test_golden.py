@@ -129,6 +129,28 @@ def test_one_shared_parser_gives_every_case_its_golden_bytes(status, monkeypatch
         assert {"exit": code, "stderr": err} == status[name], name
 
 
+PROFILES = ("monthly36.csv", "season_change72.csv", "summer_day.csv", "winter_day.csv")
+COPIES = {  # two ways to write each profile that csv reads as the plain file
+    "quoted": lambda text: "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in text.splitlines()),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("copy", sorted(COPIES))
+def test_quoted_and_crlf_profiles_give_the_golden_bytes(copy, status, monkeypatch, tmp_path):
+    """Each ``profile-stats`` and ``reconcile`` case that reads a profile gives its golden bytes from a copy of it."""
+    for profile in PROFILES:  # same stem, so the same label
+        (tmp_path / profile).write_text(COPIES[copy]((INPUTS / profile).read_text()), newline="")
+    monkeypatch.chdir(INPUTS)
+    monkeypatch.setenv("COLUMNS", "80")
+    names = [name for name, argv in CASES.items() if set(argv) & set(PROFILES)]
+    assert len(names) == 22
+    for name in names:
+        code, out, err = run_case([str(tmp_path / arg) if arg in PROFILES else arg for arg in CASES[name]])
+        assert out.encode("utf-8") == (PAYLOADS / f"{name}.out").read_bytes(), name
+        assert {"exit": code, "stderr": err} == status[name], name
+
+
 USAGE_ERROR = ["composition", "--format", "csv"]  # neither --catalog nor --builtin-paper
 
 

@@ -2,9 +2,11 @@
 
 import csv
 import io
+import math
 import re
 import statistics
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -150,6 +152,20 @@ class TestParseProfile:
         assert profile.timestamps == (datetime(2016, 6, 1),)
         assert profile.powers == (5.0,)
 
+    def test_a_plain_year_is_split_without_csv_reader(self, monkeypatch):
+        """A file with no quote or "\\r" and two cells in each row is read by splitting it, with csv's result."""
+        stamps = [datetime(2016, 1, 1) + timedelta(hours=hour) for hour in range(8784)]
+        powers = [round(0.5 + (hour % 24) / 7 + (hour % 5) / 1000, 3) for hour in range(8784)]
+        text = "timestamp,power_kw\n" + "".join(f"{ts.isoformat()},{power}\n" for ts, power in zip(stamps, powers))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader was called")
+
+        monkeypatch.setattr("loadcomp.profile.csv.reader", refuse)
+        profile = parse_profile(text)
+        assert profile.granularity is Granularity.HOURLY
+        assert (profile.timestamps, profile.powers) == (tuple(stamps), tuple(powers))
+
     def test_malformed_later_row_is_reported_before_an_earlier_sign_error(self):
         source = "timestamp,power_kw\n2016-06-01T00:00,-5\nyesterday,5\n"
         with pytest.raises(ProfileError, match="row 3: invalid timestamp"):
@@ -173,12 +189,14 @@ def row_by_row(text):
     undecodable file is refused before any cell is checked.
     """
     reader = csv.reader(io.StringIO(text))
-    next(reader)  # the header, checked as before
-    rows = []
+    header, rows = None, []
     try:
+        header = next(reader)
         rows.extend(filter(None, reader))
     except csv.Error as exc:
-        return f"row {len(rows) + 2}: {exc}"
+        return f"row {1 if header is None else len(rows) + 2}: {exc}"
+    if (have := ",".join(map(str.strip, header))) != "timestamp,power_kw":
+        return f"expected header 'timestamp,power_kw', got {have!r}"
     samples = []
     for rownum, row in enumerate(rows, start=2):
         raw_ts, raw_power, *_ = *map(str.strip, row), ""
@@ -198,13 +216,21 @@ _BAD_CELLS = ["", " ", "yesterday", "2016-13-01", "much", "1,5", "nan", "-1", "1
               "\u0665", "2016-06-01T00:00", "2016-06-01T00:00+00:00", '"']
 
 
+_OVERSIZED = csv.field_size_limit() + 1  # the length of a cell that csv.reader refuses
+
+
 @st.composite
 def mutated_profile_csv(draw):
-    """A day of profile CSV with bad cells, blank lines, short rows, extra cells and padding in a few rows."""
+    """A day of profile CSV with bad cells, blank lines, short rows, extra cells and padding in a few rows.
+
+    Some texts hold what only ``csv.reader`` reads: quoted cells, NUL, ``\\r\\n`` or lone ``\\r`` line ends, a blank
+    first line, or a cell padded to the field-size limit or one past it.
+    """
     lines = [[f"2016-06-01T{hour:02d}:00", repr(float(hour + 1))] for hour in range(draw(st.integers(1, 24)))]
     for _ in range(draw(st.integers(0, 4))):
         line = draw(st.sampled_from(lines))
-        change = draw(st.sampled_from(["cell", "short", "extra", "pad", "blank"]))
+        # weighted so that about a third of the texts are plain, read by the split
+        change = draw(st.sampled_from(["cell", "pad", "blank"] * 3 + ["short", "extra", "quote", "nul", "long"]))
         column = draw(st.integers(0, len(line) - 1)) if line else 0
         if change == "cell" and line:
             line[column] = draw(st.sampled_from(_BAD_CELLS) | st.text(max_size=4))
@@ -216,7 +242,20 @@ def mutated_profile_csv(draw):
             line[column] = draw(st.sampled_from([" ", "\t", "\u3000"])) + line[column] + " "
         elif change == "blank":
             lines.insert(lines.index(line), [])
-    return "timestamp,power_kw\n" + "".join(",".join(line) + "\n" for line in lines)
+        elif change == "quote" and line:  # csv reads a quoted cell as the cell, and may find a comma or "\n" in it
+            line[column] = '"' + draw(st.sampled_from([line[column], "1,5", "5\n", 'a""b'])) + '"'
+        elif change == "nul" and line:
+            line[column] += "\0"
+        elif change == "long" and line:
+            line[column] = line[column].rjust(_OVERSIZED - draw(st.integers(0, 1)))
+    texts = ["timestamp,power_kw", *map(",".join, lines)]
+    ends = ["\n"] * len(texts)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):  # most texts keep "\n" alone
+        ends[draw(st.integers(0, len(ends) - 1))] = draw(st.sampled_from(["\r\n", "\r"]))
+    if draw(st.integers(0, 9)) == 0:
+        texts.insert(0, "")
+        ends.insert(0, "\n")
+    return "".join(map(str.__add__, texts, ends))
 
 
 class TestParseEquivalence:
@@ -225,6 +264,13 @@ class TestParseEquivalence:
     @example("timestamp,power_kw\n2016-06-01T00:00,much\nyesterday,5\n")  # the bad power comes first
     @example("timestamp,power_kw\n2016-06-01T00:00\n\nyesterday,5\n")  # a short row, then a bad timestamp
     @example("timestamp,power_kw\n,1.0\n\r,2.0\n")  # a bad timestamp, then a row csv cannot read
+    @example("timestamp,power_kw\r\n2016-06-01T00:00,1\r\n2016-06-01T01:00,2\r\n")  # csv reads \r\n as \n
+    @example('timestamp,power_kw\n"2016-06-01T00:00","1"\n"2016-06-01T01:00",2\n')  # quoted cells
+    @example("timestamp,power_kw\n2016-06-01T00:00,1\r2016-06-01T01:00,2\n")  # a lone \r ends a line
+    @example("\ntimestamp,power_kw\n2016-06-01T00:00,1\n")  # a blank first line is the header
+    @example("timestamp,power_kw\n2016-06-01T00:00,1\n2016-06-01T01:00\n20160601,20160602,5\n")  # 1 cell, 3 cells
+    @example("timestamp,power_kw\n2016-06-01T00:00," + "5".rjust(_OVERSIZED) + "\n")  # a cell past the limit
+    @example("timestamp,power_kw\n2016-06-01T00:00," + "5".rjust(_OVERSIZED - 1) + "\n")  # a cell at the limit
     def test_columns_match_the_row_by_row_parse(self, text):
         expected = row_by_row(text)
         if isinstance(expected, list):  # parsed: the sample rules decide, as they did then
@@ -426,6 +472,83 @@ class TestMeanKw:
     def test_empty_profile_names_the_fault(self):
         with pytest.raises(ProfileError, match="^empty profile: no samples$"):
             LoadProfile(timestamps=(), powers=(), granularity=Granularity.HOURLY).mean_kw
+
+
+class NoOffset(tzinfo):
+    """A ``tzinfo`` whose ``utcoffset`` is None: its stamps are naive, although their ``tzinfo`` is set."""
+
+    def utcoffset(self, dt):
+        return None
+
+
+_SPECIAL_POWERS = [math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0, 0.0, 1e9, math.nextafter(1e9, math.inf), 2e9]
+_ZONES = [timezone.utc, timezone(timedelta(hours=2)), NoOffset()]
+
+
+def sample_rules(timestamps, powers, granularity):
+    """The message of the first sample the row-by-row check refuses, or None: the rules as that loop states them."""
+    previous = previous_naive = None
+    months = None if granularity is Granularity.HOURLY else set()
+    for rownum, ts, power in zip(count(2), timestamps, powers):
+        if not math.isfinite(power):
+            return f"row {rownum}: power must be a finite number"
+        if power < 0:
+            return f"row {rownum}: negative power {power}"
+        if power > 1e9:
+            return f"row {rownum}: power {power} exceeds 1e+09 kW"
+        naive = ts.utcoffset() is None
+        if previous is not None and naive != previous_naive:
+            return f"row {rownum}: cannot mix naive and offset-aware timestamps"
+        if previous is not None and ts <= previous:
+            return f"row {rownum}: timestamps must be strictly increasing"
+        if months is not None:
+            if (ts.year, ts.month) in months:
+                return f"row {rownum}: {granularity.value} profile has two samples in {ts.isoformat()[:7]}"
+            months.add((ts.year, ts.month))
+        previous, previous_naive = ts, naive
+    return None
+
+
+@st.composite
+def sample_columns(draw):
+    """Columns of a valid series, hourly or one per month, with a few samples changed to break or bend a rule."""
+    size, step = draw(st.integers(0, 30)), draw(st.sampled_from([timedelta(hours=1), timedelta(days=31)]))
+    timestamps = [datetime(2016, 1, 1) + i * step for i in range(size)]
+    powers = draw(st.lists(st.floats(0, 1e4), min_size=size, max_size=size))
+    if draw(st.integers(0, 3)) == 0:  # an aware series: each stamp in one of the zones
+        timestamps = [ts.replace(tzinfo=draw(st.sampled_from(_ZONES))) for ts in timestamps]
+    for _ in range(draw(st.integers(0, 3)) if size else 0):
+        index = draw(st.integers(0, size - 1))
+        change = draw(st.sampled_from(["power", "power", "zone", "equal", "earlier", "same month"]))
+        if change == "power":
+            powers[index] = draw(st.sampled_from(_SPECIAL_POWERS))
+        elif change == "zone":
+            timestamps[index] = timestamps[index].replace(tzinfo=draw(st.sampled_from([None, *_ZONES])))
+        elif index:  # a stamp equal to, before, or in the month of the one before it
+            gap = {"equal": timedelta(0), "earlier": -timedelta(minutes=1), "same month": timedelta(minutes=1)}
+            timestamps[index] = timestamps[index - 1] + gap[change]
+    return timestamps, powers, draw(st.sampled_from([Granularity.HOURLY, *Granularity]))
+
+
+class TestSampleCheckEquivalence:
+    @settings(max_examples=300)
+    @given(sample_columns())
+    @example(([], [], Granularity.HOURLY))
+    @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1, tzinfo=NoOffset())], [1.0, 2.0], Granularity.HOURLY))
+    @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1.0, math.nan], Granularity.HOURLY))  # min, max miss it
+    @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1e9, 2e9], Granularity.HOURLY))
+    @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1.0, -1.0], Granularity.HOURLY))
+    @example(([datetime(2016, 1, 1), datetime(2016, 1, 1)], [1.0, 1.0], Granularity.HOURLY))
+    @example(([datetime(2016, 1, 1), datetime(2016, 1, 2)], [1.0, 2.0], Granularity.MONTHLY_AVERAGE))
+    def test_the_column_tests_accept_what_the_row_loop_accepts(self, columns):
+        timestamps, powers, granularity = columns
+        try:
+            profile = LoadProfile(timestamps, powers, granularity)
+        except ProfileError as exc:
+            assert str(exc) == sample_rules(timestamps, powers, granularity)
+        else:
+            assert sample_rules(timestamps, powers, granularity) is None
+            assert (profile.timestamps, profile.powers) == (tuple(timestamps), tuple(powers))
 
 
 class TestLoadProfileInvariants:

@@ -219,10 +219,16 @@ class TestDisaggregate:
     @settings(max_examples=40)
     @given(catalog=catalogs(min_size=1, max_size=5), powers=power_days)
     def test_per_hour_conservation(self, catalog, powers):
+        """Every attributable day is conserved hour by hour; a model of no energy attributes no day."""
         season = Season.SUMMER
-        day = synth_household_day(seasonal_table(catalog, season), default_occupancy())
+        table = seasonal_table(catalog, season)
+        day = synth_household_day(table, default_occupancy())
         assume(all(t > 0 for t in day.household_total) or max(powers) == 0)
         measured = hourly_day(powers)
+        if table.monthly_total_kwh <= 0:
+            with pytest.raises(ReconcileError, match="^zero bottom-up total$"):
+                attribute(measured, catalog, season)
+            return
         attribution = attribute(measured, catalog, season)
         for index, power in enumerate(measured.powers):
             total = sum(series[index] for series in attribution.by_activity.values())
