@@ -21,17 +21,17 @@ def read_text(path: Path | str, what: str, error: type[Exception]) -> str:
         raise error(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def float_texts(column: Sequence[float]) -> Sequence:
-    """``column`` itself, or its cells' ``repr`` texts made once per distinct value; ``%s`` writes either as ``repr``.
+def float_texts(column: Sequence[float]) -> Sequence[str]:
+    """The ``repr`` texts of ``column``'s cells, made once per distinct value when the cells repeat.
 
-    ``column`` holds only ``float`` cells (``1``, ``1.0`` and ``True`` are one dict key). The texts are made only
+    ``column`` holds only ``float`` cells (``1``, ``1.0`` and ``True`` are one dict key). The texts are shared only
     for a column longer than one day of hours whose cells repeat, as a metered series' do: at most 3/4 of a sample
     of up to 1,024 cells spread along it are distinct, so a mostly distinct column is never read whole here.
     """
     if len(column) <= 24 or 4 * len(dict.fromkeys(sample := column[::len(column) // 1024 + 1])) > 3 * len(sample):
-        return column  # short or mostly distinct
+        return [*map(repr, column)]  # short or mostly distinct
     memo = dict.fromkeys(column)
-    memo = dict(zip(memo, map(float.__repr__, memo)))
+    memo = dict(zip(memo, map(repr, memo)))
     texts = list(map(memo.__getitem__, column))
     if 0.0 in memo:  # 0.0 and -0.0 are one key with two texts
         for index in filterfalse(column.__getitem__, range(len(column))):
@@ -39,12 +39,31 @@ def float_texts(column: Sequence[float]) -> Sequence:
     return texts
 
 
+def interleave(pieces: Sequence[str], columns: Sequence[Sequence[str]], between="", lines: Mapping = {}) -> str:
+    """Row ``i`` as ``pieces[0] + columns[0][i] + pieces[1] + … + pieces[-1]``, with ``between`` after all but the last.
+
+    ``lines[i]`` replaces row ``i`` and what follows it. One list holds the rows, a column set per slice, joined once.
+    """
+    rows, width = len(columns[0]) if columns else 0, 2 * len(columns) + 1
+    row = [None] * width  # a slot for each cell between the pieces
+    row[::2] = pieces
+    row[-1] += between
+    out = row * rows
+    for at, column in enumerate(columns):
+        out[2 * at + 1::width] = column
+    if rows:
+        out[-1] = pieces[-1]
+    for index, line in lines.items():
+        out[index * width:(index + 1) * width] = [line] + [""] * (width - 1)
+    return "".join(out)
+
+
 def csv_text(rows: Mapping[str, Sequence]) -> str:
     """The header ``rows.keys()`` and then the rows, as ``csv.writer`` writes them with ``\\n`` line endings.
 
     ``rows`` maps each key to its column: row ``i`` holds each column's cell ``i``. Cells are written
-    with ``str``, so floats keep their shortest round-trip form (a float column's via ``float_texts``). Rows fill
-    one ``%``-template; a row with a text cell that needs quoting goes through ``csv.writer`` instead.
+    with ``str``, so floats keep their shortest round-trip form (a float column's via ``float_texts``). A row with a
+    text cell that needs quoting is written by ``csv.writer``; the others are one :func:`interleave` of the columns.
     """
 
     def written(row) -> str:
@@ -55,12 +74,14 @@ def csv_text(rows: Mapping[str, Sequence]) -> str:
     quoted = (",", '"', "\r", "\n")  # a cell that holds one of these may need quotes: csv.writer decides
     columns = list(rows.values())
     kinds = [set(map(type, column)) for column in columns]
-    texts = [float_texts(column) if kind == {float} else column for column, kind in zip(columns, kinds)]
-    lines = list(map((",".join(["%s"] * len(columns)) + "\n").__mod__, zip(*texts)))
+    texts = [float_texts(column) if kind == {float} else column if kind == {str} else [*map(str, column)]
+             for column, kind in zip(columns, kinds)]
+    lines = {}
     for column, kind in zip(columns, kinds):  # the cells as given: a float column's texts never need quotes
         text = "".join(map(str, column)) if str in kind else ""
         if any(mark in text for mark in quoted) or (len(columns) == 1 and "" in column):  # "" alone is quoted
             for index, cell in enumerate(column):
                 if not cell or any(mark in str(cell) for mark in quoted):
                     lines[index] = written([other[index] for other in columns])
-    return written(rows) + "".join(lines)
+    pieces = ["", *[","] * (len(columns) - 1), "\n"] if columns else [""]
+    return written(rows) + interleave(pieces, texts, lines=lines)

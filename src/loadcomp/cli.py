@@ -13,19 +13,18 @@ import functools
 import math
 import shlex
 import sys
-from datetime import date, datetime, time, timezone
+from datetime import datetime, timezone
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import __version__, reconcile
-from ._sourceio import csv_text, float_texts
+from ._sourceio import csv_text, float_texts, interleave
 from .catalog import Catalog, CatalogError, Season, builtin_catalog, load_catalog
 from .composition import CompositionError, SeasonalConsumptionTable, composition_shares, seasonal_table
 from .profile import (
     Granularity,
-    LoadProfile,
     ProfileError,
     daily_extrema,
     load_profile,
@@ -51,9 +50,8 @@ class Rows(dict):
 
 
 _INPUT_ERRORS = (CatalogError, CompositionError, ProfileError, ReconcileError, OccupancyError, PayloadError)
-_CELL = {str: _quote, int: int.__repr__, float: str,  # scalars written as json.dumps writes them: str is a float's repr
+_CELL = {str: _quote, int: repr, float: repr,  # scalars written as json.dumps writes them
          bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
-_FIELD = {str: '"%s"', int: "%d", float: "%s"}  # _CELL's texts as template fields; '"%s"' only for plain text
 
 
 @functools.cache  # one shared parser per process: parse_args leaves it unchanged, so callers must too
@@ -164,8 +162,8 @@ def _emit(args, payload: str, argv: list[str]) -> None:
 def _json_payload(obj: dict) -> str:
     """``json.dumps(obj, indent=2) + "\\n"`` with each :class:`Rows` written as its list, refusing NaN and infinities.
 
-    The indenting encoder is pure Python. Here each row of a ``Rows`` fills one flat ``%``-template, and a list
-    of cells of one type is converted in one pass.
+    The indenting encoder is pure Python. Here the rows of a ``Rows`` are one :func:`interleave` of its columns'
+    texts, and a list of cells of one type is converted in one pass.
     """
     try:
         return _text(obj, "\n") + "\n"
@@ -182,8 +180,11 @@ def _text(value, indent: str) -> str:
     if type(value) is dict:  # one key at a time
         items = (f"{inner}{_key(key)}: {_text(item, inner)}" for key, item in value.items())
         return f"{{{','.join(items)}{indent}}}" if value else "{}"
-    if type(value) in (list, tuple, Rows):  # one item on each line
-        items = list(_items(value, inner))
+    if type(value) is Rows:
+        rows = interleave(*_row_columns(value, inner), "," + inner)
+        return f"[{inner}{rows}{indent}]" if rows else "[]"
+    if type(value) in (list, tuple):  # one item on each line
+        items = _texts(value, _kind(value), inner)
         return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
     if type(value) is float and not -math.inf < value < math.inf:
         raise ValueError(value)
@@ -205,23 +206,17 @@ def _kind(values) -> type | None:
     return kind
 
 
-def _items(values, indent: str) -> Iterator[str]:
-    """The texts, made as they are read, of a list's items or a ``Rows``' rows, ``indent`` starting each later line."""
-    if type(values) is Rows:
-        template, columns = _row_template(values, indent)
-        return map(template.__mod__, zip(*columns))
-    kind = _kind(values)
-    cells = float_texts(values) if kind is float else values
-    return map(_CELL[kind], cells) if kind in _CELL else map(_text, values, repeat(indent))
+def _texts(values, kind: type | None, indent: str) -> Sequence[str]:
+    """The texts of ``values``, whose one type is ``kind`` (None for several), ``indent`` starting each later line."""
+    if kind is float:
+        return float_texts(values)
+    return [*map(_CELL[kind], values)] if kind in _CELL else [*map(_text, values, repeat(indent))]
 
 
-def _row_template(rows: Rows, indent: str) -> tuple[str, list]:
-    """One ``%``-template for every row of ``rows``, ``indent`` starting its last line, and the columns that fill it.
+def _row_columns(rows: Rows, indent: str) -> tuple[tuple[str, ...], list]:
+    """The pieces of every row of ``rows``, ``indent`` starting its last line, and the text columns between them.
 
-    A nested ``Rows`` is merged in, so that a row is one ``%``. A float, int or str column fills its field as is
-    (:data:`_FIELD`; a float column with ``float_texts``); a str column only when ``_quote`` would add nothing but
-    the quotes. Any other column fills ``%s`` with the texts of its cells.
-    """
+    A nested ``Rows`` is merged in; a str column that ``_quote`` would only put in quotes is used as it is."""
     inner = indent + "  "
     leaves = [column for column in rows.values() if type(column) is not Rows]
     first = {*map(type, next(zip(*leaves), ()))}  # one pass over all cells when the first row's cells have one type
@@ -230,24 +225,27 @@ def _row_template(rows: Rows, indent: str) -> tuple[str, list]:
     fields, columns = [], []
     for column in rows.values():
         if type(column) is Rows:
-            field, nested = _row_template(column, inner)
+            field, nested = _row_columns(column, inner)
             columns += nested
         else:
-            kind = next(kinds)
-            if kind in _FIELD and (kind is not str or _quotes_only("".join(column))):
-                field, column = _FIELD[kind], float_texts(column) if kind is float else column
-            else:
-                field, column = "%s", _items(column, inner)
-            columns.append(column)
+            field = '"' if (kind := next(kinds)) is str and _quotes_only("".join(column)) else ""
+            columns.append(column if field else _texts(column, kind, inner))
         fields.append(field)
-    return _template(tuple(map(_key, rows)), tuple(fields), indent), columns
+    return _pieces(tuple(map(_key, rows)), tuple(fields), indent), columns
 
 
-@functools.lru_cache(maxsize=64)  # a payload has a few shapes of rows, each made again on every call
-def _template(keys: tuple[str, ...], fields: tuple[str, ...], indent: str) -> str:
-    """The ``%``-template of a row whose written ``keys`` fill ``fields``, ``indent`` starting its last line."""
-    fields = (f"{indent}  {key.replace('%', '%%')}: {field}" for key, field in zip(keys, fields))
-    return "{" + ",".join(fields) + indent + "}"
+@functools.lru_cache(maxsize=64)  # a payload has a few shapes of rows, each written again on every call
+def _pieces(keys: tuple[str, ...], fields: tuple, indent: str) -> tuple[str, ...]:
+    """The texts around the cells of a row whose written ``keys`` hold ``fields``: each ``'"'`` or ``""`` around one
+    cell, or the pieces of a nested row, whose first and last join the pieces around them."""
+    pieces, separator = ["{"], ""
+    for key, field in zip(keys, fields):
+        first, *rest = (field, field) if type(field) is str else field
+        pieces[-1] += f"{separator}{indent}  {key}: {first}"
+        pieces += rest
+        separator = ","
+    pieces[-1] += indent + "}"
+    return tuple(pieces)
 
 
 def _quotes_only(text: str) -> bool:
@@ -326,22 +324,6 @@ def hourly_csv(hours: Sequence[int], series: dict[str, Sequence[float]], unit: s
     })
 
 
-def _iso_texts(profile: LoadProfile) -> list[str]:
-    """``datetime.isoformat`` of each timestamp of ``profile``, joined from one text per date and one per time of day.
-
-    The timestamps are all naive or all aware. An aware time of day is keyed with its sample's UTC offset: its
-    tzinfo may give another offset on another date, and a ``zoneinfo`` time gives none.
-    """
-    timestamps, days = profile.timestamps, profile.days
-    times = list(map(datetime.time, timestamps))
-    if timestamps and timestamps[0].utcoffset() is not None:
-        times = list(zip(times, map(datetime.utcoffset, timestamps)))
-    day_text = {day: date.fromordinal(day).isoformat() + "T" for day in set(days)}
-    time_text = {key: key.isoformat() if type(key) is time else key[0].replace(tzinfo=timezone(key[1])).isoformat()
-                 for key in set(times)}
-    return [day_text[day] + time_text[key] for day, key in zip(days, times)]
-
-
 def cmd_composition(args) -> tuple[str, int]:
     catalog = _get_catalog(args)
     seasons = Season if args.season == "both" else [Season(args.season)]  # the enum lists winter, then summer
@@ -359,7 +341,7 @@ def cmd_composition(args) -> tuple[str, int]:
 
 def cmd_profile_stats(args) -> tuple[str, int]:
     profile = load_profile(args.profile, Granularity(args.granularity) if args.granularity else None)
-    normalized = Rows(timestamp=_iso_texts(profile), fraction=normalize(profile))
+    normalized = Rows(timestamp=profile.iso_texts, fraction=normalize(profile))
 
     if args.format == "csv":
         return csv_text(normalized), 0
@@ -386,7 +368,7 @@ def cmd_profile_stats(args) -> tuple[str, int]:
     except ProfileError:  # hourly data
         growth = None
     else:
-        month = {ts: ts.isoformat()[:7] for ts in profile.timestamps}  # strftime's %Y writes year 999 as 999
+        month = {ts: text[:7] for ts, text in zip(profile.timestamps, profile.iso_texts)}  # YYYY-MM, year 999 too
         froms, tos, pcts = zip(*pairs) if pairs else ((), (), ())
         growth = Rows({"from": [*map(month.__getitem__, froms)], "to": [*map(month.__getitem__, tos)], "pct": pcts})
 

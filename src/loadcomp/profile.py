@@ -11,7 +11,7 @@ import csv
 import enum
 import io
 import math
-from datetime import datetime
+from datetime import date, datetime, time, timezone
 from functools import cached_property
 from itertools import compress, count, repeat
 from operator import attrgetter, contains, is_, itemgetter, lt, not_, truediv
@@ -110,6 +110,22 @@ class LoadProfile(_Frozen):
     def months(self) -> bytes:  # one byte, 1-12, per sample
         return bytes(map(attrgetter("month"), self.timestamps))
 
+    @cached_property
+    def iso_texts(self) -> tuple[str, ...]:
+        """Each timestamp's ``isoformat``: the cells read, where :func:`parse_profile` found each one in that form, or
+        else texts joined from one per date and one per time of day.
+
+        An aware time of day is keyed with its sample's UTC offset: its tzinfo may give another offset on another
+        date, and a ``zoneinfo`` time gives none.
+        """
+        times = list(map(datetime.time, self.timestamps))
+        if self.timestamps and self.timestamps[0].utcoffset() is not None:
+            times = list(zip(times, map(datetime.utcoffset, self.timestamps)))
+        day_text = {day: date.fromordinal(day).isoformat() + "T" for day in set(self.days)}
+        time_text = {key: key.isoformat() if type(key) is time else key[0].replace(tzinfo=timezone(key[1])).isoformat()
+                     for key in set(times)}
+        return tuple(map(str.__add__, map(day_text.__getitem__, self.days), map(time_text.__getitem__, times)))
+
 
 def parse_profile(text: str, granularity: Granularity | None = None, label: str = "") -> LoadProfile:
     """Parse a power series from CSV with header ``timestamp,power_kw``.
@@ -119,14 +135,18 @@ def parse_profile(text: str, granularity: Granularity | None = None, label: str 
     midnight on the first of distinct months are monthly averages, anything
     else is hourly (monthly-peak must be declared explicitly).
     """
-    timestamps, powers = _columns(text)  # the cells die here, before the profile is built
+    stamps, timestamps, powers = _columns(text)  # the other cells die in _columns, before the profile is built
     if granularity is None:
         granularity = _infer_granularity(timestamps)
-    return LoadProfile(timestamps, powers, granularity, label)
+    profile = LoadProfile(timestamps, powers, granularity, label)
+    joined, n = "".join(stamps), len(timestamps)  # only YYYY-MM-DDTHH:MM:SS cells, each its own isoformat, fit
+    if len(joined) == 19 * n and all(joined[at::19] == mark * n for at, mark in zip((4, 7, 10, 13, 16), "--T::")):
+        vars(profile)["iso_texts"] = stamps
+    return profile
 
 
-def _columns(text: str) -> tuple[tuple[datetime, ...], tuple[float, ...]]:
-    """The timestamp and power columns of a profile CSV, each cell read as ``csv.reader`` reads it."""
+def _columns(text: str) -> tuple[tuple[str, ...], tuple[datetime, ...], tuple[float, ...]]:
+    """The stripped timestamp cells (``()`` after a row walk) and the columns of a profile CSV, read as csv reads it."""
     # csv splits a text with no quote or "\r" and no line over its field limit at each "\n" and each comma
     lines = [] if '"' in text or "\r" in text else text.split("\n")
     rows = [*filter(None, lines[1:])]  # blank lines are not numbered
@@ -136,7 +156,7 @@ def _columns(text: str) -> tuple[tuple[datetime, ...], tuple[float, ...]]:
         header, firsts, seconds = lines[0].split(","), cells[0::2], cells[1::2]
         rows = zip(firsts, seconds)  # for the row walk
     else:
-        reader = csv.reader(io.StringIO(text))
+        reader = csv.reader(io.StringIO(text, newline=None))  # a lone "\r" ends a line, as in a file load_profile reads
         header, rows = None, []
         try:
             header = next(reader, None)
@@ -153,8 +173,8 @@ def _columns(text: str) -> tuple[tuple[datetime, ...], tuple[float, ...]]:
     if not rows:
         raise ProfileError("empty profile: no samples")
     try:  # one pass per column; extra cells are ignored
-        return (tuple(map(datetime.fromisoformat, map(str.strip, firsts))),
-                tuple(map(float, seconds)))  # float strips all whitespace but \x1c-\x1f itself
+        stamps = tuple(map(str.strip, firsts))  # not the powers: float strips all whitespace but \x1c-\x1f itself
+        return stamps, tuple(map(datetime.fromisoformat, stamps)), tuple(map(float, seconds))
     except (ValueError, IndexError):  # a bad cell, or a row without a power: name the first such row
         pass
     timestamps, powers = [], []
@@ -168,7 +188,7 @@ def _columns(text: str) -> tuple[tuple[datetime, ...], tuple[float, ...]]:
             powers.append(float(raw_power))
         except ValueError:
             raise ProfileError(f"row {rownum}: invalid power {raw_power!r}") from None
-    return tuple(timestamps), tuple(powers)  # each cell is good once stripped
+    return (), tuple(timestamps), tuple(powers)  # each cell is good once stripped
 
 
 def _infer_granularity(timestamps: tuple[datetime, ...]) -> Granularity:

@@ -73,8 +73,7 @@ def scale_to_measured(attribution: HourlyAttribution) -> ReconciliationResult:
     :func:`disaggregate` checked that the measured day is one hourly day, so a kW sample over its hour is that many
     kWh, and that the table's total is positive.
     """
-    table, measured = attribution.model.table, attribution.measured
-    bottom_up = table.monthly_total_kwh
+    table, measured, bottom_up = attribution.model.table, attribution.measured, attribution.model.monthly_total_kwh
     measured_energy_kwh = ordered_sum(measured.powers) * table.days_per_month
     if measured_energy_kwh <= 0:
         raise ReconcileError("zero measured energy")
@@ -96,9 +95,10 @@ def scale_to_measured(attribution: HourlyAttribution) -> ReconciliationResult:
 
 
 class SeasonalModel(NamedTuple):
-    """A seasonal table, its synthesized household total per hour, and each activity's weights ``hourly / total``."""
+    """A seasonal table and its monthly total, its household total per hour, and each activity's ``hourly / total``."""
 
     table: SeasonalConsumptionTable
+    monthly_total_kwh: float  # the table's, summed once
     totals: tuple[float, ...]
     weights: tuple[tuple[str, tuple[float, ...]], ...]
     empty_hours: tuple[int, ...]  # the hours whose total is <= 0, in order
@@ -121,7 +121,8 @@ def seasonal_model(catalog: Catalog, season: Season, days_per_month: int, occupa
         divisors = [total if total > 0 else math.inf for total in totals]
         weights = tuple((activity, tuple(map(truediv, hourly, divisors)))
                         for activity, hourly in day.per_activity.items())
-        model = SeasonalModel(table, totals, weights, tuple(compress(range(24), map((0.0).__ge__, totals))))
+        empty_hours = tuple(compress(range(24), map((0.0).__ge__, totals)))
+        model = SeasonalModel(table, table.monthly_total_kwh, totals, weights, empty_hours)
         models[season, days_per_month] = bits, model
     return model
 
@@ -137,7 +138,7 @@ def disaggregate(measured: LoadProfile, catalog: Catalog, occupancy: OccupancyCu
     """
     _check_one_hourly_day(measured)
     model = seasonal_model(catalog, season or Season.for_month(measured.months[0]), days_per_month, occupancy)
-    if model.table.monthly_total_kwh <= 0:  # named before any hour: every hour of such a model is empty
+    if model.monthly_total_kwh <= 0:  # named before any hour: every hour of such a model is empty
         raise ReconcileError("zero bottom-up total")
     # an hour of zero measured power (-0.0 too) attributes 0.0 * weight, a zero, to every activity
     powers = [*map(abs, measured.powers)]  # a power is >= 0, so abs only turns -0.0 into 0.0

@@ -11,7 +11,7 @@ import shutil
 import tempfile
 import weakref
 from collections import Counter
-from datetime import datetime, timedelta, timezone, tzinfo
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from loadcomp import Season, builtin_catalog, cli, composition_shares, reconcile, seasonal_table
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass, load_catalog
 from loadcomp.cli import main, render_value
-from loadcomp.profile import Granularity, LoadProfile
 from loadcomp.synth import default_occupancy, synth_household_day
 from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, csv_table, serialize_catalog
 
@@ -268,17 +267,6 @@ class TestProfileStats:
         text = out.getvalue()
         rows = json.loads(text)["normalized"] if fmt == "json" else csv.DictReader(io.StringIO(text))
         assert [row["timestamp"] for row in rows] == [datetime.fromisoformat(cell).isoformat() for cell in cells]
-
-    def test_each_aware_time_of_day_is_written_with_its_own_offset(self):
-        """A tzinfo can give one time of day two offsets on two dates, and none without a date, as zoneinfo does."""
-
-        class TwoOffsets(tzinfo):
-            def utcoffset(self, dt):
-                return None if dt is None else timedelta(hours=1 if dt.day < 29 else 2)
-
-        stamps = [datetime(2020, 3, day, 1, 30, tzinfo=TwoOffsets()) for day in (28, 29)]
-        profile = LoadProfile(stamps, (1.0, 1.0), Granularity.HOURLY)
-        assert cli._iso_texts(profile) == ["2020-03-28T01:30:00+01:00", "2020-03-29T01:30:00+02:00"]
 
 
 class TestLocalCalendar:

@@ -73,7 +73,7 @@ def _records():
                        operation=OperationClass.MANUAL)
     table = SeasonalConsumptionTable(season=Season.WINTER, rows=(row,), days_per_month=30)
     profile = LoadProfile((datetime(2016, 1, 1),), (1.0,), Granularity.HOURLY, label="day")
-    model = SeasonalModel(table, (120.0,) * 24, (("TV", (1.0 / 120.0,) * 24),), ())
+    model = SeasonalModel(table, 3.6, (120.0,) * 24, (("TV", (1.0 / 120.0,) * 24),), ())
     return (
         ApplianceSpec(**spec._asdict()),
         Catalog(specs=(spec,)),

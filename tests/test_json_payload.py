@@ -134,6 +134,7 @@ def payloads_with_rows(draw):
           {"r": [{"s": "plain", "t": "~ "}, {"s": "ü", "t": "\x7f"}]}))
 @example(({"r": Rows(a=[1, 2], b=[3, 2.5])},  # the first row's cells share a type, a later row's do not
           {"r": [{"a": 1, "b": 3}, {"a": 2, "b": 2.5}]}))
+@example(({"r": Rows(hour=[], kw=Rows(a=[])), "s": [Rows(b=Rows(c=()))]}, {"r": [], "s": [[]]}))  # no rows
 def test_rows_are_written_as_the_lists_of_dicts_they_stand_for(pair):
     with_rows, plain = pair
     assert _json_payload(with_rows) == json.dumps(plain, indent=2) + "\n"
@@ -164,6 +165,7 @@ def csv_rows(draw):
 @given(csv_rows())
 @example(Rows(a=["", "x"]))  # one empty cell alone on a line is written as ""
 @example(Rows({"a": ["1,2", ""], "b": [0, 1]}))
+@example(Rows(hour=list(range(61)), activity=["TV"] * 30 + ['Fan, "ceiling"'] + ["TV"] * 30, kw=[0.5, 0.25] * 30 + [1.0]))
 def test_csv_text_writes_the_bytes_of_csv_writer(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -181,6 +181,14 @@ class TestLoadProfile:
         with pytest.raises(ProfileError, match=f"^cannot read profile file {re.escape(str(path))}: "):
             load_profile(path)
 
+    def test_a_text_with_lone_carriage_returns_parses_as_its_file_loads(self, tmp_path):
+        text = "timestamp,power_kw\r2016-06-01T00:00,1\r2016-06-01T01:00,2\r"
+        path = tmp_path / "day.csv"
+        path.write_bytes(text.encode())
+        parsed, loaded = parse_profile(text), load_profile(path)
+        assert parsed.powers == loaded.powers == (1.0, 2.0)
+        assert parsed.timestamps == loaded.timestamps == (datetime(2016, 6, 1, 0), datetime(2016, 6, 1, 1))
+
 
 def row_by_row(text):
     """The samples of a profile CSV as the row-by-row parser before the column passes read them, or its error.
@@ -188,7 +196,7 @@ def row_by_row(text):
     A file that ``csv`` cannot read to its end is refused first, naming the row where reading stopped, as an
     undecodable file is refused before any cell is checked.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=None))  # as a file is read: "\r" and "\r\n" end a line
     header, rows = None, []
     try:
         header = next(reader)
@@ -263,7 +271,8 @@ class TestParseEquivalence:
     @given(mutated_profile_csv())
     @example("timestamp,power_kw\n2016-06-01T00:00,much\nyesterday,5\n")  # the bad power comes first
     @example("timestamp,power_kw\n2016-06-01T00:00\n\nyesterday,5\n")  # a short row, then a bad timestamp
-    @example("timestamp,power_kw\n,1.0\n\r,2.0\n")  # a bad timestamp, then a row csv cannot read
+    @example("timestamp,power_kw\n,1.0\n\r,2.0\n")  # a bad timestamp, then a lone "\r" that ends a line
+    @example("timestamp,power_kw\n,1.0\n2016-06-01T00:00," + "5".rjust(_OVERSIZED) + "\n")  # then a row csv refuses
     @example("timestamp,power_kw\r\n2016-06-01T00:00,1\r\n2016-06-01T01:00,2\r\n")  # csv reads \r\n as \n
     @example('timestamp,power_kw\n"2016-06-01T00:00","1"\n"2016-06-01T01:00",2\n')  # quoted cells
     @example("timestamp,power_kw\n2016-06-01T00:00,1\r2016-06-01T01:00,2\n")  # a lone \r ends a line
@@ -426,6 +435,34 @@ def calendar_stamps(draw):
     return [instant.replace(tzinfo=timezone.utc).astimezone(draw(offsets)) for instant in instants]
 
 
+@st.composite
+def stamp_cells(draw):
+    """Timestamp cells of one valid profile, naive or at one offset, each in a form that ``fromisoformat`` reads.
+
+    Some lists hold only canonical ``YYYY-MM-DDTHH:MM:SS`` cells, bare or padded with whitespace; the others mix in
+    space-separated, fractional, offset, ``Z`` and compact cells.
+    """
+    instants = draw(st.lists(st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)),
+                             min_size=1, max_size=20))
+    zone = draw(st.none() | st.sampled_from([timezone.utc, timezone(timedelta(hours=9)),
+                                             timezone(-timedelta(hours=3, minutes=30))]))
+    forms = draw(st.sampled_from([["iso"], ["iso", "padded"], ["iso", "padded", "space", "fraction", "z", "compact"]]))
+    cells = {}  # the first cell of each stamp
+    for instant in instants:
+        form = draw(st.sampled_from(forms))
+        ts = instant.replace(microsecond=instant.microsecond if form == "fraction" else 0, tzinfo=zone)
+        iso = ts.isoformat()
+        cells.setdefault(ts, {
+            "iso": iso,
+            "padded": draw(st.sampled_from([" ", "\t", "\u3000"])) + iso + " ",
+            "space": ts.isoformat(sep=" "),
+            "fraction": ts.isoformat(timespec="microseconds"),
+            "z": iso.replace("+00:00", "Z"),
+            "compact": iso[:19].replace("-", "").replace(":", "") + iso[19:].replace(":", ""),
+        }[form])
+    return [cells[ts] for ts in sorted(cells)]
+
+
 class TestCalendarColumns:
     @settings(max_examples=60)
     @given(stamps=calendar_stamps())
@@ -438,6 +475,31 @@ class TestCalendarColumns:
         assert type(profile.months) is bytes and list(profile.months) == [ts.month for ts in stamps]
         assert profile.days is profile.days and profile.hours is profile.hours and profile.months is profile.months
         assert len(set(map(id, profile.days))) == len(set(profile.days))  # one int object per date
+
+    @settings(max_examples=80)
+    @given(cells=stamp_cells())
+    @example(cells=["0999-01-01T00:00:00", "2016-06-01T00:00:00"])
+    @example(cells=["2016-06-01T00:00:00", "2016-06-01T01:00:00.500000"])
+    @example(cells=["2016-06-01T00:00:00Z"])  # one character past 19: only the length tells it apart
+    @example(cells=["2016-06-01T00:00+01"])  # 19 characters, an offset where the seconds' ":" would be
+    def test_iso_texts_are_the_isoformat_of_each_parsed_stamp(self, cells):
+        """A list of canonical cells is given as it was read, and any other is written from the timestamps."""
+        profile = parse_profile("timestamp,power_kw\n" + "".join(f"{cell},1.0\n" for cell in cells), Granularity.HOURLY)
+        as_read = "iso_texts" in vars(profile)
+        assert profile.iso_texts == tuple(ts.isoformat() for ts in profile.timestamps)
+        assert as_read == all(re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}", cell.strip())
+                              for cell in cells)
+
+    def test_each_aware_time_of_day_is_written_with_its_own_offset(self):
+        """A tzinfo can give one time of day two offsets on two dates, and none without a date, as zoneinfo does."""
+
+        class TwoOffsets(tzinfo):
+            def utcoffset(self, dt):
+                return None if dt is None else timedelta(hours=1 if dt.day < 29 else 2)
+
+        stamps = [datetime(2020, 3, day, 1, 30, tzinfo=TwoOffsets()) for day in (28, 29)]
+        profile = LoadProfile(stamps, (1.0, 1.0), Granularity.HOURLY)
+        assert profile.iso_texts == ("2020-03-28T01:30:00+01:00", "2020-03-29T01:30:00+02:00")
 
 
 class TestDailyExtrema:
