@@ -39,12 +39,24 @@ def float_texts(column: Sequence[float]) -> Sequence[str]:
     return texts
 
 
+class ColumnLengthError(ValueError):
+    """Columns written as one set of rows differ in length."""
+
+
+def row_count(columns: Sequence[Sequence]) -> int:
+    """The one length of all ``columns`` (0 for none); columns of several lengths raise :class:`ColumnLengthError`."""
+    lengths = [*map(len, columns)]
+    if len(set(lengths)) > 1:
+        raise ColumnLengthError(f"columns differ in length: {', '.join(map(str, lengths))}")
+    return lengths[0] if lengths else 0
+
+
 def interleave(pieces: Sequence[str], columns: Sequence[Sequence[str]], between="", lines: Mapping = {}) -> str:
     """Row ``i`` as ``pieces[0] + columns[0][i] + pieces[1] + … + pieces[-1]``, with ``between`` after all but the last.
 
     ``lines[i]`` replaces row ``i`` and what follows it. One list holds the rows, a column set per slice, joined once.
     """
-    rows, width = len(columns[0]) if columns else 0, 2 * len(columns) + 1
+    rows, width = row_count(columns), 2 * len(columns) + 1
     row = [None] * width  # a slot for each cell between the pieces
     row[::2] = pieces
     row[-1] += between
@@ -73,6 +85,7 @@ def csv_text(rows: Mapping[str, Sequence]) -> str:
 
     quoted = (",", '"', "\r", "\n")  # a cell that holds one of these may need quotes: csv.writer decides
     columns = list(rows.values())
+    row_count(columns)  # before a short column is indexed
     kinds = [set(map(type, column)) for column in columns]
     texts = [float_texts(column) if kind == {float} else column if kind == {str} else [*map(str, column)]
              for column, kind in zip(columns, kinds)]

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__, reconcile
-from ._sourceio import csv_text, float_texts, interleave
+from ._sourceio import ColumnLengthError, csv_text, float_texts, interleave
 from .catalog import Catalog, CatalogError, Season, builtin_catalog, load_catalog
 from .composition import CompositionError, SeasonalConsumptionTable, composition_shares, seasonal_table
 from .profile import (
@@ -167,6 +167,8 @@ def _json_payload(obj: dict) -> str:
     """
     try:
         return _text(obj, "\n") + "\n"
+    except ColumnLengthError:  # a Rows built wrong: no input value is at fault
+        raise
     except ValueError:  # a NaN or an infinity, or an int with more digits than str() writes
         raise PayloadError("a result is not a finite number; an input value is out of range") from None
 
@@ -364,13 +366,12 @@ def cmd_profile_stats(args) -> tuple[str, int]:
         extrema = None
 
     try:
-        pairs = monthly_growth(profile)
+        froms, tos, pcts = monthly_growth(profile)
     except ProfileError:  # hourly data
         growth = None
     else:
-        month = {ts: text[:7] for ts, text in zip(profile.timestamps, profile.iso_texts)}  # YYYY-MM, year 999 too
-        froms, tos, pcts = zip(*pairs) if pairs else ((), (), ())
-        growth = Rows({"from": [*map(month.__getitem__, froms)], "to": [*map(month.__getitem__, tos)], "pct": pcts})
+        months = [text[:7] for text in profile.iso_texts]  # YYYY-MM, year 999 too
+        growth = Rows({"from": [*map(months.__getitem__, froms)], "to": [*map(months.__getitem__, tos)], "pct": pcts})
 
     payload = {
         "label": profile.label,

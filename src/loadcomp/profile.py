@@ -14,7 +14,7 @@ import math
 from datetime import date, datetime, time, timezone
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import attrgetter, contains, is_, itemgetter, lt, not_, truediv
+from operator import attrgetter, contains, itemgetter, lt, not_, truediv
 from pathlib import Path
 
 from ._sourceio import read_text
@@ -56,9 +56,11 @@ class LoadProfile(_Frozen):
         # a valid hourly series of naive stamps passes five column tests (a nan power makes the sum nan); any other
         # series goes through the row loop, which names its first fault
         checked = (granularity is Granularity.HOURLY and 0 <= min(powers, default=0) and (total := sum(powers)) == total
-                   and max(powers, default=0) <= MAX_POWER_KW
-                   and all(map(is_, map(attrgetter("tzinfo"), timestamps), repeat(None)))  # so < is defined
-                   and all(map(lt, timestamps, timestamps[1:])))
+                   and max(powers, default=0) <= MAX_POWER_KW and timestamps and timestamps[0].tzinfo is None)
+        try:  # after a naive first stamp, < orders naive stamps and raises at the first one with an offset
+            checked = checked and all(map(lt, timestamps, timestamps[1:]))
+        except TypeError:
+            checked = False
         previous = previous_naive = None
         months = None if granularity is Granularity.HOURLY else set()
         for rownum, ts, power in () if checked else zip(count(2), timestamps, powers):  # header is row 1
@@ -225,21 +227,22 @@ def peak_average_ratio(profile: LoadProfile) -> float:
     return min(profile.mean_kw / peak, 1.0)
 
 
-def monthly_growth(profile: LoadProfile) -> list[tuple[datetime, datetime, float]]:
-    """Percentage change from every sample of a monthly profile to each later one.
+def monthly_growth(profile: LoadProfile) -> tuple[list[int], list[int], list[float]]:
+    """Percentage change from every sample of a monthly profile to each later one, as three columns.
 
-    One ``(from_ts, to_ts, pct)`` tuple per sample pair i < j, in sample order.
-    A zero-power sample is never a base, but is kept as a target.
+    Entry ``k`` of the columns ``(froms, tos, pcts)`` is the change from sample ``froms[k]`` to sample ``tos[k]``, one
+    entry per sample pair i < j in sample order. A zero-power sample is never a base, but is kept as a target.
     """
     if profile.granularity is Granularity.HOURLY:
         raise ProfileError("monthly granularity required")
-    timestamps, powers = profile.timestamps, profile.powers
-    return [
-        (timestamps[i], ts_to, 100.0 * (p_to - p_from) / p_from)
-        for i, p_from in enumerate(powers)
-        if p_from != 0
-        for ts_to, p_to in zip(timestamps[i + 1:], powers[i + 1:])
-    ]
+    powers, n = profile.powers, len(profile)
+    froms, tos, pcts = [], [], []
+    for i, p_from in enumerate(powers):
+        if p_from != 0:  # -0.0 too
+            froms += repeat(i, n - i - 1)
+            tos += range(i + 1, n)
+            pcts += [100.0 * (p_to - p_from) / p_from for p_to in powers[i + 1:]]
+    return froms, tos, pcts
 
 
 def seasonal_split(profile: LoadProfile) -> dict[Season, LoadProfile]:
@@ -262,10 +265,15 @@ def seasonal_split(profile: LoadProfile) -> dict[Season, LoadProfile]:
 def daily_extrema(profile: LoadProfile) -> dict[str, int]:
     """Hours of maximum and minimum power in a one-day hourly profile, as ``peak_hour`` and ``trough_hour``.
 
-    Ties are broken toward the earliest hour.
+    Ties are broken toward the earliest hour. A profile whose samples fall on more than one date is refused.
     """
     if profile.granularity is not Granularity.HOURLY:
         raise ProfileError("hourly granularity required")
+    timestamps = profile.timestamps
+    # two end dates are two days, whatever lies between; one end date is not one day for aware stamps, which can
+    # go back to an earlier date in another offset, so then only the whole days column tells
+    if timestamps and timestamps[0].date() != timestamps[-1].date():
+        raise ProfileError(f"single-day profile required (spans {timestamps[0].date()} to {timestamps[-1].date()})")
     days = set(profile.days)
     if len(days) != 1:
         raise ProfileError(f"single-day profile required (spans {len(days)} days)")

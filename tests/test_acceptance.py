@@ -221,4 +221,7 @@ def test_profile_statistic_fixtures():
     assert abs(peak_average_ratio(ratio_fixture) - 0.86) <= 1e-12
 
     growth_fixture = monthly_profile({2: 100.0, 6: 230.0})
-    assert monthly_growth(growth_fixture) == [(datetime(2016, 2, 1), datetime(2016, 6, 1), 130.0)]
+    froms, tos, pcts = monthly_growth(growth_fixture)  # one pair: sample 0 (Feb) to sample 1 (Jun)
+    stamps = growth_fixture.timestamps
+    assert [(stamps[i], stamps[j]) for i, j in zip(froms, tos)] == [(datetime(2016, 2, 1), datetime(2016, 6, 1))]
+    assert pcts == [130.0]

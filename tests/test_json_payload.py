@@ -149,6 +149,20 @@ def test_a_non_finite_float_in_a_rows_column_is_refused(column, data, bad, neste
         _json_payload({"rows": rows})
 
 
+UNEQUAL = {"ints": Rows(a=[1, 2], b=[1]), "empty": Rows(a=[1.5], b=[]), "quoted": Rows(a=["z", "x,y"], b=[1])}
+
+
+@pytest.mark.parametrize("write, rows", [
+    *[(lambda rows: _json_payload({"r": rows}), rows) for rows in UNEQUAL.values()],
+    (lambda rows: _json_payload({"r": rows}), Rows(hour=[0, 1], kw=Rows(x=[1.0]))),
+    *[(csv_text, rows) for rows in UNEQUAL.values()],
+], ids=[*map("json-{}".format, UNEQUAL), "json-nested", *map("csv-{}".format, UNEQUAL)])
+def test_columns_of_unequal_length_are_named_as_such(write, rows):
+    with pytest.raises(ValueError, match=r"^columns differ in length: \d+, \d+$") as raised:
+        write(rows)
+    assert not isinstance(raised.value, PayloadError)
+
+
 # text cells that csv.writer quotes, or leaves alone: separators, quotes, line breaks, NUL, non-ASCII and ""
 csv_texts = st.text(alphabet=',"\r\n\x00 az%ü€🧊', max_size=5)
 csv_cells = [csv_texts, st.integers(), st.floats()]

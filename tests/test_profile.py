@@ -353,12 +353,14 @@ class TestPeakAverageRatio:
 
 class TestMonthlyGrowth:
     def test_reference_feb_to_jun_growth(self, annual_profile):
-        growth = {(ts_from, ts_to): pct for ts_from, ts_to, pct in monthly_growth(annual_profile)}
+        stamps = annual_profile.timestamps
+        froms, tos, pcts = monthly_growth(annual_profile)
+        growth = {(stamps[i], stamps[j]): pct for i, j, pct in zip(froms, tos, pcts)}
         assert growth[(datetime(2016, 2, 1), datetime(2016, 6, 1))] == 130.0
 
     def test_zero_base_rejected(self):
         profile = monthly_profile({1: 0.0, 2: 10.0})
-        assert monthly_growth(profile) == []
+        assert monthly_growth(profile) == ([], [], [])
 
     def test_hourly_profile_rejected(self, day_profile):
         with pytest.raises(ProfileError, match="monthly granularity"):
@@ -367,19 +369,27 @@ class TestMonthlyGrowth:
     def test_every_sample_pair_in_sample_order(self):
         stamps = [datetime(2016 + m // 12, m % 12 + 1, 1) for m in range(24)]
         profile = profile_of(((ts, 100.0 + m) for m, ts in enumerate(stamps)), Granularity.MONTHLY_AVERAGE)
-        growth = monthly_growth(profile)
-        assert len(growth) == 276
-        assert [(a, b) for a, b, _ in growth] == [
-            (stamps[i], stamps[j]) for i in range(24) for j in range(i + 1, 24)
-        ]
-        assert (datetime(2016, 1, 1), datetime(2017, 1, 1), 12.0) in growth
+        froms, tos, pcts = monthly_growth(profile)
+        assert len(froms) == len(tos) == len(pcts) == 276
+        assert [*zip(froms, tos)] == [(i, j) for i in range(24) for j in range(i + 1, 24)]
+        assert (0, 12, 12.0) in zip(froms, tos, pcts)
 
     def test_zero_sample_is_a_target_but_never_a_base(self):
         profile = monthly_profile({1: 50.0, 2: 0.0, 3: 100.0})
-        assert monthly_growth(profile) == [
-            (datetime(2016, 1, 1), datetime(2016, 2, 1), -100.0),
-            (datetime(2016, 1, 1), datetime(2016, 3, 1), 100.0),
-        ]
+        assert monthly_growth(profile) == ([0, 0], [1, 2], [-100.0, 100.0])
+
+    @given(powers=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1e9)), min_size=1, max_size=30),
+           granularity=st.sampled_from([Granularity.MONTHLY_AVERAGE, Granularity.MONTHLY_PEAK]))
+    @example(powers=[7.0], granularity=Granularity.MONTHLY_AVERAGE)
+    @example(powers=[0.0, 3.0, -0.0, 5e-324, 1e9], granularity=Granularity.MONTHLY_PEAK)
+    def test_columns_are_the_pairwise_definition(self, powers, granularity):
+        stamps = [datetime(2016 + m // 12, m % 12 + 1, 1) for m in range(len(powers))]
+        froms, tos, pcts = monthly_growth(LoadProfile(stamps, powers, granularity))
+        assert len(froms) == len(tos) == len(pcts)
+        n = len(powers)
+        pairs = [(i, j, repr(100.0 * (powers[j] - powers[i]) / powers[i]))
+                 for i in range(n) if powers[i] != 0 for j in range(i + 1, n)]
+        assert [*zip(froms, tos, map(repr, pcts))] == pairs
 
 
 class TestSeasonalSplit:
@@ -525,6 +535,20 @@ class TestDailyExtrema:
         with pytest.raises(ProfileError, match="single-day"):
             daily_extrema(profile)
 
+    def test_hourly_year_refused_by_its_end_dates(self):
+        stamps = [datetime(2016, 1, 1) + timedelta(hours=h) for h in range(8760)]
+        profile = LoadProfile(stamps, [1.0] * 8760, Granularity.HOURLY)
+        with pytest.raises(ProfileError, match=r"^single-day profile required \(spans 2016-01-01 to 2016-12-30\)$"):
+            daily_extrema(profile)
+        assert "days" not in vars(profile)  # the calendar column is not built to refuse the year
+
+    def test_aware_stamps_back_on_the_first_date_refused(self):
+        # increasing in UTC, and first and last on 2016-01-01, but the second sample is on 2016-01-02
+        cells = ["2016-01-01T23:00+00:00", "2016-01-02T00:30+00:00", "2016-01-01T20:00-05:00"]
+        profile = LoadProfile(map(datetime.fromisoformat, cells), [1.0, 2.0, 3.0], Granularity.HOURLY)
+        with pytest.raises(ProfileError, match=r"^single-day profile required \(spans 2 days\)$"):
+            daily_extrema(profile)
+
 
 class TestMeanKw:
     @given(powers=st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=48))
@@ -596,7 +620,15 @@ class TestSampleCheckEquivalence:
     @settings(max_examples=300)
     @given(sample_columns())
     @example(([], [], Granularity.HOURLY))
+    # a naive stamp before one whose tzinfo gives no offset: < orders them as naive, as the row loop does
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1, tzinfo=NoOffset())], [1.0, 2.0], Granularity.HOURLY))
+    # a naive stamp before an aware one: < raises TypeError, and the row loop names the row
+    @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1), datetime(2016, 1, 1, 2, tzinfo=timezone.utc)],
+              [1.0, 2.0, 3.0], Granularity.HOURLY))
+    # an aware first stamp goes to the row loop, valid or mixed
+    @example(([datetime(2016, 1, 1, tzinfo=timezone.utc), datetime(2016, 1, 1, 1, tzinfo=timezone.utc)],
+              [1.0, 2.0], Granularity.HOURLY))
+    @example(([datetime(2016, 1, 1, tzinfo=timezone.utc), datetime(2016, 1, 1, 1)], [1.0, 2.0], Granularity.HOURLY))
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1.0, math.nan], Granularity.HOURLY))  # min, max miss it
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1e9, 2e9], Granularity.HOURLY))
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1.0, -1.0], Granularity.HOURLY))
