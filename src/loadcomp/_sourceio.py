@@ -51,10 +51,10 @@ def row_count(columns: Sequence[Sequence]) -> int:
     return lengths[0] if lengths else 0
 
 
-def interleave(pieces: Sequence[str], columns: Sequence[Sequence[str]], between="", lines: Mapping = {}) -> str:
+def interleave(pieces: Sequence[str], columns: Sequence[Sequence[str]], between="") -> str:
     """Row ``i`` as ``pieces[0] + columns[0][i] + pieces[1] + … + pieces[-1]``, with ``between`` after all but the last.
 
-    ``lines[i]`` replaces row ``i`` and what follows it. One list holds the rows, a column set per slice, joined once.
+    One list holds the rows, a column set per slice, joined once.
     """
     rows, width = row_count(columns), 2 * len(columns) + 1
     row = [None] * width  # a slot for each cell between the pieces
@@ -65,8 +65,6 @@ def interleave(pieces: Sequence[str], columns: Sequence[Sequence[str]], between=
         out[2 * at + 1::width] = column
     if rows:
         out[-1] = pieces[-1]
-    for index, line in lines.items():
-        out[index * width:(index + 1) * width] = [line] + [""] * (width - 1)
     return "".join(out)
 
 
@@ -74,27 +72,21 @@ def csv_text(rows: Mapping[str, Sequence]) -> str:
     """The header ``rows.keys()`` and then the rows, as ``csv.writer`` writes them with ``\\n`` line endings.
 
     ``rows`` maps each key to its column: row ``i`` holds each column's cell ``i``. Cells are written
-    with ``str``, so floats keep their shortest round-trip form (a float column's via ``float_texts``). A row with a
-    text cell that needs quoting is written by ``csv.writer``; the others are one :func:`interleave` of the columns.
+    with ``str``, so floats keep their shortest round-trip form (a float column's via ``float_texts``). A table with
+    a text cell that may need quoting is written whole by ``csv.writer``, any other as one :func:`interleave`.
     """
-
-    def written(row) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(row)
-        return buf.getvalue()
-
-    quoted = (",", '"', "\r", "\n")  # a cell that holds one of these may need quotes: csv.writer decides
     columns = list(rows.values())
-    row_count(columns)  # before a short column is indexed
+    row_count(columns)  # before zip drops the cells of a longer column
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows)
     kinds = [set(map(type, column)) for column in columns]
     texts = [float_texts(column) if kind == {float} else column if kind == {str} else [*map(str, column)]
              for column, kind in zip(columns, kinds)]
-    lines = {}
-    for column, kind in zip(columns, kinds):  # the cells as given: a float column's texts never need quotes
-        text = "".join(map(str, column)) if str in kind else ""
-        if any(mark in text for mark in quoted) or (len(columns) == 1 and "" in column):  # "" alone is quoted
-            for index, cell in enumerate(column):
-                if not cell or any(mark in str(cell) for mark in quoted):
-                    lines[index] = written([other[index] for other in columns])
+    # a text cell with a separator, a quote or a line break may need quotes, as does "" alone on a line
+    joined = ["".join(column) for column, kind in zip(texts, kinds) if str in kind]
+    if any(mark in text for text in joined for mark in ',"\r\n') or (len(columns) == 1 and "" in columns[0]):
+        writer.writerows(zip(*texts))
+        return buf.getvalue()
     pieces = ["", *[","] * (len(columns) - 1), "\n"] if columns else [""]
-    return written(rows) + interleave(pieces, texts, lines=lines)
+    return buf.getvalue() + interleave(pieces, texts)

@@ -48,17 +48,18 @@ class LoadProfile(_Frozen):
     powers: tuple[float, ...]
     granularity: Granularity
     label: str
+    peak_kw: float  # the largest power, 0.0 for no samples
 
     def __init__(self, timestamps, powers, granularity: Granularity, label: str = "") -> None:
         timestamps, powers = tuple(timestamps), tuple(powers)  # a caller's list could change after the checks
         if len(timestamps) != len(powers):
             raise ProfileError(f"{len(timestamps)} timestamps but {len(powers)} powers")
-        # a valid hourly series of naive stamps passes five column tests (a nan power makes the sum nan); any other
-        # series goes through the row loop, which names its first fault
-        checked = (granularity is Granularity.HOURLY and 0 <= min(powers, default=0) and (total := sum(powers)) == total
-                   and max(powers, default=0) <= MAX_POWER_KW and timestamps and timestamps[0].tzinfo is None)
-        try:  # after a naive first stamp, < orders naive stamps and raises at the first one with an offset
-            checked = checked and all(map(lt, timestamps, timestamps[1:]))
+        # one column test of every rule; only a series that fails it is walked, to name its first fault
+        try:  # a nan power makes the sum nan, and < raises TypeError between a naive and an aware stamp
+            checked = ((peak := max(powers, default=0.0)) <= MAX_POWER_KW and 0 <= min(powers, default=0)
+                       and (total := sum(powers)) == total and all(map(lt, timestamps, timestamps[1:]))
+                       and (granularity is Granularity.HOURLY
+                            or len({(ts.year, ts.month) for ts in timestamps}) == len(timestamps)))
         except TypeError:
             checked = False
         previous = previous_naive = None
@@ -81,16 +82,12 @@ class LoadProfile(_Frozen):
                                        f"{ts.isoformat()[:7]}")  # strftime's %Y writes year 999 as 999
                 months.add((ts.year, ts.month))
             previous, previous_naive = ts, naive
-        vars(self).update(timestamps=timestamps, powers=powers, granularity=granularity, label=label)
+        vars(self).update(timestamps=timestamps, powers=powers, granularity=granularity, label=label, peak_kw=peak)
 
     def __len__(self) -> int:
         return len(self.powers)
 
     @cached_property  # computed once per instance; cached_property writes __dict__, past the frozen guard
-    def peak_kw(self) -> float:
-        return max(self.powers, default=0.0)
-
-    @cached_property
     def mean_kw(self) -> float:
         """Mean power, correctly rounded as ``statistics.fmean`` computes it."""
         powers = self.powers
@@ -256,9 +253,9 @@ def seasonal_split(profile: LoadProfile) -> dict[Season, LoadProfile]:
     split = {}
     for season, mask in masks.items():
         part = split[season] = object.__new__(LoadProfile)
-        vars(part).update(timestamps=tuple(compress(profile.timestamps, mask)),
-                          powers=tuple(compress(profile.powers, mask)), granularity=profile.granularity,
-                          label=profile.label)
+        powers = tuple(compress(profile.powers, mask))
+        vars(part).update(timestamps=tuple(compress(profile.timestamps, mask)), powers=powers,
+                          granularity=profile.granularity, label=profile.label, peak_kw=max(powers, default=0.0))
     return split
 
 

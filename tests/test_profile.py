@@ -625,15 +625,21 @@ class TestSampleCheckEquivalence:
     # a naive stamp before an aware one: < raises TypeError, and the row loop names the row
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1), datetime(2016, 1, 1, 2, tzinfo=timezone.utc)],
               [1.0, 2.0, 3.0], Granularity.HOURLY))
-    # an aware first stamp goes to the row loop, valid or mixed
+    # aware stamps are checked by the same column test, valid or mixed
     @example(([datetime(2016, 1, 1, tzinfo=timezone.utc), datetime(2016, 1, 1, 1, tzinfo=timezone.utc)],
               [1.0, 2.0], Granularity.HOURLY))
     @example(([datetime(2016, 1, 1, tzinfo=timezone.utc), datetime(2016, 1, 1, 1)], [1.0, 2.0], Granularity.HOURLY))
+    @example(([datetime(2016, 1, 1, tzinfo=timezone.utc), datetime(2016, 2, 1, tzinfo=timezone(timedelta(hours=2)))],
+              [1.0, 2.0], Granularity.MONTHLY_AVERAGE))  # valid, although both are in January in UTC
+    # two samples in one month, each read in its own offset: in UTC these are in January and in February
+    @example(([datetime(2016, 1, 31, 23, tzinfo=timezone.utc),
+               datetime(2016, 1, 31, 23, 30, tzinfo=timezone(-timedelta(hours=2)))],
+              [1.0, 2.0], Granularity.MONTHLY_PEAK))
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1.0, math.nan], Granularity.HOURLY))  # min, max miss it
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1e9, 2e9], Granularity.HOURLY))
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1.0, -1.0], Granularity.HOURLY))
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1)], [1.0, 1.0], Granularity.HOURLY))
-    @example(([datetime(2016, 1, 1), datetime(2016, 1, 2)], [1.0, 2.0], Granularity.MONTHLY_AVERAGE))
+    @example(([datetime(2016, 1, 1), datetime(2016, 1, 2)], [1.0, 2.0], Granularity.MONTHLY_AVERAGE))  # one month
     def test_the_column_tests_accept_what_the_row_loop_accepts(self, columns):
         timestamps, powers, granularity = columns
         try:
@@ -669,6 +675,17 @@ class TestLoadProfileInvariants:
         samples = ((datetime(2016, 1, 1, tzinfo=timezone.utc), 1.0), (datetime(2016, 1, 2), 2.0))
         with pytest.raises(ProfileError, match="row 3: cannot mix naive and offset-aware timestamps"):
             profile_of(samples, Granularity.HOURLY)
+
+    @pytest.mark.parametrize("timestamps, powers, granularity", [
+        ([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [2.0, 5.0], Granularity.HOURLY),
+        ([datetime(2016, 1, 1, tzinfo=timezone.utc), datetime(2016, 2, 1, tzinfo=timezone.utc)], [5.0, 2.0],
+         Granularity.MONTHLY_AVERAGE),
+        ([], [], Granularity.HOURLY),
+    ], ids=["naive-hourly", "aware-monthly", "empty"])
+    def test_peak_is_set_by_the_check(self, timestamps, powers, granularity):
+        profile = LoadProfile(timestamps, powers, granularity)
+        assert "peak_kw" in vars(profile)  # a field, not computed again on first read
+        assert profile.peak_kw == max(powers, default=0.0)
 
     def test_day_curve_has_expected_shape(self):
         assert min(DAY_CURVE_KW) == DAY_CURVE_KW[6]
