@@ -74,6 +74,8 @@ def _cases() -> dict[str, list[str]]:
         "--granularity", "hourly", formats=("json",))
     # 72 hours across the February-March season change: 0.001 kW readings that repeat, with 0.0 and -0.0
     add("profile-stats-season-change72", "profile-stats", "--profile", "season_change72.csv")
+    # aware stamps in five forms: T and space separators, fractional seconds, a compact stamp and Z
+    add("profile-stats-aware-mixed", "profile-stats", "--profile", "aware_mixed.csv")
 
     # activity names that JSON must escape: quotes, backslash, control and non-ASCII characters
     escaping = ("--catalog", "escaping.json")
@@ -130,7 +132,7 @@ def test_one_shared_parser_gives_every_case_its_golden_bytes(status, monkeypatch
         assert {"exit": code, "stderr": err} == status[name], name
 
 
-PROFILES = ("monthly36.csv", "season_change72.csv", "summer_day.csv", "winter_day.csv")
+PROFILES = ("aware_mixed.csv", "monthly36.csv", "season_change72.csv", "summer_day.csv", "winter_day.csv")
 COPIES = {  # two ways to write each profile that csv reads as the plain file
     "quoted": lambda text: "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in text.splitlines()),
     "crlf": lambda text: text.replace("\n", "\r\n"),
@@ -145,7 +147,7 @@ def test_quoted_and_crlf_profiles_give_the_golden_bytes(copy, status, monkeypatc
     monkeypatch.chdir(INPUTS)
     monkeypatch.setenv("COLUMNS", "80")
     names = [name for name, argv in CASES.items() if set(argv) & set(PROFILES)]
-    assert len(names) == 23
+    assert len(names) == 25
     for name in names:
         code, out, err = run_case([str(tmp_path / arg) if arg in PROFILES else arg for arg in CASES[name]])
         assert out.encode("utf-8") == (PAYLOADS / f"{name}.out").read_bytes(), name
