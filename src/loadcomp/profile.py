@@ -11,7 +11,7 @@ import csv
 import enum
 import io
 import math
-from datetime import date, datetime, time, timezone
+from datetime import datetime
 from functools import cached_property
 from itertools import compress, count, repeat
 from operator import attrgetter, contains, itemgetter, lt, not_, truediv
@@ -98,8 +98,7 @@ class LoadProfile(_Frozen):
     @cached_property  # the calendar columns: the package's one reading of dates, hours and months
     def days(self) -> tuple[int, ...]:
         """Each sample's date as its ordinal; each column is made on first read, each stamp in its own offset."""
-        ordinals = list(map(datetime.toordinal, self.timestamps))
-        return tuple(map({}.setdefault, ordinals, ordinals))  # one int object per date: a year keeps 365, not 8,760
+        return tuple(map(datetime.toordinal, self.timestamps))
 
     @cached_property
     def hours(self) -> tuple[int, ...]:  # 0-23
@@ -111,19 +110,8 @@ class LoadProfile(_Frozen):
 
     @cached_property
     def iso_texts(self) -> tuple[str, ...]:
-        """Each timestamp's ``isoformat``: the cells read, where :func:`parse_profile` found each one in that form, or
-        else texts joined from one per date and one per time of day.
-
-        An aware time of day is keyed with its sample's UTC offset: its tzinfo may give another offset on another
-        date, and a ``zoneinfo`` time gives none.
-        """
-        times = list(map(datetime.time, self.timestamps))
-        if self.timestamps and self.timestamps[0].utcoffset() is not None:
-            times = list(zip(times, map(datetime.utcoffset, self.timestamps)))
-        day_text = {day: date.fromordinal(day).isoformat() + "T" for day in set(self.days)}
-        time_text = {key: key.isoformat() if type(key) is time else key[0].replace(tzinfo=timezone(key[1])).isoformat()
-                     for key in set(times)}
-        return tuple(map(str.__add__, map(day_text.__getitem__, self.days), map(time_text.__getitem__, times)))
+        """Each timestamp's ``isoformat``; :func:`parse_profile` sets the cells read when each is in that form."""
+        return tuple(map(datetime.isoformat, self.timestamps))
 
 
 def parse_profile(text: str, granularity: Granularity | None = None, label: str = "") -> LoadProfile:

@@ -484,7 +484,6 @@ class TestCalendarColumns:
         assert profile.hours == tuple(ts.hour for ts in stamps)
         assert type(profile.months) is bytes and list(profile.months) == [ts.month for ts in stamps]
         assert profile.days is profile.days and profile.hours is profile.hours and profile.months is profile.months
-        assert len(set(map(id, profile.days))) == len(set(profile.days))  # one int object per date
 
     @settings(max_examples=80)
     @given(cells=stamp_cells())
