@@ -215,39 +215,25 @@ def _texts(values, kind: type | None, indent: str) -> Sequence[str]:
     return [*map(_CELL[kind], values)] if kind in _CELL else [*map(_text, values, repeat(indent))]
 
 
-def _row_columns(rows: Rows, indent: str) -> tuple[tuple[str, ...], list]:
+def _row_columns(rows: Rows, indent: str) -> tuple[list[str], list]:
     """The pieces of every row of ``rows``, ``indent`` starting its last line, and the text columns between them.
 
-    A nested ``Rows`` is merged in; a str column that ``_quote`` would only put in quotes is used as it is."""
+    Each key's text joins the last piece, and a nested ``Rows`` splices its own pieces in; a str column that ``_quote``
+    would only put in quotes is used as it is, between pieces that hold the quotes."""
     inner = indent + "  "
-    leaves = [column for column in rows.values() if type(column) is not Rows]
-    first = {*map(type, next(zip(*leaves), ()))}  # one pass over all cells when the first row's cells have one type
-    kind = _kind([*chain.from_iterable(leaves)]) if len(first) == 1 else None
-    kinds = iter([kind] * len(leaves) if kind else [*map(_kind, leaves)])
-    fields, columns = [], []
-    for column in rows.values():
+    pieces, columns, separator = ["{"], [], ""
+    for key, column in rows.items():
         if type(column) is Rows:
-            field, nested = _row_columns(column, inner)
-            columns += nested
+            (first, *rest), texts = _row_columns(column, inner)
         else:
-            field = '"' if (kind := next(kinds)) is str and _quotes_only("".join(column)) else ""
-            columns.append(column if field else _texts(column, kind, inner))
-        fields.append(field)
-    return _pieces(tuple(map(_key, rows)), tuple(fields), indent), columns
-
-
-@functools.lru_cache(maxsize=64)  # a payload has a few shapes of rows, each written again on every call
-def _pieces(keys: tuple[str, ...], fields: tuple, indent: str) -> tuple[str, ...]:
-    """The texts around the cells of a row whose written ``keys`` hold ``fields``: each ``'"'`` or ``""`` around one
-    cell, or the pieces of a nested row, whose first and last join the pieces around them."""
-    pieces, separator = ["{"], ""
-    for key, field in zip(keys, fields):
-        first, *rest = (field, field) if type(field) is str else field
-        pieces[-1] += f"{separator}{indent}  {key}: {first}"
+            quote = '"' if (kind := _kind(column)) is str and _quotes_only("".join(column)) else ""
+            (first, *rest), texts = (quote, quote), [column if quote else _texts(column, kind, inner)]
+        pieces[-1] += f"{separator}{inner}{_key(key)}: {first}"
         pieces += rest
+        columns += texts
         separator = ","
     pieces[-1] += indent + "}"
-    return tuple(pieces)
+    return pieces, columns
 
 
 def _quotes_only(text: str) -> bool:
@@ -432,8 +418,8 @@ def cmd_synth(args) -> tuple[str, int]:
 
     payload = {
         "season": season.value,
-        "activities": {activity: list(series) for activity, series in day.per_activity.items()},
-        "household_total": list(day.household_total),
+        "activities": day.per_activity,
+        "household_total": day.household_total,
         "daily_total_wh": day.daily_total_wh,
     }
     return _json_payload(payload), 0

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +43,7 @@ def row_lists(min_size=0):
 
 payloads = st.dictionaries(texts, row_lists() | row_shapes().flatmap(lambda row: row) | values, max_size=4)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+BIG = sys.float_info.max  # two of them sum to inf, so each cell is checked on its own
 
 
 @st.composite
@@ -64,12 +66,16 @@ def containing(draw, bad):
 @settings(max_examples=60)
 @given(payloads)
 @example({"rows": [{"a": 1, "b": 2}, {"b": 3, "a": 4}]})  # same keys, another order: not one template
+@example({"big": [BIG, BIG]})  # finite cells whose sum overflows
 def test_writes_the_bytes_of_the_indenting_encoder(payload):
     assert _json_payload(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 @settings(max_examples=30)
 @given(payloads, texts, NON_FINITE.flatmap(containing))
+@example({}, "big", [BIG, BIG, math.nan])  # the overflowing columns below, a NaN appended
+@example({}, "big", Rows(x=[BIG, BIG, math.nan]))
+@example({}, "big", Rows(hour=[0, 1, 2], kw=Rows(x=[BIG, BIG, math.nan])))
 def test_a_non_finite_float_anywhere_is_refused(payload, key, value):
     payload[key] = value
     with pytest.raises(PayloadError, match="not a finite number"):
@@ -135,6 +141,14 @@ def payloads_with_rows(draw):
 @example(({"r": Rows(a=[1, 2], b=[3, 2.5])},  # the first row's cells share a type, a later row's do not
           {"r": [{"a": 1, "b": 3}, {"a": 2, "b": 2.5}]}))
 @example(({"r": Rows(hour=[], kw=Rows(a=[])), "s": [Rows(b=Rows(c=()))]}, {"r": [], "s": [[]]}))  # no rows
+@example((  # finite cells whose sum overflows, in a column and in a nested column
+    {"r": Rows(x=[BIG, BIG]), "n": Rows(hour=[0, 1], kw=Rows(x=[BIG, BIG]))},
+    {"r": [{"x": BIG}, {"x": BIG}], "n": [{"hour": 0, "kw": {"x": BIG}}, {"hour": 1, "kw": {"x": BIG}}]},
+))
+@example((  # two Rows of two columns each under other keys, one of them escaped: each has its own pieces
+    {"a": Rows(x=[1, 2], y=["p", "q"]), "b": Rows({"x\nü": [3, 4], "y": ["r", "s"]})},
+    {"a": [{"x": 1, "y": "p"}, {"x": 2, "y": "q"}], "b": [{"x\nü": 3, "y": "r"}, {"x\nü": 4, "y": "s"}]},
+))
 def test_rows_are_written_as_the_lists_of_dicts_they_stand_for(pair):
     with_rows, plain = pair
     assert _json_payload(with_rows) == json.dumps(plain, indent=2) + "\n"
