@@ -25,6 +25,10 @@ FRACTION_SUM_TOL = 1e-12
 # Magnitude bounds: with ToU at most 24 h, every energy, total and share stays finite.
 MAGNITUDE_BOUNDS = {"run_watts": 1e7, "idle_watts": 1e7, "units_winter": 10**6, "units_summer": 10**6}
 
+# The floor of every non-zero ToU, wattage and fraction: a non-zero energy is then at least the floor cubed (about
+# 1e-18 Wh/day), a normal float, and stays one when the wattages are scaled by 1e-3.
+MAGNITUDE_FLOOR = 1e-6
+
 # Historic spellings in source data map onto one canonical activity name.
 ACTIVITY_ALIASES = {
     "water bump (dynamo)": "Water pump",
@@ -143,6 +147,9 @@ def validate_spec(spec: ApplianceSpec) -> list[str]:
     for name, bound in MAGNITUDE_BOUNDS.items():
         if getattr(spec, name) > bound:
             violations.append(f"{name}: must be <= {bound:g} (got {getattr(spec, name)})")
+    for name in _FLOAT_FIELDS:
+        if 0 < getattr(spec, name) < MAGNITUDE_FLOOR:
+            violations.append(f"{name}: must be 0 or >= {MAGNITUDE_FLOOR:g} (got {getattr(spec, name)})")
     if spec.idle_watts < 0:
         violations.append(f"idle_watts: must be >= 0 (got {spec.idle_watts})")
     elif spec.run_watts < spec.idle_watts:

@@ -232,7 +232,7 @@ def _row_columns(rows: Rows, indent: str) -> tuple[list[str], list]:
         pieces += rest
         columns += texts
         separator = ","
-    pieces[-1] += indent + "}"
+    pieces[-1] += indent + "}" if rows else "}"  # no key: "{}", as json.dumps writes an empty object
     return pieces, columns
 
 
@@ -268,31 +268,25 @@ def render_value(value: float, decimals: int = 1) -> str:
 
 def table_csv(pairs: Iterable[tuple[SeasonalConsumptionTable, dict[str, float]]]) -> str:
     """Render one or more (table, shares) pairs as CSV, one row per activity."""
-    cells = [
-        (
-            row.activity,
-            table.season.value,
-            render_value(row.per_unit_daily_wh),
-            render_value(row.household_daily_wh),
-            render_value(shares[row.activity]),
-        )
-        for table, shares in pairs
-        for row in table.rows
-    ]
-    header = ("activity", "season", "per_unit_wh_day", "household_wh_day", "share_pct")
-    return csv_text(dict(zip(header, zip(*cells))))
+    columns = {"activity": [], "season": [], "per_unit_wh_day": [], "household_wh_day": [], "share_pct": []}
+    for table, shares in pairs:
+        columns["activity"] += table.activities
+        columns["season"] += [table.season.value] * len(table.activities)
+        columns["per_unit_wh_day"] += map(render_value, table.per_unit_daily_wh)
+        columns["household_wh_day"] += map(render_value, table.household_daily_wh)
+        columns["share_pct"] += map(render_value, map(shares.__getitem__, table.activities))
+    return csv_text(columns)
 
 
 def table_json(table: SeasonalConsumptionTable, shares: dict[str, float]) -> dict:
     """JSON-ready dict for one season, full precision values, with one row per activity."""
-    activities, units, per_unit, household, _ = zip(*table.rows)
     return {
         "season": table.season.value,
         "days_per_month": table.days_per_month,
         "daily_total_wh": table.daily_total_wh,
         "monthly_total_kwh": table.monthly_total_kwh,
-        "rows": Rows(activity=activities, units=units, per_unit_wh_day=per_unit, household_wh_day=household,
-                     share_pct=[*map(shares.__getitem__, activities)]),
+        "rows": Rows(activity=table.activities, units=table.units, per_unit_wh_day=table.per_unit_daily_wh,
+                     household_wh_day=table.household_daily_wh, share_pct=[*map(shares.__getitem__, table.activities)]),
     }
 
 
@@ -385,15 +379,16 @@ def cmd_reconcile(args) -> tuple[str, int, str]:
     if args.format == "csv":
         text = hourly_csv(measured.hours, attribution.by_activity, "kw")
     else:
-        activities, _, per_unit, household, _ = zip(*result.adjusted_table.rows)
+        table = result.adjusted_table
         payload = {
-            "season": result.adjusted_table.season.value,
+            "season": table.season.value,
             "scale_factor": result.scale_factor,
             "relative_gap": result.relative_gap,
             "gap_warning": result.gap_warning,
             "measured_kwh_month": result.measured_energy_kwh,
             "bottom_up_kwh_month": result.bottom_up_energy_kwh,
-            "adjusted_rows": Rows(activity=activities, per_unit_wh_day=per_unit, household_wh_day=household),
+            "adjusted_rows": Rows(activity=table.activities, per_unit_wh_day=table.per_unit_daily_wh,
+                                  household_wh_day=table.household_daily_wh),
             "attributed_shares_pct": shares,
             "attribution": Rows(hour=measured.hours, kw=Rows(attribution.by_activity)),
         }

@@ -5,7 +5,7 @@ A device with time of use ``t`` hours/day draws its rated wattage for
 unit consumes ``(run_watts * run_fraction + idle_watts * idle_fraction) * t``
 Wh/day; the household total for an activity multiplies by the unit count.
 :func:`seasonal_table` is the one place that evaluates this rule; shares,
-synthesized days and reconciliation all read its rows.
+synthesized days and reconciliation all read its columns.
 Shares are each activity's percentage of the household daily total.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from functools import reduce
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .catalog import Catalog, OperationClass, Season
@@ -30,26 +30,20 @@ class CompositionError(ValueError):
     """A composition request cannot be satisfied (zero basis, bad arguments)."""
 
 
-class DeviceEnergy(NamedTuple):
-    """One activity's daily energy for one season, with the operation class that shapes its day."""
-
-    activity: str
-    units: int
-    per_unit_daily_wh: float
-    household_daily_wh: float
-    operation: OperationClass
-
-
 class SeasonalConsumptionTable(NamedTuple):
-    """Per-activity daily energies for one season, in catalog order."""
+    """One season's daily energy and operation class of each activity, as columns in catalog order."""
 
     season: Season
-    rows: tuple[DeviceEnergy, ...]
+    activities: tuple[str, ...]
+    units: tuple[int, ...]
+    per_unit_daily_wh: tuple[float, ...]
+    household_daily_wh: tuple[float, ...]
+    operations: tuple[OperationClass, ...]
     days_per_month: int
 
     @property
     def daily_total_wh(self) -> float:
-        return ordered_sum(row.household_daily_wh for row in self.rows)
+        return ordered_sum(self.household_daily_wh)
 
     @property
     def monthly_total_kwh(self) -> float:
@@ -60,12 +54,12 @@ def seasonal_table(catalog: Catalog, season: Season, days_per_month: int = 30) -
     """Tabulate per-activity daily energy and household totals for a season."""
     if not 1 <= days_per_month <= 31:
         raise CompositionError(f"days_per_month must be between 1 and 31 (got {days_per_month})")
-    rows = []
-    for spec in catalog:
-        units = spec.units(season)
-        per_unit = (spec.run_watts * spec.run_fraction + spec.idle_watts * spec.idle_fraction) * spec.tou(season)
-        rows.append(DeviceEnergy(spec.activity, units, per_unit, units * per_unit, spec.operation))
-    return SeasonalConsumptionTable(season=season, rows=tuple(rows), days_per_month=days_per_month)
+    units = tuple(spec.units(season) for spec in catalog)
+    per_unit = tuple((spec.run_watts * spec.run_fraction + spec.idle_watts * spec.idle_fraction) * spec.tou(season)
+                     for spec in catalog)
+    return SeasonalConsumptionTable(season, tuple(spec.activity for spec in catalog), units, per_unit,
+                                    tuple(map(mul, units, per_unit)), tuple(spec.operation for spec in catalog),
+                                    days_per_month)
 
 
 def composition_shares(table: SeasonalConsumptionTable) -> dict[str, float]:
@@ -73,4 +67,4 @@ def composition_shares(table: SeasonalConsumptionTable) -> dict[str, float]:
     total = table.daily_total_wh
     if total <= 0:
         raise CompositionError("empty composition basis")
-    return {row.activity: 100.0 * row.household_daily_wh / total for row in table.rows}
+    return {activity: 100.0 * energy / total for activity, energy in zip(table.activities, table.household_daily_wh)}

@@ -16,7 +16,7 @@ from operator import mul, truediv
 from typing import NamedTuple
 
 from .catalog import Catalog, Season
-from .composition import DeviceEnergy, SeasonalConsumptionTable, ordered_sum, seasonal_table
+from .composition import SeasonalConsumptionTable, ordered_sum, seasonal_table
 from .profile import Granularity, LoadProfile
 from .synth import OccupancyCurve, synth_household_day
 
@@ -68,7 +68,7 @@ def _check_one_hourly_day(measured: LoadProfile) -> None:
 
 
 def scale_to_measured(attribution: HourlyAttribution) -> ReconciliationResult:
-    """Multiply every row of the model's table so its monthly total equals ``table.days_per_month`` measured days.
+    """The model's table, its two energy columns scaled so its monthly total is ``table.days_per_month`` measured days.
 
     :func:`disaggregate` checked that the measured day is one hourly day, so a kW sample over its hour is that many
     kWh, and that the table's total is positive.
@@ -81,10 +81,8 @@ def scale_to_measured(attribution: HourlyAttribution) -> ReconciliationResult:
     gap = abs(1.0 - bottom_up / measured_energy_kwh)
     if not all(map(math.isfinite, (k, gap, measured_energy_kwh, bottom_up))):  # a ratio of extreme inputs overflows
         raise ReconcileError("a result is not a finite number; an input value is out of range")
-    names, units, per_unit, totals, operations = zip(*table.rows)
-    scaled = zip(names, units, map(mul, per_unit, repeat(k)), map(mul, totals, repeat(k)), operations)
-    rows = tuple(map(DeviceEnergy._make, scaled))
-    adjusted = SeasonalConsumptionTable(season=table.season, rows=rows, days_per_month=table.days_per_month)
+    adjusted = table._replace(per_unit_daily_wh=tuple(map(mul, table.per_unit_daily_wh, repeat(k))),
+                              household_daily_wh=tuple(map(mul, table.household_daily_wh, repeat(k))))
     return ReconciliationResult(
         scale_factor=k,
         measured_energy_kwh=measured_energy_kwh,

@@ -108,9 +108,10 @@ class SynthesizedDay(NamedTuple):
 
 
 def synth_household_day(table: SeasonalConsumptionTable, occupancy: OccupancyCurve) -> SynthesizedDay:
-    """Spread each row's household daily energy over 24 hours by the shape of its operation class."""
+    """Spread each activity's household daily energy over 24 hours by the shape of its operation class."""
     shapes = {operation: shape_for(operation, occupancy) for operation in OperationClass}
-    per_activity: dict[str, tuple[float, ...]] = {}
-    for row in table.rows:  # mul, not the energy's __mul__: an int's returns NotImplemented
-        per_activity[row.activity] = tuple(map(mul, repeat(row.household_daily_wh), shapes[row.operation]))
-    return SynthesizedDay(per_activity=per_activity)
+    # mul, not the energy's __mul__: an int's returns NotImplemented
+    return SynthesizedDay(per_activity={
+        activity: tuple(map(mul, repeat(energy), shapes[operation]))
+        for activity, energy, operation in zip(table.activities, table.household_daily_wh, table.operations)
+    })

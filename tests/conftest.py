@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from loadcomp import builtin_catalog
 from loadcomp._sourceio import csv_text
-from loadcomp.catalog import ACTIVITY_ALIASES, CSV_HEADER, ApplianceSpec, Catalog, OperationClass, Season
+from loadcomp.catalog import (
+    ACTIVITY_ALIASES, CSV_HEADER, MAGNITUDE_FLOOR, ApplianceSpec, Catalog, OperationClass, Season,
+)
 from loadcomp.profile import Granularity, LoadProfile
 
 # Reference household Wh/day for the builtin catalog (30-day months), as
@@ -163,20 +165,28 @@ activity_names = (
 )
 
 _fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# Each drawn ToU, wattage and fraction is 0 or at least the catalog's floor. A wattage is 0 or at least 1e3 times the
+# floor, so that the wattages scaled by 1e-3, the smallest factor of the scaling property, are valid too.
+_tous = st.just(0.0) | st.floats(min_value=MAGNITUDE_FLOOR, max_value=24.0)
+_MIN_WATTS = 1e3 * MAGNITUDE_FLOOR
+# a run fraction of at least twice the floor, and at most 1 less twice the floor, leaves an idle fraction over the floor
+_run_fractions = st.sampled_from([0.0, 1.0]) | st.floats(min_value=2 * MAGNITUDE_FLOOR,
+                                                         max_value=1.0 - 2 * MAGNITUDE_FLOOR)
 
 
 @st.composite
 def appliance_specs(draw, name: str | None = None) -> ApplianceSpec:
-    run_watts = draw(st.floats(min_value=0.0, max_value=5000.0, allow_nan=False))
-    run_fraction = draw(_fractions)
+    run_watts = draw(st.just(0.0) | st.floats(min_value=_MIN_WATTS, max_value=5000.0))
+    idle_watts = run_watts * draw(_fractions)  # <= run_watts
+    run_fraction = draw(_run_fractions)
     return ApplianceSpec(
         activity=name if name is not None else draw(activity_names),
-        tou_winter=draw(st.floats(min_value=0.0, max_value=24.0, allow_nan=False)),
-        tou_summer=draw(st.floats(min_value=0.0, max_value=24.0, allow_nan=False)),
+        tou_winter=draw(_tous),
+        tou_summer=draw(_tous),
         units_winter=draw(st.integers(min_value=0, max_value=10)),
         units_summer=draw(st.integers(min_value=0, max_value=10)),
         run_watts=run_watts,
-        idle_watts=run_watts * draw(_fractions),  # <= run_watts
+        idle_watts=idle_watts if idle_watts >= _MIN_WATTS else 0.0,
         operation=draw(st.sampled_from(list(OperationClass))),
         run_fraction=run_fraction,
         idle_fraction=1.0 - run_fraction,

@@ -204,8 +204,7 @@ def test_oracle_equivalence():
 
     def check(catalog: Catalog) -> None:
         for season in Season:
-            for spec, row in zip(catalog, seasonal_table(catalog, season).rows, strict=True):
-                got = row.household_daily_wh
+            for spec, got in zip(catalog, seasonal_table(catalog, season).household_daily_wh, strict=True):
                 assert math.isclose(got, oracle(spec, season), rel_tol=1e-9, abs_tol=1e-12)
 
     check(builtin_catalog())

@@ -1,6 +1,7 @@
 """Catalog parsing, validation, and the builtin archetype."""
 
 import json
+import math
 import re
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from loadcomp import Season, builtin_catalog
 from loadcomp.catalog import (
     _FLOAT_FIELDS,
+    MAGNITUDE_FLOOR,
     Catalog,
     CatalogError,
     OperationClass,
@@ -121,6 +123,22 @@ class TestValidateSpec:
     def test_magnitude_above_its_bound_names_the_field(self, paper_catalog, changes, field):
         spec = paper_catalog.specs[0]._replace(**changes)
         assert any(v.startswith(f"{field}: must be <= ") for v in validate_spec(spec))
+
+
+    def test_magnitudes_at_their_floors_ok(self, paper_catalog):
+        floor = MAGNITUDE_FLOOR
+        spec = paper_catalog.specs[0]._replace(tou_winter=floor, tou_summer=floor, run_watts=floor, idle_watts=floor,
+                                               run_fraction=floor, idle_fraction=1.0 - floor)
+        assert validate_spec(spec) == []
+
+    @pytest.mark.parametrize("value", [5e-324, math.nextafter(MAGNITUDE_FLOOR, 0.0)])
+    @pytest.mark.parametrize("field", _FLOAT_FIELDS)
+    def test_a_non_zero_value_below_its_floor_is_one_violation(self, paper_catalog, field, value):
+        """Such a value can make an energy subnormal, or 0.0 once the wattages are scaled down."""
+        others = {"run_watts": {"idle_watts": 0.0}, "run_fraction": {"idle_fraction": 1.0 - value},
+                  "idle_fraction": {"run_fraction": 1.0 - value}}  # the rest of the spec stays valid
+        spec = paper_catalog.specs[0]._replace(**{field: value, **others.get(field, {})})
+        assert validate_spec(spec) == [f"{field}: must be 0 or >= 1e-06 (got {value!r})"]
 
 
 class TestParseCatalog:

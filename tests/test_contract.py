@@ -14,7 +14,7 @@ import pytest
 
 from loadcomp import Season, builtin_catalog, cli
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
-from loadcomp.composition import DeviceEnergy, SeasonalConsumptionTable
+from loadcomp.composition import SeasonalConsumptionTable
 from loadcomp.profile import Granularity, LoadProfile
 from loadcomp.reconcile import HourlyAttribution, ReconciliationResult, SeasonalModel, disaggregate
 from loadcomp.synth import OccupancyCurve, SynthesizedDay, default_occupancy
@@ -69,15 +69,14 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_statistics():
 
 def _records():
     spec = builtin_catalog().specs[0]
-    row = DeviceEnergy(activity="TV", units=1, per_unit_daily_wh=120.0, household_daily_wh=120.0,
-                       operation=OperationClass.MANUAL)
-    table = SeasonalConsumptionTable(season=Season.WINTER, rows=(row,), days_per_month=30)
+    table = SeasonalConsumptionTable(season=Season.WINTER, activities=("TV",), units=(1,), per_unit_daily_wh=(120.0,),
+                                     household_daily_wh=(120.0,), operations=(OperationClass.MANUAL,),
+                                     days_per_month=30)
     profile = LoadProfile((datetime(2016, 1, 1),), (1.0,), Granularity.HOURLY, label="day")
     model = SeasonalModel(table, 3.6, (120.0,) * 24, (("TV", (1.0 / 120.0,) * 24),), ())
     return (
         ApplianceSpec(**spec._asdict()),
         Catalog(specs=(spec,)),
-        row,
         table,
         ReconciliationResult(scale_factor=1.0, measured_energy_kwh=3.6, bottom_up_energy_kwh=3.6,
                              relative_gap=0.0, adjusted_table=table),

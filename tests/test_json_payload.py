@@ -141,6 +141,7 @@ def payloads_with_rows(draw):
 @example(({"r": Rows(a=[1, 2], b=[3, 2.5])},  # the first row's cells share a type, a later row's do not
           {"r": [{"a": 1, "b": 3}, {"a": 2, "b": 2.5}]}))
 @example(({"r": Rows(hour=[], kw=Rows(a=[])), "s": [Rows(b=Rows(c=()))]}, {"r": [], "s": [[]]}))  # no rows
+@example(({"r": Rows(a=[1], b=Rows())}, {"r": [{"a": 1, "b": {}}]}))  # a nested Rows of no keys is an empty object
 @example((  # finite cells whose sum overflows, in a column and in a nested column
     {"r": Rows(x=[BIG, BIG]), "n": Rows(hour=[0, 1], kw=Rows(x=[BIG, BIG]))},
     {"r": [{"x": BIG}, {"x": BIG}], "n": [{"hour": 0, "kw": {"x": BIG}}, {"hour": 1, "kw": {"x": BIG}}]},

@@ -95,13 +95,25 @@ class TestScaleToMeasured:
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
         result = scale(day_of_monthly_energy(1234.5), paper_catalog, Season.SUMMER)
         base = composition_shares(table)
-        adjusted_total = result.adjusted_table.daily_total_wh
-        for row in result.adjusted_table.rows:
-            share = 100.0 * row.household_daily_wh / adjusted_total
-            assert share == pytest.approx(base[row.activity], abs=1e-9)
-        top = max(result.adjusted_table.rows, key=lambda r: r.household_daily_wh)
-        assert top.activity == "Air conditioning"
-        assert [row.operation for row in result.adjusted_table.rows] == [row.operation for row in table.rows]
+        adjusted = result.adjusted_table
+        for activity, energy in zip(adjusted.activities, adjusted.household_daily_wh, strict=True):
+            share = 100.0 * energy / adjusted.daily_total_wh
+            assert share == pytest.approx(base[activity], abs=1e-9)
+        energies = adjusted.household_daily_wh
+        assert adjusted.activities[energies.index(max(energies))] == "Air conditioning"
+        assert adjusted.operations == table.operations
+
+    def test_the_model_table_is_as_it_was_and_shares_the_columns_it_keeps(self, paper_catalog):
+        attribution = attribute(hourly_day(DAY_CURVE_KW), paper_catalog, Season.SUMMER)
+        table = attribution.model.table
+        result = scale_to_measured(attribution)
+        adjusted, k = result.adjusted_table, result.scale_factor
+        assert table == seasonal_table(paper_catalog, Season.SUMMER, 30)
+        for name in ("season", "activities", "units", "operations", "days_per_month"):
+            assert getattr(adjusted, name) is getattr(table, name)
+        assert adjusted.per_unit_daily_wh == tuple(energy * k for energy in table.per_unit_daily_wh)
+        assert adjusted.household_daily_wh == tuple(energy * k for energy in table.household_daily_wh)
+        assert k != 1.0
 
     def test_gap_warning_threshold(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.WINTER, 30)
@@ -299,7 +311,9 @@ class TestSeasonalModel:
         assert type(model.totals) is tuple and len(model.totals) == 24
         assert type(model.weights) is tuple
         assert all(type(pair) is tuple and type(pair[1]) is tuple for pair in model.weights)
-        assert type(model.table.rows) is tuple
+        table = model.table
+        columns = (table.activities, table.units, table.per_unit_daily_wh, table.household_daily_wh, table.operations)
+        assert all(type(column) is tuple and len(column) == 15 for column in columns)
 
 
 class TestCompositionFromAttribution:
