@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from . import __version__, reconcile
 from ._sourceio import ColumnLengthError, csv_text, float_texts, interleave
 from .catalog import Catalog, CatalogError, Season, builtin_catalog, load_catalog
-from .composition import CompositionError, SeasonalConsumptionTable, composition_shares, seasonal_table
+from .composition import CompositionError, SeasonalConsumptionTable, composition_shares, ordered_sum, seasonal_table
 from .profile import (
     Granularity,
     ProfileError,
@@ -34,7 +34,7 @@ from .profile import (
     seasonal_split,
 )
 from .reconcile import ReconcileError, composition_from_attribution, disaggregate, scale_to_measured
-from .synth import OccupancyError, default_occupancy, load_occupancy, synth_household_day
+from .synth import OccupancyError, default_occupancy, household_total, load_occupancy, synth_household_day
 
 
 class PayloadError(ValueError):
@@ -354,7 +354,7 @@ def cmd_profile_stats(args) -> tuple[str, int]:
         growth = Rows({"from": [*map(months.__getitem__, froms)], "to": [*map(months.__getitem__, tos)], "pct": pcts})
 
     payload = {
-        "label": profile.label,
+        "label": args.profile.stem,
         "granularity": profile.granularity.value,
         "samples": len(profile),
         "peak_kw": profile.peak_kw,
@@ -409,13 +409,13 @@ def cmd_synth(args) -> tuple[str, int]:
     day = synth_household_day(seasonal_table(catalog, season), occupancy)
 
     if args.format == "csv":
-        return hourly_csv(range(24), day.per_activity, "wh"), 0
+        return hourly_csv(range(24), day, "wh"), 0
 
     payload = {
         "season": season.value,
-        "activities": day.per_activity,
-        "household_total": day.household_total,
-        "daily_total_wh": day.daily_total_wh,
+        "activities": day,
+        "household_total": household_total(day),
+        "daily_total_wh": ordered_sum(map(ordered_sum, day.values())),
     }
     return _json_payload(payload), 0
 

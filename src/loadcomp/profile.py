@@ -15,13 +15,13 @@ from datetime import datetime
 from functools import cached_property
 from itertools import compress, count, repeat
 from operator import attrgetter, contains, itemgetter, lt, not_, truediv
-from pathlib import Path
 
 from ._sourceio import read_text
 from .catalog import WINTER_MONTHS, Season, _Frozen
 
 PROFILE_CSV_HEADER = ("timestamp", "power_kw")
 MAX_POWER_KW = 1e9  # keeps sums, means and day-to-month scaling finite
+MIN_POWER_KW = 1e-6  # a non-zero power is at least this, so no ratio of a power to an energy overflows
 
 
 class ProfileError(ValueError):
@@ -37,7 +37,7 @@ class Granularity(enum.Enum):
 class LoadProfile(_Frozen):
     """Timestamped power series in kW, held as two columns of equal length.
 
-    Power is finite, non-negative and at most ``MAX_POWER_KW``; timestamps
+    Power is 0 or between ``MIN_POWER_KW`` and ``MAX_POWER_KW``; timestamps
     strictly increase and are all naive or all offset-aware; a monthly profile
     has at most one sample per calendar month. Errors name a sample by its CSV
     row (the first is row 2). Parsed profiles are never empty; :func:`seasonal_split`
@@ -47,16 +47,16 @@ class LoadProfile(_Frozen):
     timestamps: tuple[datetime, ...]
     powers: tuple[float, ...]
     granularity: Granularity
-    label: str
     peak_kw: float  # the largest power, 0.0 for no samples
 
-    def __init__(self, timestamps, powers, granularity: Granularity, label: str = "") -> None:
+    def __init__(self, timestamps, powers, granularity: Granularity) -> None:
         timestamps, powers = tuple(timestamps), tuple(powers)  # a caller's list could change after the checks
         if len(timestamps) != len(powers):
             raise ProfileError(f"{len(timestamps)} timestamps but {len(powers)} powers")
         # one column test of every rule; only a series that fails it is walked, to name its first fault
         try:  # a nan power makes the sum nan, and < raises TypeError between a naive and an aware stamp
-            checked = ((peak := max(powers, default=0.0)) <= MAX_POWER_KW and 0 <= min(powers, default=0)
+            checked = ((peak := max(powers, default=0.0)) <= MAX_POWER_KW and 0 <= (low := min(powers, default=0.0))
+                       and (low >= MIN_POWER_KW or min(filter(None, powers), default=MIN_POWER_KW) >= MIN_POWER_KW)
                        and (total := sum(powers)) == total and all(map(lt, timestamps, timestamps[1:]))
                        and (granularity is Granularity.HOURLY
                             or len({(ts.year, ts.month) for ts in timestamps}) == len(timestamps)))
@@ -65,12 +65,14 @@ class LoadProfile(_Frozen):
         previous = previous_naive = None
         months = None if granularity is Granularity.HOURLY else set()
         for rownum, ts, power in () if checked else zip(count(2), timestamps, powers):  # header is row 1
-            if not 0 <= power <= MAX_POWER_KW:  # one test for the common case; false for nan too
+            if not (MIN_POWER_KW <= power <= MAX_POWER_KW or power == 0):  # false for nan too
                 if not math.isfinite(power):
                     raise ProfileError(f"row {rownum}: power must be a finite number")
                 if power < 0:
                     raise ProfileError(f"row {rownum}: negative power {power}")
-                raise ProfileError(f"row {rownum}: power {power} exceeds {MAX_POWER_KW:g} kW")
+                if power > MAX_POWER_KW:
+                    raise ProfileError(f"row {rownum}: power {power} exceeds {MAX_POWER_KW:g} kW")
+                raise ProfileError(f"row {rownum}: power must be 0 or >= {MIN_POWER_KW:g} kW (got {power})")
             naive = ts.utcoffset() is None
             if previous is not None and naive != previous_naive:
                 raise ProfileError(f"row {rownum}: cannot mix naive and offset-aware timestamps")
@@ -82,7 +84,7 @@ class LoadProfile(_Frozen):
                                        f"{ts.isoformat()[:7]}")  # strftime's %Y writes year 999 as 999
                 months.add((ts.year, ts.month))
             previous, previous_naive = ts, naive
-        vars(self).update(timestamps=timestamps, powers=powers, granularity=granularity, label=label, peak_kw=peak)
+        vars(self).update(timestamps=timestamps, powers=powers, granularity=granularity, peak_kw=peak)
 
     def __len__(self) -> int:
         return len(self.powers)
@@ -114,7 +116,7 @@ class LoadProfile(_Frozen):
         return tuple(map(datetime.isoformat, self.timestamps))
 
 
-def parse_profile(text: str, granularity: Granularity | None = None, label: str = "") -> LoadProfile:
+def parse_profile(text: str, granularity: Granularity | None = None) -> LoadProfile:
     """Parse a power series from CSV with header ``timestamp,power_kw``.
 
     Timestamps are ISO-8601; :class:`LoadProfile` checks the samples. When
@@ -125,7 +127,7 @@ def parse_profile(text: str, granularity: Granularity | None = None, label: str 
     stamps, timestamps, powers = _columns(text)  # the other cells die in _columns, before the profile is built
     if granularity is None:
         granularity = _infer_granularity(timestamps)
-    profile = LoadProfile(timestamps, powers, granularity, label)
+    profile = LoadProfile(timestamps, powers, granularity)
     joined, n = "".join(stamps), len(timestamps)  # only YYYY-MM-DDTHH:MM:SS cells, each its own isoformat, fit
     if len(joined) == 19 * n and all(joined[at::19] == mark * n for at, mark in zip((4, 7, 10, 13, 16), "--T::")):
         vars(profile)["iso_texts"] = stamps
@@ -190,9 +192,8 @@ def _infer_granularity(timestamps: tuple[datetime, ...]) -> Granularity:
 
 
 def load_profile(path, granularity: Granularity | None = None) -> LoadProfile:
-    """Read a profile CSV file, labelled with its stem; an unreadable file is a ProfileError."""
-    path = path if isinstance(path, Path) else Path(path)
-    return parse_profile(read_text(path, "profile", ProfileError), granularity=granularity, label=path.stem)
+    """Read a profile CSV file; an unreadable file is a ProfileError."""
+    return parse_profile(read_text(path, "profile", ProfileError), granularity)
 
 
 def normalize(profile: LoadProfile) -> tuple[float, ...]:
@@ -243,7 +244,7 @@ def seasonal_split(profile: LoadProfile) -> dict[Season, LoadProfile]:
         part = split[season] = object.__new__(LoadProfile)
         powers = tuple(compress(profile.powers, mask))
         vars(part).update(timestamps=tuple(compress(profile.timestamps, mask)), powers=powers,
-                          granularity=profile.granularity, label=profile.label, peak_kw=max(powers, default=0.0))
+                          granularity=profile.granularity, peak_kw=max(powers, default=0.0))
     return split
 
 

@@ -3,7 +3,9 @@
 Two steps: scale the modeled seasonal table so its monthly energy matches
 the measured total (shares are ratios, so they are unchanged), and split
 each measured hour across activities in proportion to the synthesized
-hourly energies, conserving the measured power at every hour.
+hourly energies, conserving the measured power at every hour. Both steps
+read one :class:`SeasonalModel`: the table, and the weights and empty
+hours of its synthesized day.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple
 from .catalog import Catalog, Season
 from .composition import SeasonalConsumptionTable, ordered_sum, seasonal_table
 from .profile import Granularity, LoadProfile
-from .synth import OccupancyCurve, synth_household_day
+from .synth import OccupancyCurve, household_total, synth_household_day
 
 # Above this relative gap the catalog is probably not representative of the
 # measured household; reports carry a warning.
@@ -73,7 +75,8 @@ def scale_to_measured(attribution: HourlyAttribution) -> ReconciliationResult:
     :func:`disaggregate` checked that the measured day is one hourly day, so a kW sample over its hour is that many
     kWh, and that the table's total is positive.
     """
-    table, measured, bottom_up = attribution.model.table, attribution.measured, attribution.model.monthly_total_kwh
+    table, measured = attribution.model.table, attribution.measured
+    bottom_up = table.monthly_total_kwh
     measured_energy_kwh = ordered_sum(measured.powers) * table.days_per_month
     if measured_energy_kwh <= 0:
         raise ReconcileError("zero measured energy")
@@ -93,11 +96,9 @@ def scale_to_measured(attribution: HourlyAttribution) -> ReconciliationResult:
 
 
 class SeasonalModel(NamedTuple):
-    """A seasonal table and its monthly total, its household total per hour, and each activity's ``hourly / total``."""
+    """A seasonal table, each activity's ``hourly / total`` of its synthesized day, and the hours of no total."""
 
     table: SeasonalConsumptionTable
-    monthly_total_kwh: float  # the table's, summed once
-    totals: tuple[float, ...]
     weights: tuple[tuple[str, tuple[float, ...]], ...]
     empty_hours: tuple[int, ...]  # the hours whose total is <= 0, in order
 
@@ -114,13 +115,13 @@ def seasonal_model(catalog: Catalog, season: Season, days_per_month: int, occupa
     if held != bits:
         table = seasonal_table(catalog, season, days_per_month)
         day = synth_household_day(table, occupancy)
-        totals = day.household_total
+        totals = household_total(day)
         # a weight stays in normal float range even when the energies are tiny; a total <= 0 divides as inf
         divisors = [total if total > 0 else math.inf for total in totals]
         weights = tuple((activity, tuple(map(truediv, hourly, divisors)))
-                        for activity, hourly in day.per_activity.items())
+                        for activity, hourly in day.items())
         empty_hours = tuple(compress(range(24), map((0.0).__ge__, totals)))
-        model = SeasonalModel(table, table.monthly_total_kwh, totals, weights, empty_hours)
+        model = SeasonalModel(table, weights, empty_hours)
         models[season, days_per_month] = bits, model
     return model
 
@@ -136,7 +137,7 @@ def disaggregate(measured: LoadProfile, catalog: Catalog, occupancy: OccupancyCu
     """
     _check_one_hourly_day(measured)
     model = seasonal_model(catalog, season or Season.for_month(measured.months[0]), days_per_month, occupancy)
-    if model.monthly_total_kwh <= 0:  # named before any hour: every hour of such a model is empty
+    if model.table.monthly_total_kwh <= 0:  # named before any hour: every hour of such a model is empty
         raise ReconcileError("zero bottom-up total")
     # an hour of zero measured power (-0.0 too) attributes 0.0 * weight, a zero, to every activity
     powers = [*map(abs, measured.powers)]  # a power is >= 0, so abs only turns -0.0 into 0.0

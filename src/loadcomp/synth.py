@@ -3,8 +3,9 @@
 The operation class decides how occupant presence shapes a device's day:
 automatic devices spread their daily energy uniformly, manual devices
 follow the occupancy curve, and semi-automatic devices take the midpoint
-of the two. Each activity's hourly series sums back to its household
-daily energy.
+of the two. A synthesized day is a plain dict from activity to its 24
+hourly Wh, in catalog order; each activity's hourly series sums back to
+its household daily energy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import functools
 from itertools import repeat
 from operator import mul
-from typing import NamedTuple
 
 from ._sourceio import read_text
 from .catalog import OperationClass, _Frozen
@@ -93,25 +93,16 @@ def shape_for(operation: OperationClass, occupancy: OccupancyCurve) -> tuple[flo
     return tuple(w / total for w in mixed)
 
 
-class SynthesizedDay(NamedTuple):
-    """Hourly Wh series per activity, catalog order preserved."""
-
-    per_activity: dict[str, tuple[float, ...]]
-
-    @property
-    def household_total(self) -> tuple[float, ...]:
-        return tuple(map(ordered_sum, zip(*self.per_activity.values())))
-
-    @property
-    def daily_total_wh(self) -> float:
-        return ordered_sum(map(ordered_sum, self.per_activity.values()))
-
-
-def synth_household_day(table: SeasonalConsumptionTable, occupancy: OccupancyCurve) -> SynthesizedDay:
+def synth_household_day(table: SeasonalConsumptionTable, occupancy: OccupancyCurve) -> dict[str, tuple[float, ...]]:
     """Spread each activity's household daily energy over 24 hours by the shape of its operation class."""
     shapes = {operation: shape_for(operation, occupancy) for operation in OperationClass}
     # mul, not the energy's __mul__: an int's returns NotImplemented
-    return SynthesizedDay(per_activity={
+    return {
         activity: tuple(map(mul, repeat(energy), shapes[operation]))
         for activity, energy, operation in zip(table.activities, table.household_daily_wh, table.operations)
-    })
+    }
+
+
+def household_total(day: dict[str, tuple[float, ...]]) -> tuple[float, ...]:
+    """The Wh of every activity of a synthesized day at each hour, added left to right in catalog order."""
+    return tuple(map(ordered_sum, zip(*day.values())))

@@ -18,7 +18,7 @@ from loadcomp._sourceio import csv_text
 from loadcomp.catalog import (
     ACTIVITY_ALIASES, CSV_HEADER, MAGNITUDE_FLOOR, ApplianceSpec, Catalog, OperationClass, Season,
 )
-from loadcomp.profile import Granularity, LoadProfile
+from loadcomp.profile import MIN_POWER_KW, Granularity, LoadProfile
 
 # Reference household Wh/day for the builtin catalog (30-day months), as
 # printed in the source consumption tables the catalog reproduces.
@@ -125,36 +125,44 @@ def csv_table(table) -> str:
     return buf.getvalue()
 
 
-def profile_of(samples, granularity: Granularity = Granularity.HOURLY, label: str = "") -> LoadProfile:
+def profile_of(samples, granularity: Granularity = Granularity.HOURLY) -> LoadProfile:
     """A profile of ``(timestamp, power)`` pairs."""
     samples = tuple(samples)
-    return LoadProfile([ts for ts, _ in samples], [power for _, power in samples], granularity, label)
+    return LoadProfile([ts for ts, _ in samples], [power for _, power in samples], granularity)
 
 
-def hourly_day(powers, day: datetime = datetime(2016, 6, 1), label: str = "") -> LoadProfile:
+def hourly_day(powers, day: datetime = datetime(2016, 6, 1)) -> LoadProfile:
     samples = tuple((day + timedelta(hours=h), float(p)) for h, p in enumerate(powers))
-    return profile_of(samples, Granularity.HOURLY, label)
+    return profile_of(samples, Granularity.HOURLY)
 
 
-def monthly_profile(month_to_kw=MONTHLY_AVG_KW, year: int = 2016, label: str = "") -> LoadProfile:
+def monthly_profile(month_to_kw=MONTHLY_AVG_KW, year: int = 2016) -> LoadProfile:
     samples = tuple(
         (datetime(year, month, 1), float(month_to_kw[month])) for month in sorted(month_to_kw)
     )
-    return profile_of(samples, Granularity.MONTHLY_AVERAGE, label)
+    return profile_of(samples, Granularity.MONTHLY_AVERAGE)
 
 
 @pytest.fixture
 def day_profile() -> LoadProfile:
-    return hourly_day(DAY_CURVE_KW, label="day-curve")
+    return hourly_day(DAY_CURVE_KW)
 
 
 @pytest.fixture
 def annual_profile() -> LoadProfile:
-    return monthly_profile(label="annual")
+    return monthly_profile()
 
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
+
+def power_kw(max_value: float, floor: float = MIN_POWER_KW):
+    """A valid power: 0, or from ``floor`` (at least the profile's floor) to ``max_value`` kW.
+
+    A test that scales or divides powers raises ``floor`` so that every result is a valid power too.
+    """
+    return st.just(0.0) | st.floats(min_value=floor, max_value=max_value)
+
 
 _NAME_ALPHABET = string.ascii_letters + string.digits + " &()-'"
 

@@ -26,7 +26,7 @@ from loadcomp.catalog import (
 from loadcomp.cli import main, render_value
 from loadcomp.profile import monthly_growth, normalize, peak_average_ratio
 from loadcomp.reconcile import composition_from_attribution, disaggregate
-from loadcomp.synth import default_occupancy, synth_household_day
+from loadcomp.synth import default_occupancy, household_total, synth_household_day
 from conftest import SUMMER_WH_DAY, WINTER_WH_DAY, hourly_day, monthly_profile
 
 
@@ -183,7 +183,7 @@ def test_conservation_suite():
             else:
                 assert math.isclose(total, power, rel_tol=1e-9)
 
-        synthesized = synth_household_day(table, default_occupancy()).household_total
+        synthesized = household_total(synth_household_day(table, default_occupancy()))
         fixed_point = hourly_day([wh / 1000.0 for wh in synthesized])
         round_trip = composition_from_attribution(
             disaggregate(fixed_point, catalog, default_occupancy(), season=season))

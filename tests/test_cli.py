@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import json
+import math
 import re
 import shlex
 import shutil
@@ -19,10 +20,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loadcomp import Season, builtin_catalog, cli, composition_shares, reconcile, seasonal_table
+from loadcomp import Season, builtin_catalog, cli, composition_shares, profile, reconcile, seasonal_table
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass, load_catalog
 from loadcomp.cli import main, render_value
-from loadcomp.synth import default_occupancy, synth_household_day
+from loadcomp.synth import default_occupancy, household_total, synth_household_day
 from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, csv_table, serialize_catalog
 
 
@@ -51,7 +52,7 @@ def write_monthly_csv(path, month_to_kw=MONTHLY_AVG_KW, year=2016):
 
 
 def synth_day_kw(season=Season.SUMMER):
-    total = synth_household_day(seasonal_table(builtin_catalog(), season), default_occupancy()).household_total
+    total = household_total(synth_household_day(seasonal_table(builtin_catalog(), season), default_occupancy()))
     return [wh / 1000.0 for wh in total]
 
 
@@ -220,6 +221,14 @@ class TestProfileStats:
         code, out, _ = run(capsys, "profile-stats", "--profile", str(path))
         assert code == 0
         assert json.loads(out)["monthly_growth_pct"] == [{"from": "0999-01", "to": "0999-02", "pct": 100.0}]
+
+    def test_growth_from_the_power_floor_to_the_bound_is_finite(self, capsys, tmp_path):
+        """The largest ratio of two valid powers, 1e9 kW over the floor, gives a finite percentage."""
+        path = write_monthly_csv(tmp_path / "annual.csv", {1: 1e-6, 2: 1e9})
+        code, out, _ = run(capsys, "profile-stats", "--profile", str(path))
+        assert code == 0
+        pct = 100.0 * (1e9 - 1e-6) / 1e-6
+        assert json.loads(out)["monthly_growth_pct"] == [{"from": "2016-01", "to": "2016-02", "pct": pct}]
 
     def test_day_fixture_reports_extrema(self, capsys, tmp_path):
         path = write_day_csv(tmp_path / "day.csv", DAY_CURVE_KW)
@@ -472,22 +481,35 @@ class TestReconcile:
         assert (code, out, err) == (1, "", "loadcomp: error: zero measured energy\n")
 
     def test_the_stderr_summary_writes_tiny_values_as_the_payload_does(self, capsys, tmp_path):
-        path = write_day_csv(tmp_path / "tiny.csv", [1e-300] * 24, day="2016-01-15")
+        path = write_day_csv(tmp_path / "tiny.csv", [1e-6] * 24, day="2016-01-15")  # each hour at the power floor
         code, out, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path))
         payload = json.loads(out)
         assert code == 0
         scale_factor, relative_gap = payload["scale_factor"], payload["relative_gap"]
         assert err.splitlines()[0] == f"scale_factor={scale_factor!r} relative_gap={relative_gap!r}"
-        assert err.startswith("scale_factor=3.798369866265729e-301 ")
+        assert err.startswith("scale_factor=3.798369866265729e-07 ")
 
-    def test_a_payload_error_is_the_only_line_on_stderr(self, capsys, tmp_path):
+    @pytest.mark.parametrize("powers, rownum", [([1.0] * 23 + [5e-324], 25), ([5e-324] * 24, 2)],
+                             ids=["one-subnormal-hour", "subnormal-day"])
+    def test_a_power_below_the_floor_is_refused_naming_its_row(self, capsys, tmp_path, powers, rownum):
+        """Below the floor an hour would get no attributed power, and a day of such hours overflows the gap."""
+        path = write_day_csv(tmp_path / "subnormal.csv", powers)
+        code, out, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"loadcomp: error: row {rownum}: power must be 0 or >= 1e-06 kW (got 5e-324)\n"
+
+    def test_a_payload_error_is_the_only_line_on_stderr(self, capsys, tmp_path, monkeypatch):
+        """With the power floor lifted, a subnormal day overflows the relative gap; ``scale_to_measured`` refuses it."""
+        monkeypatch.setattr(profile, "MIN_POWER_KW", 0.0)
         path = write_day_csv(tmp_path / "subnormal.csv", [5e-324] * 24)  # the relative gap overflows
         code, out, err = run(capsys, "reconcile", "--builtin-paper", "--profile", str(path))
         assert (code, out) == (1, "")
         assert err == "loadcomp: error: a result is not a finite number; an input value is out of range\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_a_non_finite_relative_gap_is_one_error_in_both_formats(self, capsys, tmp_path, fmt):
+    def test_a_non_finite_relative_gap_is_one_error_in_both_formats(self, capsys, tmp_path, fmt, monkeypatch):
+        """No valid input reaches this: the smallest normal kW is below the power floor, which is lifted here."""
+        monkeypatch.setattr(profile, "MIN_POWER_KW", 0.0)
         catalog = tmp_path / "big.csv"
         catalog.write_text(CATALOG_HEADER + "Big,24,24,1000000,1000000,1e7,0,Auto,1,0\n")
         path = write_day_csv(tmp_path / "tiny.csv", [2.2250738585072014e-308] * 24)
@@ -664,10 +686,10 @@ class TestInputDefects:
             (["reconcile", "--builtin-paper", "--profile"], QUARTER_HOUR_DAY),
             (["reconcile", "--builtin-paper", "--profile"], day_csv([1.0] * 23)),
             (["profile-stats", "--granularity", "monthly-average", "--profile"], day_csv([1.0] * 24)),
-            # finite inputs whose results overflow: strict JSON has no Infinity
-            (["profile-stats", "--profile"], "timestamp,power_kw\n2016-01-01T00:00,1e-300\n2016-02-01T00:00,1e300\n"),
+            # finite inputs beyond the magnitude bounds and floors, whose results would overflow: strict JSON has no
+            # Infinity, and CSV output and fsum cannot otherwise survive them
+            (["profile-stats", "--profile"], "timestamp,power_kw\n2016-01-01T00:00,1e-300\n2016-02-01T00:00,1e9\n"),
             (["composition", "--catalog"], CATALOG_HEADER + "Big,24,24,10,10,1e308,0,Auto,1,0\n"),
-            # finite inputs beyond the magnitude bounds, which CSV output and fsum cannot otherwise survive
             (["composition", "--format", "csv", "--catalog"], CATALOG_HEADER + "Big,24,24,10,10,1e308,0,Auto,1,0\n"),
             (["synth", "--season", "winter", "--format", "csv", "--catalog"],
              CATALOG_HEADER + "Big,24,24,10,10,1e308,0,Auto,1,0\n"),
@@ -980,3 +1002,49 @@ class TestFuzz:
             assert err.startswith(("loadcomp: error:", "loadcomp: I/O error:")), err
         if code == 0:
             assert "error:" not in err
+
+
+# one entry per operation class, so that each shape meets the extreme day
+_OPERATIONS = ("Auto", "Semi Auto", "Manual")
+WORST_CASES = {
+    # one hour at the power floor, the rest 0, against every catalog field at its bound
+    "floor-hour-against-largest-catalog": (
+        [1e-6] + [0.0] * 23,
+        "".join(f"Max {op},24,24,1000000,1000000,1e7,1e7,{op},0.5,0.5\n" for op in _OPERATIONS),
+    ),
+    # every hour at the power bound against activities whose energy is the catalog floor cubed
+    "bound-day-against-floor-catalog": (
+        [1e9] * 24,
+        "".join(f"Min {op},1e-6,1e-6,1,1,1e-6,0,{op},1e-6,0.999999\n" for op in _OPERATIONS),
+    ),
+}
+
+
+class TestWorstCases:
+    """The extreme valid inputs are reconciled: the floors and bounds of profile and catalog keep every result finite."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("days", ["1", "31"])
+    @pytest.mark.parametrize("case", sorted(WORST_CASES))
+    def test_each_measured_hour_is_conserved(self, capsys, tmp_path, case, days, fmt):
+        powers, rows = WORST_CASES[case]
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text(CATALOG_HEADER + rows)
+        path = write_day_csv(tmp_path / "day.csv", powers)
+        code, out, err = run(capsys, "reconcile", "--catalog", str(catalog), "--profile", str(path),
+                             "--days-per-month", days, "--format", fmt)
+        assert code == 0, err
+        if fmt == "json":
+            payload = _strict_json(out)
+            assert all(map(math.isfinite, (payload["scale_factor"], payload["relative_gap"],
+                                           payload["measured_kwh_month"], payload["bottom_up_kwh_month"])))
+            by_hour = [[*row["kw"].values()] for row in payload["attribution"]]
+        else:
+            table = list(csv.reader(io.StringIO(out, newline=""), strict=True))
+            assert table[0] == ["hour", "activity", "kw"] and {len(row) for row in table} == {3}
+            by_hour = [[float(kw) for hour, _, kw in table[1:] if int(hour) == h] for h in range(24)]
+        for power, cells in zip(powers, by_hour, strict=True):
+            assert len(cells) == len(_OPERATIONS) and all(map(math.isfinite, cells))
+            total = sum(cells)
+            assert total == pytest.approx(power, rel=1e-12, abs=0.0)  # a zero hour sums to exactly zero
+            assert (total != 0) == (power != 0)

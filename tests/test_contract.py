@@ -17,7 +17,7 @@ from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
 from loadcomp.composition import SeasonalConsumptionTable
 from loadcomp.profile import Granularity, LoadProfile
 from loadcomp.reconcile import HourlyAttribution, ReconciliationResult, SeasonalModel, disaggregate
-from loadcomp.synth import OccupancyCurve, SynthesizedDay, default_occupancy
+from loadcomp.synth import OccupancyCurve, default_occupancy
 from conftest import DAY_CURVE_KW, hourly_day
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,8 +72,8 @@ def _records():
     table = SeasonalConsumptionTable(season=Season.WINTER, activities=("TV",), units=(1,), per_unit_daily_wh=(120.0,),
                                      household_daily_wh=(120.0,), operations=(OperationClass.MANUAL,),
                                      days_per_month=30)
-    profile = LoadProfile((datetime(2016, 1, 1),), (1.0,), Granularity.HOURLY, label="day")
-    model = SeasonalModel(table, 3.6, (120.0,) * 24, (("TV", (1.0 / 120.0,) * 24),), ())
+    profile = LoadProfile((datetime(2016, 1, 1),), (1.0,), Granularity.HOURLY)
+    model = SeasonalModel(table, (("TV", (1.0 / 120.0,) * 24),), ())
     return (
         ApplianceSpec(**spec._asdict()),
         Catalog(specs=(spec,)),
@@ -82,7 +82,6 @@ def _records():
                              relative_gap=0.0, adjusted_table=table),
         model,
         HourlyAttribution(by_activity={"TV": (1.0,)}, measured=profile, model=model),
-        SynthesizedDay(per_activity={"TV": (5.0,) * 24}),
         OccupancyCurve(weights=(1.0 / 24.0,) * 24),
         profile,
     )
@@ -274,3 +273,27 @@ def test_every_definition_in_the_library_has_a_caller_outside_the_tests():
                         if not (name.startswith("__") and name.endswith("__"))]
     unused = [f"{module}: {name}" for module, name in defined if name not in used]
     assert not unused, unused
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    """A field that no computation reads is a copy kept for nobody: each record holds only what its readers use.
+
+    The records are the ``NamedTuple`` and ``_Frozen`` classes of ``src/loadcomp/``, and their fields the names
+    annotated in the class body. A field is read when ``src/`` or ``bench/`` loads it as an attribute. A field that
+    shares its name with another read attribute, such as a property of another type, looks read here.
+    """
+    fields, read = [], set()
+    for path in (*SOURCES, *sorted((ROOT / "bench").glob("*.py"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+        if path in SOURCES:
+            fields += [
+                f"{path.stem}.{node.name}.{statement.target.id}"
+                for node in tree.body if isinstance(node, ast.ClassDef)
+                and {ast.unparse(base) for base in node.bases} & {"NamedTuple", "_Frozen"}
+                for statement in node.body if isinstance(statement, ast.AnnAssign)
+            ]
+    assert len(fields) > 20
+    unread = [field for field in fields if field.rpartition(".")[2] not in read]
+    assert not unread, unread

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from loadcomp import Season
 from loadcomp.profile import (
+    MIN_POWER_KW,
     Granularity,
     LoadProfile,
     ProfileError,
@@ -25,7 +26,7 @@ from loadcomp.profile import (
     peak_average_ratio,
     seasonal_split,
 )
-from conftest import DAY_CURVE_KW, hourly_day, monthly_profile, profile_of
+from conftest import DAY_CURVE_KW, hourly_day, monthly_profile, power_kw, profile_of
 
 
 def day_csv(powers, day="2016-06-01"):
@@ -40,13 +41,9 @@ def monthly_csv(values, year=2016):
     return "\n".join(lines) + "\n"
 
 
-# strictly positive somewhere, non-negative everywhere; no subnormals so
-# that scaling by k cannot underflow the peak to zero
-power_lists = st.lists(
-    st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_subnormal=False),
-    min_size=1,
-    max_size=48,
-).filter(lambda ps: max(ps) > 0)
+# strictly positive somewhere; a non-zero power is at least 1e6 times the floor, so that scaling by k >= 1e-6, or
+# dividing by a peak of at most 1e4, leaves a valid power
+power_lists = st.lists(power_kw(1e4, floor=1e6 * MIN_POWER_KW), min_size=1, max_size=48).filter(lambda ps: max(ps) > 0)
 
 
 class TestParseProfile:
@@ -378,10 +375,10 @@ class TestMonthlyGrowth:
         profile = monthly_profile({1: 50.0, 2: 0.0, 3: 100.0})
         assert monthly_growth(profile) == ([0, 0], [1, 2], [-100.0, 100.0])
 
-    @given(powers=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1e9)), min_size=1, max_size=30),
+    @given(powers=st.lists(st.sampled_from([0.0, -0.0]) | power_kw(1e9), min_size=1, max_size=30),
            granularity=st.sampled_from([Granularity.MONTHLY_AVERAGE, Granularity.MONTHLY_PEAK]))
     @example(powers=[7.0], granularity=Granularity.MONTHLY_AVERAGE)
-    @example(powers=[0.0, 3.0, -0.0, 5e-324, 1e9], granularity=Granularity.MONTHLY_PEAK)
+    @example(powers=[0.0, 3.0, -0.0, MIN_POWER_KW, 1e9], granularity=Granularity.MONTHLY_PEAK)
     def test_columns_are_the_pairwise_definition(self, powers, granularity):
         stamps = [datetime(2016 + m // 12, m % 12 + 1, 1) for m in range(len(powers))]
         froms, tos, pcts = monthly_growth(LoadProfile(stamps, powers, granularity))
@@ -405,10 +402,7 @@ class TestSeasonalSplit:
         assert split[Season.SUMMER].timestamps == day_profile.timestamps
         assert split[Season.SUMMER].powers == day_profile.powers
 
-    @given(
-        powers=st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=30),
-        start_month=st.integers(1, 12),
-    )
+    @given(powers=st.lists(power_kw(100.0), min_size=1, max_size=30), start_month=st.integers(1, 12))
     def test_partition_preserves_all_samples(self, powers, start_month):
         start = datetime(2016, start_month, 1)
         samples = tuple((start + timedelta(days=31 * i), p) for i, p in enumerate(powers))
@@ -418,19 +412,19 @@ class TestSeasonalSplit:
         assert merged == sorted(samples)
 
     @given(
-        powers=st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=30),
+        powers=st.lists(power_kw(100.0), min_size=1, max_size=30),
         start_month=st.integers(1, 12),
         granularity=st.sampled_from(list(Granularity)),
     )
     def test_each_half_is_the_checked_profile_of_its_samples(self, powers, start_month, granularity):
         """The halves are not checked again; each must still be what the constructor builds from its columns."""
         start = datetime(2016, start_month, 1)
-        profile = profile_of([(start + timedelta(days=31 * i), p) for i, p in enumerate(powers)], granularity, "x")
+        profile = profile_of([(start + timedelta(days=31 * i), p) for i, p in enumerate(powers)], granularity)
         for part in seasonal_split(profile).values():
-            checked = LoadProfile(part.timestamps, part.powers, granularity, "x")
+            checked = LoadProfile(part.timestamps, part.powers, granularity)
             assert type(part) is LoadProfile and vars(part) == vars(checked)
             with pytest.raises(AttributeError):
-                part.label = "y"
+                part.peak_kw = 0.0
 
 
 @st.composite
@@ -550,7 +544,7 @@ class TestDailyExtrema:
 
 
 class TestMeanKw:
-    @given(powers=st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=48))
+    @given(powers=st.lists(power_kw(1e9), min_size=1, max_size=48))
     def test_is_statistics_fmean_bit_for_bit(self, powers):
         assert hourly_day(powers).mean_kw.hex() == statistics.fmean(powers).hex()
 
@@ -566,7 +560,8 @@ class NoOffset(tzinfo):
         return None
 
 
-_SPECIAL_POWERS = [math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0, 0.0, 1e9, math.nextafter(1e9, math.inf), 2e9]
+_SPECIAL_POWERS = [math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, math.nextafter(1e-6, 0.0), 1e-6,
+                   math.nextafter(1e-6, 1.0), 1e9, math.nextafter(1e9, math.inf), 2e9]
 _ZONES = [timezone.utc, timezone(timedelta(hours=2)), NoOffset()]
 
 
@@ -581,6 +576,8 @@ def sample_rules(timestamps, powers, granularity):
             return f"row {rownum}: negative power {power}"
         if power > 1e9:
             return f"row {rownum}: power {power} exceeds 1e+09 kW"
+        if 0 < power < 1e-6:
+            return f"row {rownum}: power must be 0 or >= 1e-06 kW (got {power})"
         naive = ts.utcoffset() is None
         if previous is not None and naive != previous_naive:
             return f"row {rownum}: cannot mix naive and offset-aware timestamps"
@@ -599,7 +596,7 @@ def sample_columns(draw):
     """Columns of a valid series, hourly or one per month, with a few samples changed to break or bend a rule."""
     size, step = draw(st.integers(0, 30)), draw(st.sampled_from([timedelta(hours=1), timedelta(days=31)]))
     timestamps = [datetime(2016, 1, 1) + i * step for i in range(size)]
-    powers = draw(st.lists(st.floats(0, 1e4), min_size=size, max_size=size))
+    powers = draw(st.lists(power_kw(1e4), min_size=size, max_size=size))
     if draw(st.integers(0, 3)) == 0:  # an aware series: each stamp in one of the zones
         timestamps = [ts.replace(tzinfo=draw(st.sampled_from(_ZONES))) for ts in timestamps]
     for _ in range(draw(st.integers(0, 3)) if size else 0):
@@ -648,6 +645,29 @@ class TestSampleCheckEquivalence:
         else:
             assert sample_rules(timestamps, powers, granularity) is None
             assert (profile.timestamps, profile.powers) == (tuple(timestamps), tuple(powers))
+
+
+# powers just below, at and just above the floor, among zeros of either sign and ordinary powers
+_NEAR_FLOOR = st.floats(0.0, 2e-6) | st.sampled_from(
+    [0.0, -0.0, 5e-324, math.nextafter(1e-6, 0.0), 1e-6, math.nextafter(1e-6, 1.0), 1.0])
+
+
+class TestPowerFloor:
+    @settings(max_examples=200)
+    @given(powers=st.lists(_NEAR_FLOOR, max_size=30), granularity=st.sampled_from(list(Granularity)))
+    @example(powers=[1.0] * 23 + [5e-324], granularity=Granularity.HOURLY)
+    @example(powers=[5e-324] * 24, granularity=Granularity.HOURLY)
+    @example(powers=[0.0, -0.0, 1e-6, 0.0], granularity=Granularity.MONTHLY_AVERAGE)
+    def test_the_column_test_refuses_what_the_row_walk_refuses(self, powers, granularity):
+        """Each power is 0 or at least 1e-6 kW: the column test's ``min`` and the row walk agree on every series."""
+        timestamps = [datetime(2016, 1, 1) + i * timedelta(days=31) for i in range(len(powers))]  # one per month
+        expected = sample_rules(timestamps, powers, granularity)
+        try:
+            profile = LoadProfile(timestamps, powers, granularity)
+        except ProfileError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None and profile.powers == tuple(powers)
 
 
 class TestLoadProfileInvariants:

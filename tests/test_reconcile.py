@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loadcomp import Season, builtin_catalog, composition_shares, reconcile, seasonal_table
+from loadcomp import Season, builtin_catalog, composition_shares, profile, reconcile, seasonal_table
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
-from loadcomp.profile import Granularity
+from loadcomp.profile import MIN_POWER_KW, Granularity
 from loadcomp.reconcile import (
     GAP_WARNING_THRESHOLD,
     ReconcileError,
@@ -20,14 +20,15 @@ from loadcomp.reconcile import (
     scale_to_measured,
     seasonal_model,
 )
-from loadcomp.synth import DEFAULT_OCCUPANCY_RAW, OccupancyCurve, default_occupancy, synth_household_day
-from conftest import DAY_CURVE_KW, catalogs, hourly_day, left_to_right_sum, monthly_profile, profile_of
+from loadcomp.synth import (
+    DEFAULT_OCCUPANCY_RAW, OccupancyCurve, default_occupancy, household_total, synth_household_day,
+)
+from conftest import DAY_CURVE_KW, catalogs, hourly_day, left_to_right_sum, monthly_profile, power_kw, profile_of
 
 JUNE1 = datetime(2016, 6, 1)
 
-power_days = st.lists(
-    st.floats(min_value=0.0, max_value=1e3, allow_nan=False), min_size=24, max_size=24
-)
+# a non-zero power is at least 1e3 times the floor, so that scaling by k >= 1e-3 leaves a valid power
+power_days = st.lists(power_kw(1e3, floor=1e3 * MIN_POWER_KW), min_size=24, max_size=24)
 
 
 def attribute(measured, catalog, season, occupancy=default_occupancy()):
@@ -42,7 +43,7 @@ def scale(measured, catalog, season, days_per_month=30):
 
 def synth_as_measured(catalog, season, day=JUNE1):
     """The synthesized household total, replayed as a measured day in kW."""
-    total = synth_household_day(seasonal_table(catalog, season), default_occupancy()).household_total
+    total = household_total(synth_household_day(seasonal_table(catalog, season), default_occupancy()))
     return hourly_day([wh / 1000.0 for wh in total], day=day)
 
 
@@ -134,8 +135,12 @@ class TestScaleToMeasured:
         with pytest.raises(ReconcileError, match="zero bottom-up"):
             scale(hourly_day([0.0] * 24), dead, Season.WINTER)
 
-    def test_a_ratio_that_overflows_is_rejected(self):
-        """The smallest normal kW against 24 h of 10⁶ units at 10⁷ W: the relative gap is infinite."""
+    def test_a_ratio_that_overflows_is_rejected(self, monkeypatch):
+        """The smallest normal kW against 24 h of 10⁶ units at 10⁷ W: the relative gap is infinite.
+
+        That kW is below the power floor, which no ratio of valid inputs overflows; the floor is lifted here.
+        """
+        monkeypatch.setattr(profile, "MIN_POWER_KW", 0.0)
         spec = one_manual_device().specs[0]._replace(tou_winter=24.0, units_winter=10**6, run_watts=1e7)
         with pytest.raises(ReconcileError, match="not a finite number"):
             scale(hourly_day([2.2250738585072014e-308] * 24), Catalog(specs=(spec,)), Season.WINTER)
@@ -165,7 +170,7 @@ class TestDisaggregate:
         day = synth_household_day(seasonal_table(paper_catalog, Season.SUMMER), default_occupancy())
         measured = synth_as_measured(paper_catalog, Season.SUMMER)
         attribution = attribute(measured, paper_catalog, Season.SUMMER)
-        for activity, series in day.per_activity.items():
+        for activity, series in day.items():
             for got_kw, want_wh in zip(attribution.by_activity[activity], series):
                 assert got_kw == pytest.approx(want_wh / 1000.0, rel=1e-9, abs=1e-15)
 
@@ -235,7 +240,7 @@ class TestDisaggregate:
         season = Season.SUMMER
         table = seasonal_table(catalog, season)
         day = synth_household_day(table, default_occupancy())
-        assume(all(t > 0 for t in day.household_total) or max(powers) == 0)
+        assume(all(t > 0 for t in household_total(day)) or max(powers) == 0)
         measured = hourly_day(powers)
         if table.monthly_total_kwh <= 0:
             with pytest.raises(ReconcileError, match="^zero bottom-up total$"):
@@ -302,13 +307,14 @@ class TestSeasonalModel:
 
     def test_the_model_records_its_hours_of_no_total(self):
         catalog = one_manual_device()
-        model = seasonal_model(catalog, Season.SUMMER, 30, OccupancyCurve.from_values([0.0] * 5 + [1.0] * 19))
-        assert model.empty_hours == tuple(hour for hour, total in enumerate(model.totals) if total <= 0)
+        occupancy = OccupancyCurve.from_values([0.0] * 5 + [1.0] * 19)
+        model = seasonal_model(catalog, Season.SUMMER, 30, occupancy)
+        totals = household_total(synth_household_day(model.table, occupancy))
+        assert model.empty_hours == tuple(hour for hour, total in enumerate(totals) if total <= 0)
         assert model.empty_hours == (0, 1, 2, 3, 4)
 
     def test_the_model_holds_only_tuples(self):
         model = seasonal_model(builtin_catalog(), Season.SUMMER, 30, default_occupancy())
-        assert type(model.totals) is tuple and len(model.totals) == 24
         assert type(model.weights) is tuple
         assert all(type(pair) is tuple and type(pair[1]) is tuple for pair in model.weights)
         table = model.table
@@ -336,7 +342,7 @@ class TestCompositionFromAttribution:
     def test_shares_sum_to_100(self, catalog, powers):
         season = Season.WINTER
         day = synth_household_day(seasonal_table(catalog, season), default_occupancy())
-        assume(all(t > 0 for t in day.household_total))
+        assume(all(t > 0 for t in household_total(day)))
         assume(max(powers) > 0)
         attribution = attribute(hourly_day(powers), catalog, season)
         shares = composition_from_attribution(attribution)

@@ -12,6 +12,7 @@ from loadcomp.synth import (
     OccupancyCurve,
     OccupancyError,
     default_occupancy,
+    household_total,
     load_occupancy,
     shape_for,
     synth_household_day,
@@ -149,32 +150,32 @@ class TestSynthHouseholdDay:
             day = default_day(paper_catalog, season)
             for spec in paper_catalog:
                 expected = household_device_energy(spec, season)
-                assert sum(day.per_activity[spec.activity]) == pytest.approx(
+                assert sum(day[spec.activity]) == pytest.approx(
                     expected, rel=1e-9, abs=1e-9
                 )
 
     def test_summer_total_matches_table(self, paper_catalog):
         day = default_day(paper_catalog, Season.SUMMER)
-        assert day.daily_total_wh == pytest.approx(SUMMER_DAILY_WH, abs=1e-6)
+        assert sum(map(sum, day.values())) == pytest.approx(SUMMER_DAILY_WH, abs=1e-6)
 
     def test_single_auto_device_spreads_uniformly(self):
         catalog = Catalog(specs=(auto_device(watts=100.0, tou=24.0),))  # 2400 Wh/day
         day = default_day(catalog, Season.SUMMER)
-        assert day.per_activity["Fridge"] == (pytest.approx(100.0),) * 24
+        assert day["Fridge"] == (pytest.approx(100.0),) * 24
 
     def test_zero_tou_catalog_is_all_zero(self):
         catalog = Catalog(specs=(auto_device(tou=0.0),))
         day = default_day(catalog, Season.WINTER)
-        assert day.household_total == (0.0,) * 24
+        assert household_total(day) == (0.0,) * 24
 
     def test_default_curve_total_peaks_at_15_and_dips_at_6(self, paper_catalog):
-        total = default_day(paper_catalog, Season.SUMMER).household_total
+        total = household_total(default_day(paper_catalog, Season.SUMMER))
         assert total.index(max(total)) == 15
         assert total.index(min(total)) == 6
 
     def test_activities_keep_catalog_order(self, paper_catalog):
         day = default_day(paper_catalog, Season.WINTER)
-        assert list(day.per_activity) == [spec.activity for spec in paper_catalog]
+        assert list(day) == [spec.activity for spec in paper_catalog]
 
     def test_one_shape_per_operation_class(self, paper_catalog, monkeypatch):
         operations = []
@@ -195,7 +196,7 @@ class TestSynthHouseholdDay:
         for spec in catalog:
             energy = household_device_energy(spec, season)
             expected = tuple(energy * w for w in shapes[spec.operation])
-            assert list(map(repr, day.per_activity[spec.activity])) == list(map(repr, expected))
-        expected = tuple(left_to_right_sum(series[hour] for series in day.per_activity.values()) for hour in range(24))
-        assert day.household_total == expected
-        assert list(map(repr, day.household_total)) == list(map(repr, expected))  # -0.0 and 0.0 differ here
+            assert list(map(repr, day[spec.activity])) == list(map(repr, expected))
+        expected = tuple(left_to_right_sum(series[hour] for series in day.values()) for hour in range(24))
+        assert household_total(day) == expected
+        assert list(map(repr, household_total(day))) == list(map(repr, expected))  # -0.0 and 0.0 differ here
