@@ -291,8 +291,16 @@ def table_json(table: SeasonalConsumptionTable, shares: dict[str, float]) -> dic
 
 
 def pie_data(shares: dict[str, float], integer_percent: bool = False) -> Rows:
-    """Pie-chart-ready rows of label and percent; integer rounding is presentation only."""
-    percents = [int(render_value(share, 0)) for share in shares.values()] if integer_percent else [*shares.values()]
+    """Pie-chart-ready rows of label and percent; integer rounding is presentation only.
+
+    Integer percents sum to 100 by the largest-remainder method: each share's floor, and then one more for each of the
+    largest remainders, ties in catalog order."""
+    percents = [*shares.values()]
+    if integer_percent:
+        whole = [*map(math.floor, percents)]
+        for i in sorted(range(len(whole)), key=lambda i: whole[i] - percents[i])[:100 - sum(whole)]:  # a stable sort
+            whole[i] += 1
+        percents = whole
     return Rows(label=[*shares], percent=percents)
 
 

@@ -17,14 +17,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loadcomp import Season, builtin_catalog, cli, composition_shares, profile, reconcile, seasonal_table
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass, load_catalog
-from loadcomp.cli import main, render_value
+from loadcomp.cli import main, pie_data, render_value
 from loadcomp.synth import default_occupancy, household_total, synth_household_day
-from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, csv_table, serialize_catalog
+from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, catalogs, csv_table, serialize_catalog
 
 
 def run(capsys, *argv):
@@ -131,6 +131,18 @@ class TestComposition:
         pie = json.loads(out)["seasons"]["summer"]["pie"]
         ac = next(p for p in pie if p["label"] == "Air conditioning")
         assert code == 0 and ac["percent"] == 62
+
+    @given(catalogs(max_size=20), st.sampled_from(Season))
+    def test_the_integer_pie_sums_to_100_and_each_cell_is_within_1_of_its_share(self, catalog, season):
+        table = seasonal_table(catalog, season)
+        assume(table.daily_total_wh > 0)
+        shares = composition_shares(table)
+        percents = pie_data(shares, integer_percent=True)["percent"]
+        assert sum(percents) == 100 and all(type(percent) is int for percent in percents)
+        assert all(abs(percent - share) < 1 for percent, share in zip(percents, shares.values(), strict=True))
+
+    def test_the_integer_pie_gives_a_tied_remainder_to_the_earlier_activity(self):
+        assert pie_data({"b": 20.5, "a": 20.5, "c": 59.0}, integer_percent=True)["percent"] == [21, 20, 59]
 
     def test_out_writes_payload_and_sidecar(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
