@@ -56,6 +56,7 @@ _CELL = {str: _quote, int: repr, float: repr,  # scalars written as json.dumps w
 
 @functools.cache  # one shared parser per process: parse_args leaves it unchanged, so callers must too
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``_COMMANDS``, for the argvs that ``_parse`` does not read itself: help, usage and errors."""
     parser = argparse.ArgumentParser(
         prog="loadcomp",
         description="Residential load composition: bottom-up appliance model, "
@@ -63,59 +64,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"loadcomp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    shared = {
-        "--format": dict(choices=("csv", "json"), default="json", help="payload format"),
-        "--out": dict(type=Path, default=None, help="write payload here instead of stdout"),
-        "--days-per-month": dict(type=int, default=30, help="days per month for monthly totals"),
-        "--occupancy": dict(type=Path, default=None, help="24-value occupancy curve file"),
-    }
-
-    def add_command(name: str, handler, help: str, *flags: str, catalog: bool = True) -> argparse.ArgumentParser:
-        """Add a subcommand with the shared ``flags`` its handler reads."""
+    for name, (handler, help, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler, command=name)  # the name, as the whole parse sets it
-        for flag in flags:
-            p.add_argument(flag, **shared[flag])
-        if catalog:
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--catalog", type=Path, help="appliance catalog file (.csv or .json)")
-            group.add_argument("--builtin-paper", action="store_true", help="use the built-in 15-activity catalog")
-        return p
-
-    p = add_command("composition", cmd_composition, "seasonal consumption table and shares",
-                    "--format", "--out", "--days-per-month")
-    p.add_argument("--season", choices=("winter", "summer", "both"), default="both")
-    p.add_argument("--integer-shares", action="store_true", help="round pie percentages to integers")
-
-    p = add_command("profile-stats", cmd_profile_stats, "normalized series and summary statistics",
-                    "--format", "--out", catalog=False)
-    p.add_argument("--profile", type=Path, required=True, help="load profile CSV (timestamp,power_kw)")
-    p.add_argument("--granularity", choices=[g.value for g in Granularity], default=None,
-                   help="override the inferred sampling granularity")
-
-    p = add_command("reconcile", cmd_reconcile, "scale the model to a measured day and attribute hours",
-                    "--format", "--out", "--days-per-month", "--occupancy")
-    p.add_argument("--profile", type=Path, required=True, help="measured one-day hourly CSV")
-    p.add_argument("--season", choices=("winter", "summer"), default=None,
-                   help="season (default: inferred from the measured day's month)")
-
-    p = add_command("synth", cmd_synth, "synthesized per-activity 24-hour energy series",
-                    "--format", "--out", "--occupancy")
-    p.add_argument("--season", choices=("winter", "summer"), required=True)
-
-    # validate always writes its verdict as JSON
-    add_command("validate", cmd_validate, "parse and validate a catalog", "--out")
-
-    parser.commands = sub.choices  # each subcommand's parser by its name, for main
+        group = p.add_mutually_exclusive_group(required=True) if "--catalog" in flags else p
+        for flag, spec in flags.items():
+            (group if flag in _CATALOG else p).add_argument(flag, **spec)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
     try:
-        args = _parse(parser, argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse prints its own message; remap usage errors to 1
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
@@ -132,17 +93,38 @@ def main(argv: list[str] | None = None) -> int:
     return status
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``; a subcommand's parser parses its flags itself, as the subparsers action would.
-
-    Leftover arguments, and ``--=...``, which the top-level parser finds ambiguous, go to the whole parse to report.
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read from ``_COMMANDS`` without a parser when ``argv`` is a subcommand and
+    its flags, each in full and once, with values that are not empty, do not start with ``-``, convert and are in their
+    choices, and the required flags are there. Any other argv goes to the parser, whose every message stays argparse's.
     """
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None and not any(arg.startswith("--=") for arg in argv):
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
+    handler, _, flags = _COMMANDS.get(argv[0] if argv else "", (None, None, {}))
+    tokens, values = iter(argv[1:]), {}
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        spec = flags.get(flag)
+        if spec is None or flag in values or eq and "action" in spec:
+            break
+        if "action" in spec:  # a bare store_true
+            values[flag] = True
+            continue
+        value = value if eq else next(tokens, "")
+        if value[:1] in ("", "-"):
+            break
+        try:
+            value = values[flag] = spec.get("type", str)(value)
+        except ValueError:
+            break
+        if value not in spec.get("choices", (value,)):
+            break
+    else:
+        if handler and all(flag in values for flag, spec in flags.items() if spec.get("required")) and (
+                "--catalog" not in flags or ("--catalog" in values) != ("--builtin-paper" in values)):
+            args = argparse.Namespace(command=argv[0], handler=handler)  # then every dest, as one dict update
+            vars(args).update({flag[2:].replace("-", "_"): values.get(flag, spec.get("default"))
+                               for flag, spec in flags.items()})
             return args
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def _emit(args, payload: str, argv: list[str]) -> None:
@@ -436,6 +418,34 @@ def cmd_validate(args) -> tuple[str, int]:
         return _json_payload(payload), 1
     payload = {"valid": True, "entries": len(catalog), "error": None}
     return _json_payload(payload), 0
+
+
+_FORMAT = {"--format": dict(choices=("csv", "json"), default="json", help="payload format")}
+_OUT = {"--out": dict(type=Path, default=None, help="write payload here instead of stdout")}
+_DAYS = {"--days-per-month": dict(type=int, default=30, help="days per month for monthly totals")}
+_OCCUPANCY = {"--occupancy": dict(type=Path, default=None, help="24-value occupancy curve file")}
+_CATALOG = {  # exactly one of the two
+    "--catalog": dict(type=Path, help="appliance catalog file (.csv or .json)"),
+    "--builtin-paper": dict(action="store_true", default=False, help="use the built-in 15-activity catalog"),
+}
+# each subcommand's handler, help and flags, in usage order, each flag as ``add_argument`` takes it
+_COMMANDS = {
+    "composition": (cmd_composition, "seasonal consumption table and shares", {
+        **_FORMAT, **_OUT, **_DAYS, **_CATALOG, "--season": dict(choices=("winter", "summer", "both"), default="both"),
+        "--integer-shares": dict(action="store_true", default=False, help="round pie percentages to integers")}),
+    "profile-stats": (cmd_profile_stats, "normalized series and summary statistics", {
+        **_FORMAT, **_OUT, "--profile": dict(type=Path, required=True, help="load profile CSV (timestamp,power_kw)"),
+        "--granularity": dict(choices=[g.value for g in Granularity], default=None,
+                              help="override the inferred sampling granularity")}),
+    "reconcile": (cmd_reconcile, "scale the model to a measured day and attribute hours", {
+        **_FORMAT, **_OUT, **_DAYS, **_OCCUPANCY, **_CATALOG,
+        "--profile": dict(type=Path, required=True, help="measured one-day hourly CSV"),
+        "--season": dict(choices=("winter", "summer"), default=None,
+                         help="season (default: inferred from the measured day's month)")}),
+    "synth": (cmd_synth, "synthesized per-activity 24-hour energy series", {
+        **_FORMAT, **_OUT, **_OCCUPANCY, **_CATALOG, "--season": dict(choices=("winter", "summer"), required=True)}),
+    "validate": (cmd_validate, "parse and validate a catalog", {**_OUT, **_CATALOG}),  # its verdict is always JSON
+}
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ def test_calls_leave_no_cyclic_garbage(capsys, tmp_path):
         ["synth", "--builtin-paper", "--season", "winter"],
         ["validate", "--builtin-paper"],
     ]
-    codes = [main(argv) for argv in argvs]  # the first call in a process builds the parser, which argparse leaves cyclic
+    codes = [main(argv) for argv in argvs]  # the first calls fill the built-in catalog and the model memo
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -837,9 +837,58 @@ _ARGVS = st.builds(lambda head, tokens: [head, *tokens],
                                     "bogus", "--version", "-h", "--", ""]),
                    st.lists(_TOKENS, max_size=7))
 
+_SOURCES = {"--catalog": ["catalog.csv", "missing.csv"], "--builtin-paper": None}  # None: a store_true
+_OPTIONAL = {"--format": ["csv", "json"], "--out": ["out.json", "catalog.csv"], "--days-per-month": ["30", "28", "0"],
+             "--occupancy": ["occupancy.csv"], "--integer-shares": None, "--granularity": ["hourly", "monthly-peak"]}
+# each subcommand's required flags, its optional ones and its catalog flags, with values that argparse takes
+_WELL_FORMED = {
+    "composition": ({}, {"--season": ["winter", "summer", "both"], **_OPTIONAL}, _SOURCES),
+    "profile-stats": ({"--profile": ["winter_day.csv", "monthly36.csv"]}, _OPTIONAL, {}),
+    "reconcile": ({"--profile": ["winter_day.csv", "monthly36.csv"]}, {"--season": ["winter", "summer"], **_OPTIONAL},
+                  _SOURCES),
+    "synth": ({"--season": ["winter", "summer"]}, _OPTIONAL, _SOURCES),
+    "validate": ({}, _OPTIONAL, _SOURCES),
+}
+_COMMAND_FLAGS = {  # the flags that each subcommand has
+    "composition": {"--format", "--out", "--days-per-month", "--season", "--integer-shares"},
+    "profile-stats": {"--format", "--out", "--profile", "--granularity"},
+    "reconcile": {"--format", "--out", "--days-per-month", "--occupancy", "--profile", "--season"},
+    "synth": {"--format", "--out", "--occupancy", "--season"},
+    "validate": {"--out"},
+}
+
+
+@st.composite
+def well_formed_argvs(draw):
+    """An argv that the flag table reads: a subcommand, its required flags and one catalog source, some of its optional
+    flags, in any order and in both value forms; one time in three with one mutation, which may send it to argparse."""
+    command = draw(st.sampled_from(sorted(_WELL_FORMED)))
+    required, optional, sources = _WELL_FORMED[command]
+    optional = {flag: values for flag, values in optional.items() if flag in _COMMAND_FLAGS[command]}
+    flags = {**required, **dict([draw(st.sampled_from(sorted(sources.items())))] if sources else [])}
+    flags.update(draw(st.lists(st.sampled_from(sorted(optional.items())), unique_by=lambda item: item[0])))
+    tokens = []
+    for flag in draw(st.permutations(sorted(flags))):
+        if flags[flag] is None:
+            tokens.append(flag)
+        else:
+            value = draw(st.sampled_from(flags[flag]))
+            tokens += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    at = draw(st.integers(0, len(tokens)))
+    mutation = draw(st.sampled_from(["none", "none", "drop", "repeat", "insert", "abbreviate"]))
+    if mutation == "insert" or mutation != "none" and at == len(tokens):
+        tokens.insert(at, draw(_TOKENS))
+    elif mutation == "drop":
+        del tokens[at]
+    elif mutation == "repeat":
+        tokens.insert(at, tokens[at])
+    elif mutation == "abbreviate":
+        tokens[at] = tokens[at][:-1]
+    return [command, *tokens]
+
 
 class TestSubcommandParse:
-    """``main`` parses a subcommand's flags with that subcommand's parser, as the whole parse would."""
+    """``main`` reads a well-formed argv from the flag table, and hands any other to the parser, as the whole parse."""
 
     @staticmethod
     def outcome(call, *args):
@@ -855,8 +904,8 @@ class TestSubcommandParse:
                     result = ("exit", exc.code)
         return result, out.getvalue(), err.getvalue()
 
-    @settings(max_examples=150, deadline=None)
-    @given(_ARGVS)
+    @settings(max_examples=250, deadline=None)
+    @given(st.one_of(_ARGVS, well_formed_argvs()))
     @example(["validate", "--catalog", "catalog.csv", "--format", "csv"])  # a golden usage error
     @example(["reconcile", "--builtin-paper", "--profile", "winter_day.csv", "--version"])
     @example(["reconcile", "--builtin-paper", "--prof", "winter_day.csv", "--ver"])
@@ -867,12 +916,24 @@ class TestSubcommandParse:
     @example(["reconcile", "--profile", "winter_day.csv", "--builtin-paper", "-h"])
     @example(["validate", "--catalog", "catalog.csv", "--out", "catalog.csv"])  # each call writes its own folder
     @example([])
+    @example(["reconcile", "--builtin-paper", "--profile", "winter_day.csv", "--format=csv", "--days-per-month=28",
+              "--occupancy", "occupancy.csv", "--season=summer", "--out", "out.json"])  # every reconcile flag
+    @example(["composition", "--builtin-paper=x"])  # a store_true with a value
+    @example(["composition", "--builtin-paper", "--builtin-paper"])  # a repeated store_true
+    @example(["composition", "--builtin-paper", "--format="])  # an empty value
+    @example(["composition", "--builtin-paper", "--days-per-month", "-1"])  # a value that starts with "-"
+    @example(["validate", "--builtin-paper", "--out", "-"])
+    @example(["profile-stats", "--profile", ""])
+    @example(["synth", "--season", "winter", "--catalog", "catalog.csv", "--builtin-paper"])  # both catalog sources
+    @example(["synth", "--season", "winter"])  # neither of them
+    @example(["reconcile", "--builtin-paper"])  # a missing --profile
+    @example(["composition", "--builtin-paper", "--days-per-month", "x"])  # an int that does not convert
     def test_the_subcommand_parse_is_the_whole_parse(self, argv):
         parser = cli.build_parser()
         with mock.patch.dict("os.environ", {"COLUMNS": "80"}):
-            assert self.outcome(cli._parse, parser, argv) == self.outcome(parser.parse_args, argv)
+            assert self.outcome(cli._parse, argv) == self.outcome(parser.parse_args, argv)
             whole = self.outcome(main, argv)
-            with mock.patch.object(cli, "_parse", lambda parser, argv: parser.parse_args(argv)):
+            with mock.patch.object(cli, "_parse", lambda argv: parser.parse_args(argv)):
                 assert self.outcome(main, argv) == whole
 
 

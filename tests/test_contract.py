@@ -144,6 +144,26 @@ def test_the_cli_builds_its_parser_once_per_process():
     assert cli.build_parser() is cli.build_parser()
 
 
+_FRESH_CALL = """
+import contextlib, io, sys
+from loadcomp import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, cli.build_parser.cache_info().misses, *sorted({"shutil", "locale"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["reconcile", "--builtin-paper", "--profile", "winter_day.csv"], ["0", "0"]),  # the flag table, no parser
+    (["composition", "--format", "csv"], ["1", "1", "locale", "shutil"]),  # a usage error builds it
+])
+def test_a_fresh_process_builds_the_parser_only_for_help_usage_and_errors(argv, expected):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-S", "-c", _FRESH_CALL, *argv], env=env, capture_output=True, text=True,
+                            check=True, timeout=60, cwd=ROOT / "tests" / "golden" / "inputs")
+    assert result.stdout.split() == expected
+
+
 def test_the_builtin_catalog_is_built_once_per_process():
     """The built-in catalog is constant and immutable, so every caller shares one."""
     assert builtin_catalog() is builtin_catalog()
