@@ -14,13 +14,12 @@ import math
 import shlex
 import sys
 from datetime import datetime, timezone
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii as _quote
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__, reconcile
-from ._sourceio import ColumnLengthError, csv_text, float_texts, interleave
+from ._sourceio import PayloadError, Rows, csv_text, json_text, render_value
 from .catalog import Catalog, CatalogError, Season, builtin_catalog, load_catalog
 from .composition import CompositionError, SeasonalConsumptionTable, composition_shares, ordered_sum, seasonal_table
 from .profile import (
@@ -37,21 +36,7 @@ from .reconcile import ReconcileError, composition_from_attribution, disaggregat
 from .synth import OccupancyError, default_occupancy, household_total, load_occupancy, synth_household_day
 
 
-class PayloadError(ValueError):
-    """A result cannot be written as strict JSON: it is NaN or infinite."""
-
-
-class Rows(dict):
-    """A list of same-key dicts given as its columns: row ``i`` is ``{key: column[i] for key, column in items()}``.
-
-    A column is a sequence, or a ``Rows`` whose rows are the column's dicts. ``_json_payload`` writes
-    a ``Rows`` as that list wherever it is, and ``csv_text`` writes its keys as the header and then its rows.
-    """
-
-
 _INPUT_ERRORS = (CatalogError, CompositionError, ProfileError, ReconcileError, OccupancyError, PayloadError)
-_CELL = {str: _quote, int: repr, float: repr,  # scalars written as json.dumps writes them
-         bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
 
 
 @functools.cache  # one shared parser per process: parse_args leaves it unchanged, so callers must too
@@ -132,95 +117,9 @@ def _emit(args, payload: str, argv: list[str]) -> None:
         sys.stdout.write(payload)
         return
     args.out.write_text(payload, encoding="utf-8")
-    sidecar = {
-        "tool": "loadcomp",
-        "version": __version__,
-        "command": shlex.join(argv),
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    Path(str(args.out) + ".meta.json").write_text(_json_payload(sidecar), encoding="utf-8")
-
-
-def _json_payload(obj: dict) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"`` with each :class:`Rows` written as its list, refusing NaN and infinities.
-
-    The indenting encoder is pure Python. Here the rows of a ``Rows`` are one :func:`interleave` of its columns'
-    texts, and a list of cells of one type is converted in one pass.
-    """
-    try:
-        return _text(obj, "\n") + "\n"
-    except ColumnLengthError:  # a Rows built wrong: no input value is at fault
-        raise
-    except ValueError:  # a NaN or an infinity, or an int with more digits than str() writes
-        raise PayloadError("a result is not a finite number; an input value is out of range") from None
-
-
-def _text(value, indent: str) -> str:
-    """``value`` as json.dumps writes it, ``indent`` starting each later line.
-
-    Each text is built by one f-string, which copies a long item once; a chain of ``+`` would copy it at each step.
-    """
-    inner = indent + "  "
-    if type(value) is dict:  # one key at a time
-        items = (f"{inner}{_key(key)}: {_text(item, inner)}" for key, item in value.items())
-        return f"{{{','.join(items)}{indent}}}" if value else "{}"
-    if type(value) is Rows:
-        rows = interleave(*_row_columns(value, inner), "," + inner)
-        return f"[{inner}{rows}{indent}]" if rows else "[]"
-    if type(value) in (list, tuple):  # one item on each line
-        items = _texts(value, _kind(value), inner)
-        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
-    if type(value) is float and not -math.inf < value < math.inf:
-        raise ValueError(value)
-    return _CELL[type(value)](value)
-
-
-def _key(key) -> str:
-    """An object key as json.dumps writes it: a str quoted, an int, float, bool or None written and then quoted."""
-    return _quote(key) if type(key) is str else _quote(_text(key, ""))
-
-
-def _kind(values) -> type | None:
-    """The one type of all of ``values``, or None; a float column must be finite."""
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    # a finite sum has finite terms; a sum of finite terms can overflow, so only then is each term checked
-    if kind is float and not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-        raise ValueError(values)
-    return kind
-
-
-def _texts(values, kind: type | None, indent: str) -> Sequence[str]:
-    """The texts of ``values``, whose one type is ``kind`` (None for several), ``indent`` starting each later line."""
-    if kind is float:
-        return float_texts(values)
-    return [*map(_CELL[kind], values)] if kind in _CELL else [*map(_text, values, repeat(indent))]
-
-
-def _row_columns(rows: Rows, indent: str) -> tuple[list[str], list]:
-    """The pieces of every row of ``rows``, ``indent`` starting its last line, and the text columns between them.
-
-    Each key's text joins the last piece, and a nested ``Rows`` splices its own pieces in; a str column that ``_quote``
-    would only put in quotes is used as it is, between pieces that hold the quotes."""
-    inner = indent + "  "
-    pieces, columns, separator = ["{"], [], ""
-    for key, column in rows.items():
-        if type(column) is Rows:
-            (first, *rest), texts = _row_columns(column, inner)
-        else:
-            quote = '"' if (kind := _kind(column)) is str and _quotes_only("".join(column)) else ""
-            (first, *rest), texts = (quote, quote), [column if quote else _texts(column, kind, inner)]
-        pieces[-1] += f"{separator}{inner}{_key(key)}: {first}"
-        pieces += rest
-        columns += texts
-        separator = ","
-    pieces[-1] += indent + "}" if rows else "}"  # no key: "{}", as json.dumps writes an empty object
-    return pieces, columns
-
-
-def _quotes_only(text: str) -> bool:
-    """True if ``_quote(text)`` is ``text`` in quotes: it is printable ASCII without ``"`` or ``\\``."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+    sidecar = {"tool": "loadcomp", "version": __version__, "command": shlex.join(argv),
+               "created_utc": datetime.now(timezone.utc).isoformat()}
+    Path(str(args.out) + ".meta.json").write_text(json_text(sidecar), encoding="utf-8")
 
 
 def _get_catalog(args) -> Catalog:
@@ -229,23 +128,6 @@ def _get_catalog(args) -> Catalog:
 
 def _get_occupancy(args):
     return default_occupancy() if args.occupancy is None else load_occupancy(args.occupancy)
-
-
-def render_value(value: float, decimals: int = 1) -> str:
-    """``value`` rounded half up at ``decimals`` (0 or 1) places on the digits of its ``repr``, with no '.0'."""
-    text = repr(value)
-    mantissa, _, exponent = text.lstrip("-").partition("e")
-    whole, _, fraction = mantissa.partition(".")
-    shift = int(exponent or 0) - len(fraction) + decimals  # |value| is the digits times 10**shift last places
-    digits = int(whole + fraction)
-    if shift < 0:  # dividing by scale drops the digits below the last place; adding half of it first rounds up
-        scale = 10 ** -shift
-        digits = (digits + scale // 2) // scale
-    elif shift:
-        digits *= 10 ** shift
-    units, tenths = divmod(digits, 10) if decimals else (digits, 0)
-    rounded = f"{units}.{tenths}" if tenths else str(units)
-    return "-" + rounded if text[0] == "-" else rounded
 
 
 def table_csv(pairs: Iterable[tuple[SeasonalConsumptionTable, dict[str, float]]]) -> str:
@@ -308,7 +190,7 @@ def cmd_composition(args) -> tuple[str, int]:
         entry = table_json(table, shares)
         entry["pie"] = pie_data(shares, integer_percent=args.integer_shares)
         payload["seasons"][table.season.value] = entry
-    return _json_payload(payload), 0
+    return json_text(payload), 0
 
 
 def cmd_profile_stats(args) -> tuple[str, int]:
@@ -354,7 +236,7 @@ def cmd_profile_stats(args) -> tuple[str, int]:
         "seasonal_split": split_summary,
         "monthly_growth_pct": growth,
     }
-    return _json_payload(payload), 0
+    return json_text(payload), 0
 
 
 def cmd_reconcile(args) -> tuple[str, int, str]:
@@ -382,7 +264,7 @@ def cmd_reconcile(args) -> tuple[str, int, str]:
             "attributed_shares_pct": shares,
             "attribution": Rows(hour=measured.hours, kw=Rows(attribution.by_activity)),
         }
-        text = _json_payload(payload)
+        text = json_text(payload)
 
     summary = f"scale_factor={result.scale_factor!r} relative_gap={result.relative_gap!r}\n"
     if result.gap_warning:
@@ -407,17 +289,14 @@ def cmd_synth(args) -> tuple[str, int]:
         "household_total": household_total(day),
         "daily_total_wh": ordered_sum(map(ordered_sum, day.values())),
     }
-    return _json_payload(payload), 0
+    return json_text(payload), 0
 
 
 def cmd_validate(args) -> tuple[str, int]:
     try:
-        catalog = _get_catalog(args)
+        return json_text({"valid": True, "entries": len(_get_catalog(args)), "error": None}), 0
     except CatalogError as exc:
-        payload = {"valid": False, "entries": 0, "error": str(exc)}
-        return _json_payload(payload), 1
-    payload = {"valid": True, "entries": len(catalog), "error": None}
-    return _json_payload(payload), 0
+        return json_text({"valid": False, "entries": 0, "error": str(exc)}), 1
 
 
 _FORMAT = {"--format": dict(choices=("csv", "json"), default="json", help="payload format")}

@@ -15,6 +15,7 @@ from datetime import datetime
 import pytest
 
 from loadcomp import Season, builtin_catalog, composition_shares, seasonal_table
+from loadcomp._sourceio import render_value
 from loadcomp.catalog import (
     ApplianceSpec,
     Catalog,
@@ -23,7 +24,7 @@ from loadcomp.catalog import (
     parse_catalog,
     validate_spec,
 )
-from loadcomp.cli import main, render_value
+from loadcomp.cli import main
 from loadcomp.profile import monthly_growth, normalize, peak_average_ratio
 from loadcomp.reconcile import composition_from_attribution, disaggregate
 from loadcomp.synth import default_occupancy, household_total, synth_household_day
@@ -108,7 +109,7 @@ def test_seasonal_table_reproduction(capsys):
         rows = payload["seasons"][season_key]["rows"]
         assert len(rows) == 15
         for row in rows:
-            got = float(render_value(row["household_wh_day"], 1))
+            got = float(render_value(row["household_wh_day"]))
             assert got == expected[row["activity"]], (season_key, row["activity"])
     assert payload["seasons"]["winter"]["monthly_total_kwh"] == pytest.approx(1895.55, abs=0.01)
     assert payload["seasons"]["summer"]["monthly_total_kwh"] == pytest.approx(2714.69, abs=0.01)

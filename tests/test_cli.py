@@ -21,8 +21,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loadcomp import Season, builtin_catalog, cli, composition_shares, profile, reconcile, seasonal_table
+from loadcomp._sourceio import render_value
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass, load_catalog
-from loadcomp.cli import main, pie_data, render_value
+from loadcomp.cli import main, pie_data
 from loadcomp.synth import default_occupancy, household_total, synth_household_day
 from conftest import DAY_CURVE_KW, MONTHLY_AVG_KW, catalogs, csv_table, serialize_catalog
 
@@ -93,7 +94,7 @@ class TestComposition:
         assert winter["monthly_total_kwh"] == pytest.approx(1895.55, abs=0.01)
         assert summer["monthly_total_kwh"] == pytest.approx(2714.69, abs=0.01)
         ac = next(r for r in summer["rows"] if r["activity"] == "Air conditioning")
-        assert float(render_value(ac["share_pct"], 1)) == 61.9
+        assert float(render_value(ac["share_pct"])) == 61.9
 
     def test_csv_has_one_row_per_activity_per_season(self, capsys):
         code, out, _ = run(capsys, "composition", "--builtin-paper", "--season", "both", "--format", "csv")

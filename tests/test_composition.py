@@ -9,8 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loadcomp import Season, composition_shares, seasonal_table
+from loadcomp._sourceio import render_value
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass, validate_spec
-from loadcomp.cli import pie_data, render_value, table_csv
+from loadcomp.cli import pie_data, table_csv
 from loadcomp.composition import CompositionError, SeasonalConsumptionTable, ordered_sum
 from conftest import (
     SUMMER_DAILY_WH,
@@ -96,12 +97,12 @@ class TestReferenceTables:
     def test_all_winter_values_at_printed_precision(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.WINTER, 30)
         for activity, energy in zip(table.activities, table.household_daily_wh, strict=True):
-            assert float(render_value(energy, 1)) == WINTER_WH_DAY[activity]
+            assert float(render_value(energy)) == WINTER_WH_DAY[activity]
 
     def test_all_summer_values_at_printed_precision(self, paper_catalog):
         table = seasonal_table(paper_catalog, Season.SUMMER, 30)
         for activity, energy in zip(table.activities, table.household_daily_wh, strict=True):
-            assert float(render_value(energy, 1)) == SUMMER_WH_DAY[activity]
+            assert float(render_value(energy)) == SUMMER_WH_DAY[activity]
 
     def test_monthly_totals(self, paper_catalog):
         assert seasonal_table(paper_catalog, Season.WINTER, 30).monthly_total_kwh == pytest.approx(
@@ -146,7 +147,7 @@ class TestReferenceTables:
 class TestCompositionShares:
     def test_summer_ac_share(self, paper_catalog):
         shares = shares_of(paper_catalog, Season.SUMMER)
-        assert float(render_value(shares["Air conditioning"], 1)) == 61.9
+        assert float(render_value(shares["Air conditioning"])) == 61.9
 
     def test_winter_heating_block_share(self, paper_catalog):
         shares = shares_of(paper_catalog, Season.WINTER)
@@ -268,13 +269,13 @@ def float_of_bits(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
-def decimal_half_up(value: float, decimals: int) -> str:
-    """The reference rounding: ``decimal`` on the text of ``repr(value)``, with a trailing '.0' dropped."""
-    rounded = Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
+def decimal_half_up(value: float) -> str:
+    """The reference rounding: ``decimal`` at one place on the text of ``repr(value)``, with a trailing '.0' dropped."""
+    rounded = Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
     return str(rounded).removesuffix(".0")
 
 
-# ties at one decimal and at none, both signs of zero, the smallest subnormal, the catalog bound's
+# ties at one decimal, both signs of zero, the smallest subnormal, the catalog bound's
 # largest energy, and any bit pattern of a float up to 1e25
 renderable = st.one_of(
     st.integers(-10**6, 10**6).map(lambda n: n / 20),
@@ -287,23 +288,21 @@ renderable = st.one_of(
 
 class TestRendering:
     @settings(max_examples=500)
-    @given(renderable, st.sampled_from([0, 1]))
-    @example(0.05, 1)
-    @example(2.5, 0)
-    @example(9.95, 1)
-    @example(-0.0, 0)
-    @example(-0.0, 1)
-    @example(5e-324, 1)
-    @example(2.4e14, 1)
-    @example(1e25, 1)
-    @example(-0.04, 1)
-    def test_render_value_rounds_as_decimal_does(self, value, decimals):
-        assert render_value(value, decimals) == decimal_half_up(value, decimals)
+    @given(renderable)
+    @example(0.05)
+    @example(9.95)
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.4e14)
+    @example(1e25)
+    @example(-0.04)
+    def test_render_value_rounds_as_decimal_does(self, value):
+        assert render_value(value) == decimal_half_up(value)
 
     def test_round_half_up_at_one_decimal(self):
-        assert float(render_value(2213.65, 1)) == 2213.7
-        assert float(render_value(2213.64999, 1)) == 2213.6
-        assert float(render_value(19781.999999999996, 1)) == 19782.0
+        assert float(render_value(2213.65)) == 2213.7
+        assert float(render_value(2213.64999)) == 2213.6
+        assert float(render_value(19781.999999999996)) == 19782.0
 
     def test_render_value_drops_trailing_zero(self):
         assert render_value(12000.0) == "12000"

@@ -204,18 +204,26 @@ def test_only_the_seasonal_table_evaluates_the_energy_rule():
     assert {reader.partition(":")[0] for reader in readers} == {"composition.seasonal_table"}, sorted(readers)
 
 
-def test_the_cli_encodes_json_only_in_its_payload_writer():
-    """Every subcommand's JSON goes through ``cli._json_payload``, the one writer that refuses NaN and infinities.
+def test_json_is_encoded_only_by_the_one_payload_writer():
+    """Every JSON payload goes through ``_sourceio.json_text``, the one encoder, which refuses NaN and infinities.
 
-    That writer encodes every value itself, so nothing in ``cli.py`` calls ``json.dump`` or ``json.dumps``.
+    Only ``_sourceio.py`` defines it, and it encodes every value itself: no module in ``src/`` names ``json.dump``,
+    ``json.dumps`` or ``JSONEncoder`` (called, imported under any alias, or as an attribute), and ``cli.py`` calls
+    ``json_text`` for its payloads and sidecars.
     """
-    tree = ast.parse((ROOT / "src" / "loadcomp" / "cli.py").read_text(encoding="utf-8"))
-    assert any(isinstance(node, ast.FunctionDef) and node.name == "_json_payload" for node in tree.body)
-    encoders = [
-        ast.unparse(call.func) for call in ast.walk(tree)
-        if isinstance(call, ast.Call) and ast.unparse(call.func) in ("json.dumps", "json.dump", "dumps", "dump")
-    ]
+    definers, encoders = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        definers += [path.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "json_text"]
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [node.id] if isinstance(node, ast.Name)
+                     else [])
+            encoders += [f"{path.name}: {name}" for name in names if name in ("dump", "dumps", "JSONEncoder")]
+    assert definers == ["_sourceio.py"]
     assert not encoders
+    cli_tree = ast.parse((ROOT / "src" / "loadcomp" / "cli.py").read_text(encoding="utf-8"))
+    assert "json_text" in {ast.unparse(call.func) for call in ast.walk(cli_tree) if isinstance(call, ast.Call)}
 
 
 def test_only_the_source_reader_reads_a_file():

@@ -1,4 +1,4 @@
-"""The payload writers: the bytes of ``json.dumps(obj, indent=2)`` and of ``csv.writer``; no NaN or infinity in JSON."""
+"""The payload writers: the bytes of ``json.dumps(obj, indent=2)`` and of ``csv.writer``; no NaN or infinity in either."""
 
 import csv
 import io
@@ -10,8 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loadcomp._sourceio import csv_text
-from loadcomp.cli import PayloadError, Rows, _json_payload
+from loadcomp._sourceio import ColumnLengthError, PayloadError, Rows, csv_text, json_text
 
 # keys and strings that JSON must escape: quotes, backslashes, control characters,
 # non-ASCII and astral text, and "%", which a row template must not read as a placeholder
@@ -68,7 +67,7 @@ def containing(draw, bad):
 @example({"rows": [{"a": 1, "b": 2}, {"b": 3, "a": 4}]})  # same keys, another order: not one template
 @example({"big": [BIG, BIG]})  # finite cells whose sum overflows
 def test_writes_the_bytes_of_the_indenting_encoder(payload):
-    assert _json_payload(payload) == json.dumps(payload, indent=2) + "\n"
+    assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 @settings(max_examples=30)
@@ -79,13 +78,13 @@ def test_writes_the_bytes_of_the_indenting_encoder(payload):
 def test_a_non_finite_float_anywhere_is_refused(payload, key, value):
     payload[key] = value
     with pytest.raises(PayloadError, match="not a finite number"):
-        _json_payload(payload)
+        json_text(payload)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_float_key_is_refused(bad):
     with pytest.raises(PayloadError, match="not a finite number"):
-        _json_payload({"a": {1: 2, bad: 3}})
+        json_text({"a": {1: 2, bad: 3}})
 
 
 @st.composite
@@ -152,7 +151,7 @@ def payloads_with_rows(draw):
 ))
 def test_rows_are_written_as_the_lists_of_dicts_they_stand_for(pair):
     with_rows, plain = pair
-    assert _json_payload(with_rows) == json.dumps(plain, indent=2) + "\n"
+    assert json_text(with_rows) == json.dumps(plain, indent=2) + "\n"
 
 
 @settings(max_examples=30)
@@ -161,26 +160,26 @@ def test_a_non_finite_float_in_a_rows_column_is_refused(column, data, bad, neste
     column[data.draw(st.integers(0, len(column) - 1))] = bad
     rows = Rows(hour=list(range(len(column))), kw=Rows(x=column)) if nested else Rows(x=column)
     with pytest.raises(PayloadError, match="not a finite number"):
-        _json_payload({"rows": rows})
+        json_text({"rows": rows})
 
 
 UNEQUAL = {"ints": Rows(a=[1, 2], b=[1]), "empty": Rows(a=[1.5], b=[]), "quoted": Rows(a=["z", "x,y"], b=[1])}
 
 
 @pytest.mark.parametrize("write, rows", [
-    *[(lambda rows: _json_payload({"r": rows}), rows) for rows in UNEQUAL.values()],
-    (lambda rows: _json_payload({"r": rows}), Rows(hour=[0, 1], kw=Rows(x=[1.0]))),
+    *[(lambda rows: json_text({"r": rows}), rows) for rows in UNEQUAL.values()],
+    (lambda rows: json_text({"r": rows}), Rows(hour=[0, 1], kw=Rows(x=[1.0]))),
     *[(csv_text, rows) for rows in UNEQUAL.values()],
 ], ids=[*map("json-{}".format, UNEQUAL), "json-nested", *map("csv-{}".format, UNEQUAL)])
 def test_columns_of_unequal_length_are_named_as_such(write, rows):
-    with pytest.raises(ValueError, match=r"^columns differ in length: \d+, \d+$") as raised:
+    with pytest.raises(ColumnLengthError, match=r"^columns differ in length: \d+, \d+$") as raised:
         write(rows)
-    assert not isinstance(raised.value, PayloadError)
+    assert not isinstance(raised.value, (PayloadError, ValueError))
 
 
 # text cells that csv.writer quotes, or leaves alone: separators, quotes, line breaks, NUL, non-ASCII and ""
 csv_texts = st.text(alphabet=',"\r\n\x00 az%ü€🧊', max_size=5)
-csv_cells = [csv_texts, st.integers(), st.floats()]
+csv_cells = [csv_texts, st.integers(), finite_floats]
 
 
 @st.composite
@@ -194,6 +193,7 @@ def csv_rows(draw):
 @given(csv_rows())
 @example(Rows(a=["", "x"]))  # one empty cell alone on a line is written as ""
 @example(Rows({"a": ["1,2", ""], "b": [0, 1]}))
+@example(Rows(x=[BIG, BIG]))  # finite cells whose sum overflows are written
 @example(Rows(hour=list(range(61)), activity=["TV"] * 30 + ['Fan, "ceiling"'] + ["TV"] * 30, kw=[0.5, 0.25] * 30 + [1.0]))
 def test_csv_text_writes_the_bytes_of_csv_writer(rows):
     buf = io.StringIO()
@@ -201,6 +201,19 @@ def test_csv_text_writes_the_bytes_of_csv_writer(rows):
     writer.writerow(rows)
     writer.writerows(zip(*rows.values()))
     assert csv_text(rows) == buf.getvalue()
+
+
+@settings(max_examples=30)
+@given(st.lists(finite_floats, min_size=1, max_size=40), st.integers(0, 39), NON_FINITE, st.booleans())
+@example([1.5], 0, math.nan, True)
+@example([1.0] * 30, 29, -math.inf, False)  # a long column of repeated cells, whose texts would be shared
+@example([BIG, BIG, 1.0], 2, math.inf, True)  # finite cells whose sum overflows, then an infinity
+def test_csv_text_refuses_a_non_finite_float_column(column, index, bad, beside):
+    """The column rule of JSON: a float column holding a NaN or an infinity is refused, never written as ``nan``."""
+    column[index % len(column)] = bad
+    others = {"hour": [*range(len(column))], "activity": ["TV"] * len(column)} if beside else {}
+    with pytest.raises(PayloadError, match="not a finite number"):
+        csv_text(Rows(others, kw=column))
 
 
 @st.composite
@@ -225,7 +238,7 @@ def repeated_columns(draw):
 def test_repeated_floats_are_written_as_the_encoders_write_each_cell(columns):
     rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
     payload = {"rows": Rows(columns), "lists": dict(columns)}
-    assert _json_payload(payload) == json.dumps({"rows": rows, "lists": columns}, indent=2) + "\n"
+    assert json_text(payload) == json.dumps({"rows": rows, "lists": columns}, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
