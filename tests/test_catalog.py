@@ -6,6 +6,7 @@ import re
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from loadcomp import Season, builtin_catalog
 from loadcomp.catalog import (
@@ -18,7 +19,7 @@ from loadcomp.catalog import (
     parse_catalog,
     validate_spec,
 )
-from conftest import catalogs, serialize_catalog, spec_named
+from conftest import catalogs, csv_table, serialize_catalog, spec_named
 
 CSV_HEADER = (
     "activity,tou_winter,tou_summer,units_winter,units_summer,"
@@ -363,3 +364,43 @@ class TestRoundTrip:
     def test_random_catalogs_round_trip(self, fmt, catalog):
         parsed = parse_catalog(serialize_catalog(catalog, fmt=fmt), fmt=fmt)
         assert parsed.specs == catalog.specs
+
+
+# The order in which a row's fields are converted: a row with several faults is refused for the first one here.
+READ_ORDER = ("activity", "operation", "tou_winter", "tou_summer", "units_winter", "units_summer",
+              "run_watts", "idle_watts", "run_fraction", "idle_fraction")
+ABSENT = object()  # a JSON key left out
+
+
+def field_faults(name: str, fmt: str):
+    """A faulty value of field ``name`` in a ``fmt`` catalog, with the message that refuses it after ``row N: ``."""
+    blanks = [ABSENT, None, "", " "] if fmt == "json" else ["", " "]
+    faults = [st.sampled_from(blanks).map(lambda value: (value, f"missing field {name!r}"))]
+    if name == "operation":
+        faults.append(st.just(("sometimes", "unknown operation class 'sometimes'")))
+    elif name != "activity":
+        others = ["lots", "1,5", "0x10"] + ([True, False, [1]] if fmt == "json" else ["True"])
+        faults.append(st.sampled_from(others).map(lambda value: (value, f"field {name!r} is not a number (got {value!r})")))
+    if name.startswith("units"):
+        wholes = [2.5, math.inf, -math.inf, math.nan] if fmt == "json" else ["2.5", "inf", "-inf", "nan", "1e-3"]
+        faults.append(st.sampled_from(wholes).map(lambda value: (value, f"field {name!r} must be a whole number (got {value!r})")))
+    return st.one_of(faults)
+
+
+class TestReadOrder:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @given(catalog=catalogs(), data=st.data())
+    def test_a_row_is_refused_for_its_first_faulty_field_in_read_order(self, fmt, catalog, data):
+        rows = [{**spec._asdict(), "operation": spec.operation.value} for spec in catalog]
+        at = data.draw(st.integers(0, len(rows) - 1), label="row index")
+        names = data.draw(st.lists(st.sampled_from(READ_ORDER), min_size=1, max_size=3, unique=True), label="fields")
+        messages = {}
+        for name in names:
+            rows[at][name], messages[name] = data.draw(field_faults(name, fmt), label=name)
+        if fmt == "csv":
+            source = csv_table([CSV_HEADER.split(","), *map(dict.values, rows)])  # each row's keys in header order
+        else:
+            source = json.dumps([{key: value for key, value in row.items() if value is not ABSENT} for row in rows])
+        with pytest.raises(CatalogError) as raised:
+            parse_catalog(source, fmt)
+        assert str(raised.value) == f"row {at + 1}: {messages[min(names, key=READ_ORDER.index)]}"

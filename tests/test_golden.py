@@ -95,6 +95,9 @@ def _cases() -> dict[str, list[str]]:
     cases["validate-duplicate"] = ["validate", "--catalog", "duplicate.csv"]
     cases["validate-missing-catalog"] = ["validate", "--catalog", "missing.csv"]
     add("validate-builtin-format", "validate", *builtin)
+    # a valid row, then a row with one fault (two in the *_and_* files): the verdict names the first one read
+    for path in sorted((INPUTS / "faults").iterdir()):
+        cases[f"validate-fault-{path.stem}-{path.suffix[1:]}"] = ["validate", "--catalog", f"faults/{path.name}"]
     return cases
 
 
