@@ -51,15 +51,15 @@ class OperationClass(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> OperationClass:
-        """Case-insensitive parse accepting 'semi auto', 'semi-auto', 'semi_auto'."""
+        """Case-insensitive parse accepting 'semi auto', 'semi-auto', 'semi_auto' and 'semiauto'."""
         key = " ".join(str(text).replace("-", " ").replace("_", " ").split()).lower()
-        for member in cls:
-            if member.value.lower() == key:
-                return member
-        if key == "semiauto":
-            return cls.SEMI_AUTO
-        raise ValueError(f"unknown operation class {text!r}")
+        if key not in _OPERATIONS:
+            raise ValueError(f"unknown operation class {text!r}")
+        return _OPERATIONS[key]
 
+
+# Each operation class by its parse key: its value in lower case, and "semiauto".
+_OPERATIONS = {**{member.value.lower(): member for member in OperationClass}, "semiauto": OperationClass.SEMI_AUTO}
 
 WINTER_MONTHS = frozenset({10, 11, 12, 1, 2})
 
@@ -228,15 +228,11 @@ def _rows_from_csv(text: str) -> list[dict]:
     if fieldnames is None:
         return []
     have = [name.strip() for name in fieldnames]
-    missing = [name for name in CSV_HEADER if name not in have]
-    extra = [name for name in have if name not in CSV_HEADER]
-    repeated = [name for name in CSV_HEADER if have.count(name) > 1]
-    if missing:
-        raise CatalogError(f"missing column(s): {', '.join(map(repr, missing))}")
-    if extra:
-        raise CatalogError(f"unexpected column(s): {', '.join(map(repr, extra))}")
-    if repeated:
-        raise CatalogError(f"duplicate column(s): {', '.join(map(repr, repeated))}")
+    for fault, names in (("missing", [name for name in CSV_HEADER if name not in have]),
+                         ("unexpected", [name for name in have if name not in CSV_HEADER]),
+                         ("duplicate", [name for name in CSV_HEADER if have.count(name) > 1])):
+        if names:  # the first kind of fault found, in this order
+            raise CatalogError(f"{fault} column(s): {', '.join(map(repr, names))}")
     reader.fieldnames = have  # rows keyed by the stripped names that were checked
     rows: list[dict] = []  # DictReader skips blank lines, so rows are numbered as parse_catalog numbers them
     try:
@@ -263,50 +259,42 @@ def _rows_from_json(text: str) -> list[dict]:
 _ROW_READERS = {"csv": _rows_from_csv, "json": _rows_from_json}
 
 
+# The order in which a row's fields are converted, so a row with several faults is refused for the first one here.
+_READ_ORDER = ("activity", "operation", *(name for name in CSV_HEADER if name not in ("activity", "operation")))
+
+
 def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:
     if None in raw:  # csv.DictReader files the cells past the header under None
         raise CatalogError(f"row {rownum}: more cells than the header's {len(CSV_HEADER)} columns")
-
-    def field(name: str):
-        value = raw.get(name)
-        if value is None or (isinstance(value, str) and not value.strip()):
-            raise CatalogError(f"row {rownum}: missing field {name!r}")
-        return value
-
-    def as_float(name: str) -> float:
-        value = field(name)
-        try:
-            if isinstance(value, bool):  # a JSON true or false is not a number
-                raise TypeError
-            return float(value)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
-            raise CatalogError(f"row {rownum}: field {name!r} is not a number (got {value!r})") from None
-
-    def as_int(name: str) -> int:
-        value = as_float(name)
-        if not value.is_integer():  # also false for nan and inf
-            raise CatalogError(f"row {rownum}: field {name!r} must be a whole number (got {raw.get(name)!r})")
-        return int(value)
-
-    name = str(field("activity")).strip()
-    name = ACTIVITY_ALIASES.get(name.casefold(), name)
-    operation_text = str(field("operation"))  # outside the try: its CatalogError already names the row
+    values = {}
     try:
-        operation = OperationClass.parse(operation_text)
+        for name in _READ_ORDER:
+            values[name] = _field_value(name, raw.get(name))
     except ValueError as exc:
         raise CatalogError(f"row {rownum}: {exc}") from None
-    return ApplianceSpec(
-        activity=name,
-        tou_winter=as_float("tou_winter"),
-        tou_summer=as_float("tou_summer"),
-        units_winter=as_int("units_winter"),
-        units_summer=as_int("units_summer"),
-        run_watts=as_float("run_watts"),
-        idle_watts=as_float("idle_watts"),
-        operation=operation,
-        run_fraction=as_float("run_fraction"),
-        idle_fraction=as_float("idle_fraction"),
-    )
+    return ApplianceSpec(**values)
+
+
+def _field_value(name: str, value):
+    """A CSV cell or JSON value of field ``name`` as the field's type; a fault is a ValueError naming the field."""
+    if value is None or (isinstance(value, str) and not value.strip()):  # an absent JSON key, too
+        raise ValueError(f"missing field {name!r}")
+    if name == "activity":
+        text = str(value).strip()
+        return ACTIVITY_ALIASES.get(text.casefold(), text)
+    if name == "operation":
+        return OperationClass.parse(str(value))
+    try:
+        if isinstance(value, bool):  # a JSON true or false is not a number
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
+        raise ValueError(f"field {name!r} is not a number (got {value!r})") from None
+    if name in _FLOAT_FIELDS:
+        return number
+    if not number.is_integer():  # a unit count; also false for nan and inf
+        raise ValueError(f"field {name!r} must be a whole number (got {value!r})")
+    return int(number)
 
 
 # Built-in 15-activity archetype (2016 national household usage survey).
