@@ -249,10 +249,7 @@ def _rows_from_json(text: str) -> list[dict]:
         raise CatalogError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise CatalogError("catalog JSON must be an array of objects")
-    for i, item in enumerate(data, start=1):
-        if not isinstance(item, dict):
-            raise CatalogError(f"row {i}: expected an object, got {type(item).__name__}")
-    return data
+    return data  # each item is checked to be an object as its row is read
 
 
 # Each supported catalog format, by name and file suffix, with the reader of its rows.
@@ -264,6 +261,8 @@ _READ_ORDER = ("activity", "operation", *(name for name in CSV_HEADER if name no
 
 
 def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:
+    if not isinstance(raw, dict):  # a JSON array item
+        raise CatalogError(f"row {rownum}: expected an object, got {type(raw).__name__}")
     if None in raw:  # csv.DictReader files the cells past the header under None
         raise CatalogError(f"row {rownum}: more cells than the header's {len(CSV_HEADER)} columns")
     values = {}

@@ -271,6 +271,19 @@ class TestParseCatalog:
         with pytest.raises(CatalogError, match="must be an array"):
             parse_catalog('{"activity": "TV"}', fmt="json")
 
+    def test_json_rows_are_checked_in_file_order(self):
+        """A fault in row 1 is named before a later item that is not an object."""
+        rows = json.loads(serialize_catalog(builtin_catalog(), "json"))[:2]
+        rows[0]["tou_winter"] = 30
+        with pytest.raises(CatalogError, match=r"^row 1 \('Heating \(oil-filled\)'\): tou_winter: ToU exceeds 24"):
+            parse_catalog(json.dumps([*rows, 5]), "json")
+
+    @pytest.mark.parametrize("item", [5, None, "TV", [1]])
+    def test_a_json_item_that_is_not_an_object_names_its_row(self, item):
+        source = json.dumps([*json.loads(serialize_catalog(builtin_catalog(), "json"))[:2], item])
+        with pytest.raises(CatalogError, match=f"^row 3: expected an object, got {type(item).__name__}$"):
+            parse_catalog(source, "json")
+
     def test_invalid_json_rejected(self):
         with pytest.raises(CatalogError, match="invalid JSON"):
             parse_catalog("{nope", fmt="json")
