@@ -54,14 +54,14 @@ class LoadProfile(_Frozen):
         if len(timestamps) != len(powers):
             raise ProfileError(f"{len(timestamps)} timestamps but {len(powers)} powers")
         # one column test of every rule; only a series that fails it is walked, to name its first fault
-        try:  # a nan power makes the sum nan, and < raises TypeError between a naive and an aware stamp
-            checked = ((peak := max(powers, default=0.0)) <= MAX_POWER_KW and 0 <= (low := min(powers, default=0.0))
-                       and (low >= MIN_POWER_KW or min(filter(None, powers), default=MIN_POWER_KW) >= MIN_POWER_KW)
-                       and (total := sum(powers)) == total and all(map(lt, timestamps, timestamps[1:]))
-                       and (granularity is Granularity.HOURLY
-                            or len({(ts.year, ts.month) for ts in timestamps}) == len(timestamps)))
-        except TypeError:
-            checked = False
+        # a nan power makes the sum nan; the stamps are all naive or all aware before < meets them
+        checked = ((peak := max(powers, default=0.0)) <= MAX_POWER_KW and 0 <= (low := min(powers, default=0.0))
+                   and (low >= MIN_POWER_KW or min(filter(None, powers), default=MIN_POWER_KW) >= MIN_POWER_KW)
+                   and (total := sum(powers)) == total
+                   and (None not in (offsets := set(map(datetime.utcoffset, timestamps))) or offsets == {None})
+                   and all(map(lt, timestamps, timestamps[1:]))
+                   and (granularity is Granularity.HOURLY
+                        or len({(ts.year, ts.month) for ts in timestamps}) == len(timestamps)))
         previous = previous_naive = None
         months = None if granularity is Granularity.HOURLY else set()
         for rownum, ts, power in () if checked else zip(count(2), timestamps, powers):  # header is row 1

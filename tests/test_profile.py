@@ -560,6 +560,17 @@ class NoOffset(tzinfo):
         return None
 
 
+class NoOffsetBeforeNoon(tzinfo):
+    """A ``tzinfo`` whose stamps are naive before noon and at +01:00 from noon: one tzinfo, both kinds of stamp."""
+
+    def utcoffset(self, dt):
+        return None if dt is None or dt.hour < 12 else timedelta(hours=1)
+
+
+# stamps of one tzinfo object are compared by < without their offsets; stamps of two are compared with them
+MIXED_AT_NOON = [datetime(2016, 1, 1, hour, tzinfo=zone) for zone in [NoOffsetBeforeNoon()] for hour in (10, 11, 12)]
+
+
 _SPECIAL_POWERS = [math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, math.nextafter(1e-6, 0.0), 1e-6,
                    math.nextafter(1e-6, 1.0), 1e9, math.nextafter(1e9, math.inf), 2e9]
 _ZONES = [timezone.utc, timezone(timedelta(hours=2)), NoOffset()]
@@ -631,6 +642,7 @@ class TestSampleCheckEquivalence:
     @example(([datetime(2016, 1, 31, 23, tzinfo=timezone.utc),
                datetime(2016, 1, 31, 23, 30, tzinfo=timezone(-timedelta(hours=2)))],
               [1.0, 2.0], Granularity.MONTHLY_PEAK))
+    @example((MIXED_AT_NOON, [1.0, 2.0, 3.0], Granularity.HOURLY))  # one tzinfo, naive and then aware stamps
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1.0, math.nan], Granularity.HOURLY))  # min, max miss it
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1e9, 2e9], Granularity.HOURLY))
     @example(([datetime(2016, 1, 1), datetime(2016, 1, 1, 1)], [1.0, -1.0], Granularity.HOURLY))
@@ -679,6 +691,10 @@ class TestLoadProfileInvariants:
         ts = datetime(2016, 1, 1)
         with pytest.raises(ProfileError, match="strictly increasing"):
             profile_of(((ts, 1.0), (ts, 2.0)), Granularity.HOURLY)
+
+    def test_one_tzinfo_that_gives_naive_and_aware_stamps_cannot_mix_them(self):
+        with pytest.raises(ProfileError, match="^row 4: cannot mix naive and offset-aware timestamps$"):
+            LoadProfile(MIXED_AT_NOON, [1.0, 2.0, 3.0], Granularity.HOURLY)
 
     def test_samples_are_numbered_as_csv_rows(self):
         samples = ((datetime(2016, 1, 1), 1.0), (datetime(2016, 1, 2), -1.0))
