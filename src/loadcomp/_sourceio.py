@@ -173,9 +173,10 @@ def csv_text(rows: Mapping[str, Sequence]) -> str:
     """The header ``rows.keys()`` and then the rows, as ``csv.writer`` writes them with ``\\n`` line endings.
 
     ``rows`` maps each key to its column: row ``i`` holds each column's cell ``i``. Each column is classified by
-    :func:`_kind`, as in JSON, so a float column holding a NaN or an infinity is refused. Cells are written with
-    ``str``, so floats keep their shortest round-trip form (a float column's via ``float_texts``). A table with a text
-    cell that may need quoting is written whole by ``csv.writer``, any other as one :func:`interleave`.
+    :func:`_kind`, as in JSON, so a float column holding a NaN or an infinity is refused. A table of str, int and
+    float columns is written as one :func:`interleave` of the cells' ``str`` (a float column's via ``float_texts``),
+    unless a text cell may need quoting. That table, and any table with another column, is written whole by
+    ``csv.writer``, which writes ``None`` as an empty field and quotes the text of any other cell as it needs.
     """
     columns = list(rows.values())
     row_count(columns)  # before zip drops the cells of a longer column
@@ -183,13 +184,14 @@ def csv_text(rows: Mapping[str, Sequence]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows)
     kinds = [*map(_kind, columns)]
+    # a text cell with a separator, a quote or a line break may need quotes, as does "" alone on a line
+    joined = ["".join(column) for column, kind in zip(columns, kinds) if kind is str]
+    if (not {str, int, float}.issuperset(kinds) or any(mark in text for text in joined for mark in ',"\r\n')
+            or (len(columns) == 1 and "" in columns[0])):
+        writer.writerows(zip(*columns))
+        return buf.getvalue()
     texts = [float_texts(column) if kind is float else column if kind is str else [*map(str, column)]
              for column, kind in zip(columns, kinds)]
-    # a text cell with a separator, a quote or a line break may need quotes, as does "" alone on a line
-    joined = ["".join(column) for column, kind in zip(texts, kinds) if kind in (str, None)]
-    if any(mark in text for text in joined for mark in ',"\r\n') or (len(columns) == 1 and "" in columns[0]):
-        writer.writerows(zip(*texts))
-        return buf.getvalue()
     pieces = ["", *[","] * (len(columns) - 1), "\n"] if columns else [""]
     return buf.getvalue() + interleave(pieces, texts)
 

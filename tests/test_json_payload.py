@@ -179,7 +179,9 @@ def test_columns_of_unequal_length_are_named_as_such(write, rows):
 
 # text cells that csv.writer quotes, or leaves alone: separators, quotes, line breaks, NUL, non-ASCII and ""
 csv_texts = st.text(alphabet=',"\r\n\x00 az%ü€🧊', max_size=5)
-csv_cells = [csv_texts, st.integers(), finite_floats]
+csv_scalars = [csv_texts, st.integers(), finite_floats, st.none(), st.booleans()]
+# a column of one kind of scalar, of lists (whose str holds ", "), or of mixed finite cells
+csv_cells = [*csv_scalars, st.lists(csv_texts | st.integers(), max_size=3), st.one_of(csv_scalars)]
 
 
 @st.composite
@@ -194,6 +196,8 @@ def csv_rows(draw):
 @example(Rows(a=["", "x"]))  # one empty cell alone on a line is written as ""
 @example(Rows({"a": ["1,2", ""], "b": [0, 1]}))
 @example(Rows(x=[BIG, BIG]))  # finite cells whose sum overflows are written
+@example(Rows(a=[None, None], b=[1, 2]))  # None is an empty field
+@example(Rows(a=[[1, 2], [3]], b=[1, 2]))  # a cell whose str holds ", " is quoted
 @example(Rows(hour=list(range(61)), activity=["TV"] * 30 + ['Fan, "ceiling"'] + ["TV"] * 30, kw=[0.5, 0.25] * 30 + [1.0]))
 def test_csv_text_writes_the_bytes_of_csv_writer(rows):
     buf = io.StringIO()
