@@ -393,10 +393,12 @@ def field_faults(name: str, fmt: str):
         faults.append(st.just(("sometimes", "unknown operation class 'sometimes'")))
     elif name != "activity":
         others = ["lots", "1,5", "0x10"] + ([True, False, [1]] if fmt == "json" else ["True"])
-        faults.append(st.sampled_from(others).map(lambda value: (value, f"field {name!r} is not a number (got {value!r})")))
+        faults.append(st.sampled_from(others).map(
+            lambda value: (value, f"field {name!r} is not a number (got {value!r})")))
     if name.startswith("units"):
         wholes = [2.5, math.inf, -math.inf, math.nan] if fmt == "json" else ["2.5", "inf", "-inf", "nan", "1e-3"]
-        faults.append(st.sampled_from(wholes).map(lambda value: (value, f"field {name!r} must be a whole number (got {value!r})")))
+        faults.append(st.sampled_from(wholes).map(
+            lambda value: (value, f"field {name!r} must be a whole number (got {value!r})")))
     return st.one_of(faults)
 
 
