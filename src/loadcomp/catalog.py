@@ -242,7 +242,7 @@ def _rows_from_csv(text: str) -> list[dict]:
     return rows
 
 
-def _rows_from_json(text: str) -> list[dict]:
+def _rows_from_json(text: str) -> list:
     try:
         data = json.loads(text) if text.strip() else []
     except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
