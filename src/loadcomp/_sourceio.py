@@ -90,13 +90,13 @@ def interleave(pieces: Sequence[str], columns: Sequence[Sequence[str]], between=
 
 
 def _kind(values) -> type | None:
-    """The one type of all of ``values``, or None; a float column must be finite. The column rule of both formats."""
+    """The one type of all of ``values``, or None; a float cell must be finite. The column rule of both formats."""
     kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
+    floats = () if float not in kinds else values if len(kinds) == 1 else [v for v in values if type(v) is float]
     # a finite sum has finite terms; a sum of finite terms can overflow, so only then is each term checked
-    if kind is float and not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+    if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
         raise PayloadError(values)
-    return kind
+    return kinds.pop() if len(kinds) == 1 else None
 
 
 def json_text(obj: dict) -> str:

@@ -271,6 +271,8 @@ def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:
             values[name] = _field_value(name, raw.get(name))
     except ValueError as exc:
         raise CatalogError(f"row {rownum}: {exc}") from None
+    if extra := [key for key in raw if key not in values]:  # a JSON key: a CSV header's names were checked
+        raise CatalogError(f"row {rownum}: unexpected key(s): {', '.join(map(repr, extra))}")
     return ApplianceSpec(**values)
 
 

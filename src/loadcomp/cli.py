@@ -200,18 +200,6 @@ def cmd_profile_stats(args) -> tuple[str, int]:
     if args.format == "csv":
         return csv_text(normalized), 0
 
-    split = seasonal_split(profile)
-    split_summary = {}
-    for season, part in split.items():
-        if len(part):
-            split_summary[season.value] = {
-                "samples": len(part),
-                "mean_kw": part.mean_kw,
-                "peak_kw": part.peak_kw,
-            }
-        else:
-            split_summary[season.value] = {"samples": 0, "mean_kw": None, "peak_kw": None}
-
     try:
         extrema = daily_extrema(profile)
     except ProfileError:  # not one hourly day
@@ -233,7 +221,7 @@ def cmd_profile_stats(args) -> tuple[str, int]:
         "peak_average_ratio": peak_average_ratio(profile),
         "normalized": normalized,
         "daily_extrema": extrema,
-        "seasonal_split": split_summary,
+        "seasonal_split": seasonal_split(profile),
         "monthly_growth_pct": growth,
     }
     return json_text(payload), 0

@@ -40,8 +40,7 @@ class LoadProfile(_Frozen):
     Power is 0 or between ``MIN_POWER_KW`` and ``MAX_POWER_KW``; timestamps
     strictly increase and are all naive or all offset-aware; a monthly profile
     has at most one sample per calendar month. Errors name a sample by its CSV
-    row (the first is row 2). Parsed profiles are never empty; :func:`seasonal_split`
-    may return an empty sub-profile when the input has no samples in that season.
+    row (the first is row 2). Parsed profiles are never empty.
     """
 
     timestamps: tuple[datetime, ...]
@@ -92,10 +91,9 @@ class LoadProfile(_Frozen):
     @cached_property  # computed once per instance; cached_property writes __dict__, past the frozen guard
     def mean_kw(self) -> float:
         """Mean power, correctly rounded as ``statistics.fmean`` computes it."""
-        powers = self.powers
-        if not powers:
+        if not self.powers:
             raise ProfileError("empty profile: no samples")
-        return math.fsum(powers) / len(powers)
+        return _mean(self.powers)
 
     @cached_property  # the calendar columns: the package's one reading of dates, hours and months
     def days(self) -> tuple[int, ...]:
@@ -114,6 +112,11 @@ class LoadProfile(_Frozen):
     def iso_texts(self) -> tuple[str, ...]:
         """Each timestamp's ``isoformat``; :func:`parse_profile` sets the cells read when each is in that form."""
         return tuple(map(datetime.isoformat, self.timestamps))
+
+
+def _mean(powers: tuple[float, ...]) -> float:
+    """The mean of non-empty ``powers``: the one formula of ``LoadProfile.mean_kw`` and :func:`seasonal_split`."""
+    return math.fsum(powers) / len(powers)
 
 
 def parse_profile(text: str, granularity: Granularity | None = None) -> LoadProfile:
@@ -231,20 +234,14 @@ def monthly_growth(profile: LoadProfile) -> tuple[list[int], list[int], list[flo
     return froms, tos, pcts
 
 
-def seasonal_split(profile: LoadProfile) -> dict[Season, LoadProfile]:
-    """Partition samples by season; together the two halves cover the input.
-
-    A subsequence of checked samples keeps every rule of :class:`LoadProfile`, so a half is not checked again.
-    """
-    months = profile.months
-    winter = [month in WINTER_MONTHS for month in range(256)]  # a bytes.translate table: month -> 1 in winter
-    masks = {Season.WINTER: months.translate(bytes(winter)), Season.SUMMER: months.translate(bytes(map(not_, winter)))}
+def seasonal_split(profile: LoadProfile) -> dict[str, dict]:
+    """By season name, its ``samples``, ``mean_kw`` and ``peak_kw``; a season of no samples has None for the two."""
+    winter = bytes(month in WINTER_MONTHS for month in range(256))  # a bytes.translate table: month -> 1 in winter
     split = {}
-    for season, mask in masks.items():
-        part = split[season] = object.__new__(LoadProfile)
-        powers = tuple(compress(profile.powers, mask))
-        vars(part).update(timestamps=tuple(compress(profile.timestamps, mask)), powers=powers,
-                          granularity=profile.granularity, peak_kw=max(powers, default=0.0))
+    for season, table in ((Season.WINTER, winter), (Season.SUMMER, bytes(map(not_, winter)))):
+        powers = tuple(compress(profile.powers, profile.months.translate(table)))
+        split[season.value] = {"samples": len(powers), "mean_kw": _mean(powers) if powers else None,
+                               "peak_kw": max(powers, default=None)}
     return split
 
 

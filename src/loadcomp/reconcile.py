@@ -11,7 +11,6 @@ hours of its synthesized day.
 from __future__ import annotations
 
 import math
-import struct
 import weakref
 from itertools import compress, repeat
 from operator import mul, truediv
@@ -103,16 +102,15 @@ class SeasonalModel(NamedTuple):
     empty_hours: tuple[int, ...]  # the hours whose total is <= 0, in order
 
 
-# Each catalog's latest model and its occupancy bits per (season, month length); it lives as long as its catalog.
+# Each catalog's latest model and its occupancy weights per (season, month length); it lives as long as its catalog.
 _MODELS: weakref.WeakKeyDictionary[Catalog, dict] = weakref.WeakKeyDictionary()
 
 
 def seasonal_model(catalog: Catalog, season: Season, days_per_month: int, occupancy: OccupancyCurve) -> SeasonalModel:
     """The model of ``catalog``'s table for ``season``, built once and kept until a call with other weights."""
     models = _MODELS.setdefault(catalog, {})
-    bits = struct.pack("24d", *occupancy.weights)  # bits: 0.0 == -0.0, but not so their attributions
     held, model = models.get((season, days_per_month), (None, None))
-    if held != bits:
+    if held != occupancy.weights:  # no weight is -0.0 or nan, so equal weights have equal bits
         table = seasonal_table(catalog, season, days_per_month)
         day = synth_household_day(table, occupancy)
         totals = household_total(day)
@@ -122,7 +120,7 @@ def seasonal_model(catalog: Catalog, season: Season, days_per_month: int, occupa
                         for activity, hourly in day.items())
         empty_hours = tuple(compress(range(24), map((0.0).__ge__, totals)))
         model = SeasonalModel(table, weights, empty_hours)
-        models[season, days_per_month] = bits, model
+        models[season, days_per_month] = occupancy.weights, model
     return model
 
 

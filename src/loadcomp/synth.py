@@ -11,14 +11,13 @@ its household daily energy.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import repeat
 from operator import mul
 
 from ._sourceio import read_text
 from .catalog import OperationClass, _Frozen
 from .composition import SeasonalConsumptionTable, ordered_sum
-
-WEIGHT_SUM_TOL = 1e-12
 
 # Default presence weighting: quietest at 06:00, busiest at 15:00, with an
 # elevated evening plateau. Normalized on construction; override per run
@@ -34,38 +33,29 @@ class OccupancyError(ValueError):
 
 
 class OccupancyCurve(_Frozen):
-    """24 hourly presence weights summing to 1."""
+    """24 hourly presence weights summing to 1: 24 non-negative values, scaled to their largest and then their sum."""
 
     weights: tuple[float, ...]
 
-    def __init__(self, weights: tuple[float, ...]) -> None:
-        weights = tuple(weights)  # a caller's list could change after the checks
-        if len(weights) != 24:
-            raise OccupancyError(f"expected 24 occupancy values, got {len(weights)}")
-        if not all(w >= 0 for w in weights):  # false for nan too; an inf breaks the sum rule
+    def __init__(self, values) -> None:
+        values = tuple(map(float, values))  # a caller's list could change after the checks
+        if len(values) != 24:
+            raise OccupancyError(f"expected 24 occupancy values, got {len(values)}")
+        if not all(0 <= v < math.inf for v in values):  # false for nan too
             raise OccupancyError("occupancy values must be finite and non-negative")
-        total = ordered_sum(weights)
-        if total == 0:
+        largest = max(values)
+        if largest == 0:
             raise OccupancyError("occupancy values must not all be zero")
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise OccupancyError("occupancy values must sum to 1")
-        vars(self).update(weights=weights)
-
-    @classmethod
-    def from_values(cls, values) -> OccupancyCurve:
-        """Normalize raw non-negative values to sum to 1."""
-        values = tuple(float(v) for v in values)
-        largest = max(values, default=0.0)
-        if largest > 0:  # scaled first, so that large finite values cannot overflow the sum
-            values = tuple(v / largest for v in values)
+        # scaled first, so that large finite values cannot overflow the sum; a value is >= 0, so abs only turns
+        # -0.0 into 0.0, and no two curves of equal weights attribute differently
+        values = tuple(abs(v) / largest for v in values)
         total = ordered_sum(values)
-        # A non-positive total cannot be normalized; the weight rule then names the fault.
-        return cls(weights=values if total <= 0 else tuple(v / total for v in values))
+        vars(self).update(weights=tuple(v / total for v in values))
 
 
 @functools.cache  # the curve is constant and immutable, so one per process serves every caller
 def default_occupancy() -> OccupancyCurve:
-    return OccupancyCurve.from_values(DEFAULT_OCCUPANCY_RAW)
+    return OccupancyCurve(DEFAULT_OCCUPANCY_RAW)
 
 
 def load_occupancy(path) -> OccupancyCurve:
@@ -77,7 +67,7 @@ def load_occupancy(path) -> OccupancyCurve:
         values = [float(part) for part in parts]
     except ValueError as exc:
         raise OccupancyError(f"invalid occupancy value: {exc}") from None
-    return OccupancyCurve.from_values(values)
+    return OccupancyCurve(values)
 
 
 def shape_for(operation: OperationClass, occupancy: OccupancyCurve) -> tuple[float, ...]:

@@ -221,6 +221,16 @@ class TestParseCatalog:
         with pytest.raises(CatalogError, match="unexpected column"):
             parse_catalog(CSV_HEADER + ",color\n")
 
+    def test_an_unexpected_json_key_is_rejected_after_the_fields(self):
+        """A JSON row holds the CSV header's keys only; a fault of one of its fields is named first."""
+        rows = json.loads(serialize_catalog(builtin_catalog(), fmt="json"))
+        rows[1].update(colour="red", size=3)
+        with pytest.raises(CatalogError, match=r"^row 2: unexpected key\(s\): 'colour', 'size'$"):
+            parse_catalog(json.dumps(rows), fmt="json")
+        rows[1]["run_watts"] = "lots"
+        with pytest.raises(CatalogError, match="^row 2: field 'run_watts' is not a number"):
+            parse_catalog(json.dumps(rows), fmt="json")
+
     @pytest.mark.parametrize("header, message", [
         (CSV_HEADER + ',"x\nloadcomp: error: fake"', "^unexpected column\\(s\\): 'x\\\\nloadcomp: error: fake'$"),
         (CSV_HEADER.replace("idle_fraction", '"idle_fraction\nfake"'),

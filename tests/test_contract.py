@@ -58,13 +58,17 @@ def test_sources_import_only_at_module_level():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_statistics():
-    """Start-up is most of a one-day command's time; these modules would add milliseconds to every run."""
+    """Start-up is most of a one-day command's time; these modules would add milliseconds to every run.
+
+    The interpreter runs with ``-S``: ``site`` loads ``struct`` itself, so without ``-S`` no test could tell whether
+    loadcomp loads it.
+    """
     code = "import sys; before = set(sys.modules); import loadcomp.cli; print(*sorted(set(sys.modules) - before))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
                             check=True, timeout=60).stdout.split()
     assert "loadcomp.cli" in loaded
-    assert not {"dataclasses", "inspect", "statistics", "fractions", "decimal"} & set(loaded)
+    assert not {"dataclasses", "inspect", "statistics", "fractions", "decimal", "struct"} & set(loaded)
 
 
 def _records():
@@ -82,7 +86,7 @@ def _records():
                              relative_gap=0.0, adjusted_table=table),
         model,
         HourlyAttribution(by_activity={"TV": (1.0,)}, measured=profile, model=model),
-        OccupancyCurve(weights=(1.0 / 24.0,) * 24),
+        OccupancyCurve((1.0,) * 24),
         profile,
     )
 

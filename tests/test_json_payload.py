@@ -220,6 +220,15 @@ def test_csv_text_refuses_a_non_finite_float_column(column, index, bad, beside):
         csv_text(Rows(others, kw=column))
 
 
+
+@pytest.mark.parametrize("column", [[1, math.nan], [None, math.inf], ["x", 2.5, -math.inf], [True, 1.0, math.nan]],
+                         ids=["int", "none", "text", "bool"])
+@pytest.mark.parametrize("write", [csv_text, lambda rows: json_text({"r": rows})], ids=["csv", "json"])
+def test_a_non_finite_float_in_a_mixed_column_is_refused(write, column):
+    """A column of several types holds the float rule too: neither writer gives a NaN or an infinity a text."""
+    with pytest.raises(PayloadError, match="not a finite number"):
+        write(Rows(a=column))
+
 @st.composite
 def repeated_columns(draw):
     """Columns longer than one day of hours, drawn from a few values as a metered series repeats them.

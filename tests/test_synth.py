@@ -19,7 +19,7 @@ from loadcomp.synth import (
 )
 from conftest import SUMMER_DAILY_WH, appliance_specs, catalogs, household_device_energy, left_to_right_sum
 
-UNIFORM = OccupancyCurve(weights=(1.0 / 24.0,) * 24)
+UNIFORM = OccupancyCurve((1.0,) * 24)
 
 occupancy_values = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=24, max_size=24
@@ -87,15 +87,31 @@ class TestLoadOccupancy:
         with pytest.raises(OccupancyError, match="non-negative"):
             load_occupancy(occupancy_file(tmp_path, ",".join(["1"] * 23 + [value])))
 
-    def test_nan_weight_rejected_on_construction(self):
+    def test_nan_value_rejected_on_construction(self):
         with pytest.raises(OccupancyError, match="non-negative"):
-            OccupancyCurve(weights=(float("nan"),) + (1.0 / 23.0,) * 23)
+            OccupancyCurve((float("nan"),) + (1.0,) * 23)
+
+    @pytest.mark.parametrize("values, message", [
+        ([-1.0] * 23, "expected 24 occupancy values, got 23"),  # the count first
+        ([-1.0] + [0.0] * 23, "finite and non-negative"),  # then each value
+        ([0.0] * 12 + [-0.0] * 12, "must not all be zero"),
+    ], ids=["count", "negative", "zero"])
+    def test_the_first_fault_is_named(self, values, message):
+        with pytest.raises(OccupancyError, match=message):
+            OccupancyCurve(values)
 
     def test_a_list_changed_after_construction_leaves_the_weights_unchanged(self):
-        weights = [1.0 / 24.0] * 24
-        curve = OccupancyCurve(weights=weights)
-        weights[0] = 5.0  # the weights would no longer sum to 1
+        values = [1.0] * 24
+        curve = OccupancyCurve(values)
+        values[0] = 5.0  # the curve would no longer be flat
         assert curve.weights == (1.0 / 24.0,) * 24
+
+    @given(values=occupancy_values)
+    @example(values=[1e308] * 24)  # scaled before the sum, which would overflow
+    def test_weights_are_the_values_scaled_to_their_largest_and_then_their_sum(self, values):
+        scaled = [value / max(values) for value in values]
+        total = left_to_right_sum(scaled)
+        assert [*map(repr, OccupancyCurve(values).weights)] == [repr(value / total) for value in scaled]
 
     def test_all_zero_rejected(self, tmp_path):
         with pytest.raises(OccupancyError, match="not all be zero"):
@@ -133,7 +149,7 @@ class TestShapeFor:
 
     @given(values=occupancy_values, spec=appliance_specs())
     def test_output_always_a_valid_shape(self, values, spec):
-        occ = OccupancyCurve.from_values(values)
+        occ = OccupancyCurve(values)
         weights = shape_for(spec.operation, occ)
         assert len(weights) == 24
         assert all(w >= 0 for w in weights)
