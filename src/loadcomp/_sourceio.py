@@ -12,13 +12,14 @@ from typing import Mapping, Sequence
 
 
 def read_text(path: Path | str, what: str, error: type[Exception]) -> str:
-    """The content of the file at ``path`` read as UTF-8; a file that cannot be read or decoded raises ``error``.
+    """The content of the file at ``path`` read as UTF-8, without a leading byte-order mark; a file that cannot be read
+    or decoded raises ``error``.
 
     ``what`` names the input in the message: ``cannot read <what> file <path>: <reason>``.
     """
     try:  # a str is read as a Path, whose OSError text names the path in its normal form
         with open(path if isinstance(path, Path) else Path(path), encoding="utf-8") as file:
-            return file.read()
+            return file.read().removeprefix("\ufeff")  # as a spreadsheet's "CSV UTF-8" starts; no copy without it
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from exc
 

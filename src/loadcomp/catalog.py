@@ -242,9 +242,25 @@ def _rows_from_csv(text: str) -> list[dict]:
     return rows
 
 
+class _RepeatedKeys(dict):
+    """A JSON object that gives a key twice or more, with the last value of each, as ``json.loads`` keeps it."""
+
+    repeated: list[str]  # each such key once, in first-seen order
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """The object of ``pairs`` as ``json.loads`` builds it; one that repeats a key is a :class:`_RepeatedKeys`."""
+    built = dict(pairs)
+    if len(built) < len(pairs):
+        keys = [key for key, _ in pairs]
+        built = _RepeatedKeys(built)
+        built.repeated = [key for key in built if keys.count(key) > 1]
+    return built
+
+
 def _rows_from_json(text: str) -> list:
     try:
-        data = json.loads(text) if text.strip() else []
+        data = json.loads(text, object_pairs_hook=_json_object) if text.strip() else []
     except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise CatalogError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, list):
@@ -273,6 +289,8 @@ def _spec_from_mapping(raw: dict, rownum: int) -> ApplianceSpec:
         raise CatalogError(f"row {rownum}: {exc}") from None
     if extra := [key for key in raw if key not in values]:  # a JSON key: a CSV header's names were checked
         raise CatalogError(f"row {rownum}: unexpected key(s): {', '.join(map(repr, extra))}")
+    if repeated := getattr(raw, "repeated", None):  # a JSON key given twice, of which json.loads kept the last value
+        raise CatalogError(f"row {rownum}: duplicate key(s): {', '.join(map(repr, repeated))}")
     return ApplianceSpec(**values)
 
 

@@ -9,7 +9,6 @@ goes to a ``<out>.meta.json`` sidecar instead.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import shlex
 import sys
@@ -39,9 +38,8 @@ from .synth import OccupancyError, default_occupancy, household_total, load_occu
 _INPUT_ERRORS = (CatalogError, CompositionError, ProfileError, ReconcileError, OccupancyError, PayloadError)
 
 
-@functools.cache  # one shared parser per process: parse_args leaves it unchanged, so callers must too
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of ``_COMMANDS``, for the argvs that ``_parse`` does not read itself: help, usage and errors."""
+    """A new parser of ``_COMMANDS``, for the argvs that ``_parse`` does not read itself: help, usage and errors."""
     parser = argparse.ArgumentParser(
         prog="loadcomp",
         description="Residential load composition: bottom-up appliance model, "

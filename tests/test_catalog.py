@@ -231,6 +231,22 @@ class TestParseCatalog:
         with pytest.raises(CatalogError, match="^row 2: field 'run_watts' is not a number"):
             parse_catalog(json.dumps(rows), fmt="json")
 
+    def test_a_repeated_json_key_is_rejected_after_the_fields(self):
+        """``json.loads`` keeps a repeated key's last value: Cooking's winter ToU would read 2.0, not 1.6."""
+        text = serialize_catalog(builtin_catalog(), fmt="json")
+        cooking = '"activity": "Cooking",\n    "tou_winter": 1.6,'
+        assert cooking in text
+        repeats = '\n    "tou_winter": 2.0,\n    "units_summer": 1,\n    "tou_winter": 1.6,'
+        doubled = text.replace(cooking, cooking + repeats)
+        with pytest.raises(CatalogError, match=r"^row 9: duplicate key\(s\): 'tou_winter', 'units_summer'$"):
+            parse_catalog(doubled, fmt="json")
+        with pytest.raises(CatalogError, match=r"^row 9: unexpected key\(s\): 'colour'$"):  # named before a repeat
+            parse_catalog(doubled.replace(cooking, cooking + ' "colour": "red",'), fmt="json")
+        with pytest.raises(CatalogError, match="^row 9: field 'run_watts' is not a number"):
+            parse_catalog(doubled.replace('"run_watts": 2150.0', '"run_watts": "lots"'), fmt="json")
+        with pytest.raises(CatalogError, match=r"^row 9: field 'tou_winter' is not a number \(got \{'a': 2\}\)$"):
+            parse_catalog(text.replace('"tou_winter": 1.6', '"tou_winter": {"a": 1, "a": 2}'), fmt="json")
+
     @pytest.mark.parametrize("header, message", [
         (CSV_HEADER + ',"x\nloadcomp: error: fake"', "^unexpected column\\(s\\): 'x\\\\nloadcomp: error: fake'$"),
         (CSV_HEADER.replace("idle_fraction", '"idle_fraction\nfake"'),

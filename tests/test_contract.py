@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from loadcomp import Season, builtin_catalog, cli
+from loadcomp import Season, builtin_catalog
 from loadcomp.catalog import ApplianceSpec, Catalog, OperationClass
 from loadcomp.composition import SeasonalConsumptionTable
 from loadcomp.profile import Granularity, LoadProfile
@@ -143,25 +143,21 @@ def test_every_traced_benchmark_hook_is_called_by_its_bare_name():
         assert attribute in callees, f"{module_name} never calls {attribute} by that name"
 
 
-def test_the_cli_builds_its_parser_once_per_process():
-    """In-process callers of ``cli.main`` reuse one parser instead of rebuilding it on every call."""
-    assert cli.build_parser() is cli.build_parser()
-
-
 _FRESH_CALL = """
 import contextlib, io, sys
 from loadcomp import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, cli.build_parser.cache_info().misses, *sorted({"shutil", "locale"} & set(sys.modules)))
+print(code, *sorted({"shutil", "locale"} & set(sys.modules)))
 """
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["reconcile", "--builtin-paper", "--profile", "winter_day.csv"], ["0", "0"]),  # the flag table, no parser
-    (["composition", "--format", "csv"], ["1", "1", "locale", "shutil"]),  # a usage error builds it
+    (["reconcile", "--builtin-paper", "--profile", "winter_day.csv"], ["0"]),  # the flag table, no parser
+    (["composition", "--format", "csv"], ["1", "locale", "shutil"]),  # a usage error builds it
 ])
 def test_a_fresh_process_builds_the_parser_only_for_help_usage_and_errors(argv, expected):
+    """Under ``-S`` only building the parser imports ``locale`` (its first ``gettext``) and ``shutil`` (the width)."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     result = subprocess.run([sys.executable, "-S", "-c", _FRESH_CALL, *argv], env=env, capture_output=True, text=True,
                             check=True, timeout=60, cwd=ROOT / "tests" / "golden" / "inputs")

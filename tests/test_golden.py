@@ -14,6 +14,7 @@ and review the diff before committing it.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import io
 import json
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from loadcomp.cli import build_parser, main
+from loadcomp.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -125,8 +126,8 @@ def test_golden_payload(name, status, monkeypatch):
     assert {"exit": code, "stderr": err} == status[name]
 
 
-def test_one_shared_parser_gives_every_case_its_golden_bytes(status, monkeypatch):
-    """One process runs every case in sorted and then in reverse order, all through one cached parser."""
+def test_one_process_gives_every_case_its_golden_bytes(status, monkeypatch):
+    """One process runs every case in sorted and then in reverse order: no call changes the bytes of a later one."""
     monkeypatch.chdir(INPUTS)
     monkeypatch.setenv("COLUMNS", "80")
     for name in sorted(CASES) + sorted(CASES, reverse=True):
@@ -149,41 +150,41 @@ def test_quoted_and_crlf_profiles_give_the_golden_bytes(copy, status, monkeypatc
         (tmp_path / profile).write_text(COPIES[copy]((INPUTS / profile).read_text()), newline="")
     monkeypatch.chdir(INPUTS)
     monkeypatch.setenv("COLUMNS", "80")
-    names = [name for name, argv in CASES.items() if set(argv) & set(PROFILES)]
-    assert len(names) == 25
+    assert len(assert_golden_bytes_from_copies(PROFILES, tmp_path, status)) == 25
+
+
+def test_files_that_start_with_a_byte_order_mark_give_the_golden_bytes(status, monkeypatch, tmp_path):
+    """A spreadsheet's "CSV UTF-8" export starts with U+FEFF: each kind of input file gives its bytes with that mark."""
+    files = (*PROFILES, "catalog.csv", "catalog.json", "occupancy.csv")
+    for name in files:
+        (tmp_path / name).write_bytes(codecs.BOM_UTF8 + (INPUTS / name).read_bytes())
+    monkeypatch.chdir(INPUTS)
+    monkeypatch.setenv("COLUMNS", "80")
+    names = assert_golden_bytes_from_copies(files, tmp_path, status)
+    assert {"composition-csvcat-both-csv", "composition-jsoncat-both-json", "synth-csvcat-occupancy-json"} <= set(names)
+
+
+def assert_golden_bytes_from_copies(files, folder: Path, status) -> list[str]:
+    """Each case that reads one of ``files`` gives its golden bytes with the copies in ``folder`` read instead."""
+    names = [name for name, argv in CASES.items() if set(argv) & set(files)]
     for name in names:
-        code, out, err = run_case([str(tmp_path / arg) if arg in PROFILES else arg for arg in CASES[name]])
+        code, out, err = run_case([str(folder / arg) if arg in files else arg for arg in CASES[name]])
         assert out.encode("utf-8") == (PAYLOADS / f"{name}.out").read_bytes(), name
         assert {"exit": code, "stderr": err} == status[name], name
+    return names
 
 
 USAGE_ERROR = ["composition", "--format", "csv"]  # neither --catalog nor --builtin-paper
 
 
-def fresh_case(argv: list[str]) -> tuple[int, str, str]:
-    """``run_case`` through a newly built parser."""
-    build_parser.cache_clear()
-    return run_case(argv)
-
-
-def test_usage_errors_and_successes_do_not_leak_into_each_other(monkeypatch):
-    monkeypatch.chdir(INPUTS)
-    monkeypatch.setenv("COLUMNS", "80")
-    success = CASES["reconcile-csvcat-winter-day-json"]
-    expected = {"error": fresh_case(USAGE_ERROR), "success": fresh_case(success)}
-    assert expected["error"][0] == 1 and expected["success"][0] == 0
-    for kind in ("error", "success", "error", "success"):  # each follows the other through the cached parser
-        assert run_case(USAGE_ERROR if kind == "error" else success) == expected[kind], kind
-
-
 def test_usage_message_wraps_to_the_columns_of_each_call(monkeypatch):
-    """The parser is built once, but each usage message is formatted at the ``COLUMNS`` in force."""
+    """Each usage message is formatted at the ``COLUMNS`` in force, whichever width the call before it had."""
     expected = {}
     for columns in ("200", "40"):
         monkeypatch.setenv("COLUMNS", columns)
-        expected[columns] = fresh_case(USAGE_ERROR)
+        expected[columns] = run_case(USAGE_ERROR)
     assert expected["200"] != expected["40"]
-    for columns in ("200", "40"):  # the cached parser was built at 40 columns
+    for columns in ("200", "40"):  # the call before each is at the other width
         monkeypatch.setenv("COLUMNS", columns)
         assert run_case(USAGE_ERROR) == expected[columns], columns
 
